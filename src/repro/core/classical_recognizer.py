@@ -20,8 +20,9 @@ for whole-block work), A1 is decided once by the offline reference
 parser, A2's per-trial fingerprints come out of one modular-Horner
 sweep (:func:`repro.core.a2_fingerprint.a2_passes_at_points`), and the
 chunk matcher / full-storage comparisons collapse to a handful of NumPy
-reductions.  Trial randomness is drawn generator-for-generator like the
-streamed machines, so acceptance decisions are identical, only faster.
+reductions.  Trial randomness is the streamed machines' draw for draw
+(derived in bulk by :func:`repro.rng.spawn_bulk`), so acceptance
+decisions are identical, only faster.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from ..mathx.primes import fingerprint_prime
-from ..rng import resolve_trial_seeds, spawn
+from ..rng import bulk_draws, ensure_rng, resolve_trial_seeds, spawn
 from ..xp import to_numpy
 from ..streaming.algorithm import OnlineAlgorithm
 from ..streaming.combinators import ParallelComposition
@@ -106,8 +107,6 @@ class BlockwiseClassicalRecognizer(ParallelComposition):
     """
 
     def __init__(self, rng=None) -> None:
-        from ..rng import ensure_rng, spawn
-
         parent = ensure_rng(rng)
         (r1,) = spawn(parent, 1)
         self.a1 = A1FormatCheck()
@@ -242,17 +241,17 @@ def full_storage_accepts(word: str) -> bool:
 
 
 def _decide_blockwise_tile(
-    k: int, blocks: Sequence[str], p: int, seeds: Sequence[int], xp=None
+    k: int, blocks: Sequence[str], p: int, plan: np.ndarray, xp=None
 ) -> np.ndarray:
-    """A2 verdicts for one tile of trials, from explicit child seeds.
+    """A2 verdicts for one tile of trials, from their ``(T, 4)`` plan words.
 
-    RNG spawning stays on the host; *xp* only moves the exact-int64
-    Horner sweep, so the verdicts are identical on every namespace.
+    Each trial's one child (the streamed machine's
+    ``spawn(default_rng(seed), 1)``) comes from
+    :func:`repro.rng.spawn_bulk` and draws A2's ``t``.  The draws stay
+    on the host; *xp* only moves the exact-int64 Horner sweep, so the
+    verdicts are identical on every namespace.
     """
-    ts = np.empty(len(seeds), dtype=np.int64)
-    for i, seed in enumerate(seeds):
-        (r1,) = spawn(np.random.default_rng(seed), 1)
-        ts[i] = r1.integers(0, p)
+    (ts,) = bulk_draws(plan, 1, lambda a2_rng: (a2_rng.integers(p),))
     return to_numpy(a2_passes_at_points(k, list(blocks), ts, p=p, xp=xp))
 
 
@@ -269,12 +268,14 @@ def sample_blockwise_acceptance_batch(
 
     Draw-for-draw equivalent to ``trials`` sequential runs of
     :class:`BlockwiseClassicalRecognizer` with the same seed: the same
-    child generator is spawned per trial and consulted in the same
-    order (A2's evaluation point t), A2 is evaluated for all trials in
-    one Horner sweep, and the deterministic A1/chunk-matching verdicts
-    are computed once and broadcast.  *trial_seeds* (one child seed per
-    trial, as :func:`repro.rng.spawn_seeds` would produce) overrides the
-    spawn so shards of one word's trials can run in other processes.
+    child stream is derived per trial (in bulk, by
+    :func:`repro.rng.spawn_bulk`) and consulted in the same order (A2's
+    evaluation point t), A2 is evaluated for all trials in one Horner
+    sweep, and the deterministic A1/chunk-matching verdicts are
+    computed once and broadcast.  *trial_seeds* (one child seed per
+    trial, as :func:`repro.rng.spawn_seeds` would produce, or their
+    ``(trials, 4)`` plan words) overrides the spawn so shards of one
+    word's trials can run in other processes.
     *max_batch_bytes* / *chunk_trials* tile the trials into contiguous
     chunks decided sequentially with byte-identical counts (see
     :mod:`repro.core.tiling`).  *xp* (numpy when omitted) is the array
@@ -282,7 +283,7 @@ def sample_blockwise_acceptance_batch(
     are namespace-invariant because the sweep is exact integer
     arithmetic.  Returns a boolean array of length *trials*.
     """
-    seeds = resolve_trial_seeds(trials, rng, trial_seeds)
+    plan = resolve_trial_seeds(trials, rng, trial_seeds)
     if trials == 0:
         return np.zeros(0, dtype=bool)
     parsed = parse_condition_i(word)
@@ -300,10 +301,10 @@ def sample_blockwise_acceptance_batch(
     per_trial = 24 + 8 * len(set(blocks))
     tile = resolve_chunk_trials(trials, max_batch_bytes, chunk_trials, per_trial)
     if tile >= trials:
-        return _decide_blockwise_tile(k, blocks, p, seeds, xp=xp)
+        return _decide_blockwise_tile(k, blocks, p, plan, xp=xp)
     out = np.empty(trials, dtype=bool)
     for lo, hi in tile_bounds(trials, tile):
-        out[lo:hi] = _decide_blockwise_tile(k, blocks, p, seeds[lo:hi], xp=xp)
+        out[lo:hi] = _decide_blockwise_tile(k, blocks, p, plan[lo:hi], xp=xp)
     return out
 
 

@@ -34,7 +34,7 @@ from ..quantum.operators import (
 )
 from ..quantum.registers import A3Registers
 from ..quantum.state import BatchedStateVector, StateVector
-from ..rng import ensure_rng, resolve_trial_seeds, spawn
+from ..rng import bulk_draws, ensure_rng, resolve_trial_seeds, spawn
 from ..xp import to_numpy
 from ..streaming.combinators import ParallelComposition
 from ..mathx.primes import fingerprint_prime
@@ -209,11 +209,16 @@ def _decide_quantum_tile(
     blocks: list[str],
     p: int,
     m: int,
-    seeds: list[int],
+    plan: np.ndarray,
     detection_cache: dict[int, float],
     xp=None,
 ) -> np.ndarray:
-    """Accept decisions for one tile of trials, from explicit child seeds.
+    """Accept decisions for one tile of trials, from their plan words.
+
+    *plan* holds the tile's ``(T, 4)`` rows of the run's trial plan.
+    :func:`repro.rng.spawn_bulk` derives each trial's two children, draw
+    for draw the streamed machine's ``spawn(default_rng(seed), 2)``:
+    child 0 draws A2's ``t``, child 1 A3's ``j`` and then its coin.
 
     *detection_cache* memoizes A3's per-``j`` detection probability
     across tiles: the value depends only on ``(blocks, j)`` and the
@@ -222,21 +227,17 @@ def _decide_quantum_tile(
     is split into (only scalars are retained, so the cache never eats
     into the byte budget).
 
-    RNG spawning and the per-trial accept decisions always stay on the
+    Trial draws and the per-trial accept decisions always stay on the
     host; *xp* only moves the A2 Horner sweep and the A3 state evolution
     into another namespace, so counts are namespace-invariant whenever
     the namespace's float arithmetic is (and exactly bit-stable on any
     CPU namespace, where the operation sequence is identical).
     """
-    n = len(seeds)
-    ts = np.empty(n, dtype=np.int64)
-    js = np.empty(n, dtype=np.int64)
-    coins = np.empty(n, dtype=np.float64)
-    for i, seed in enumerate(seeds):
-        r1, r2 = spawn(np.random.default_rng(seed), 2)
-        ts[i] = r1.integers(0, p)
-        js[i] = r2.integers(0, m)
-        coins[i] = r2.random()
+    ts, js, coins = bulk_draws(
+        plan, 2, lambda a2_rng, a3_rng: (
+            a2_rng.integers(p), a3_rng.integers(m), a3_rng.random()
+        )
+    )
     a2_ok = to_numpy(a2_passes_at_points(k, blocks, ts, p=p, xp=xp))
     unique_js, inverse = np.unique(js, return_inverse=True)
     missing = [int(j) for j in unique_js if int(j) not in detection_cache]
@@ -264,17 +265,18 @@ def sample_acceptance_batch(
     Draw-for-draw equivalent to ``trials`` sequential runs of
     :class:`QuantumOnlineRecognizer` driven by
     :func:`repro.streaming.acceptance_probability_by_sampling` with the
-    same seed: the same child generators are spawned and consulted in
-    the same order (A2's t, A3's j, A3's measurement coin), A2 is
-    evaluated for all trials in one Horner sweep, and A3's detection
-    probabilities are evolved once per *distinct* j as a state batch.
-    *trial_seeds* (one child seed per trial, as
-    :func:`repro.rng.spawn_seeds` would produce) overrides the spawn so
-    shards of one word's trials can run in other processes.
+    same seed: the same child streams are derived (in bulk, by
+    :func:`repro.rng.spawn_bulk`) and consulted in the same order (A2's
+    t, A3's j, A3's measurement coin), A2 is evaluated for all trials in
+    one Horner sweep, and A3's detection probabilities are evolved once
+    per *distinct* j as a state batch.  *trial_seeds* (one child seed
+    per trial, as :func:`repro.rng.spawn_seeds` would produce, or their
+    ``(trials, 4)`` plan words) overrides the spawn so shards of one
+    word's trials can run in other processes.
 
     *max_batch_bytes* / *chunk_trials* tile the trials into contiguous
     chunks decided sequentially (see :mod:`repro.core.tiling`): each
-    trial's decision depends only on its own child seed, so the
+    trial's decision depends only on its own plan row, so the
     concatenated decisions are byte-identical to the untiled run while
     the working set stays within the budget.  Returns a boolean array
     of length *trials*.
@@ -283,7 +285,7 @@ def sample_acceptance_batch(
     run in (see :mod:`repro.xp`); trial randomness and the decisions
     stay on the host, so counts match numpy's on every namespace.
     """
-    seeds = resolve_trial_seeds(trials, rng, trial_seeds)
+    plan = resolve_trial_seeds(trials, rng, trial_seeds)
     if trials == 0:
         return np.zeros(0, dtype=bool)
     parsed = parse_condition_i(word)
@@ -311,11 +313,11 @@ def sample_acceptance_batch(
         )
     detection_cache: dict[int, float] = {}
     if tile >= trials:
-        return _decide_quantum_tile(k, blocks, p, m, seeds, detection_cache, xp=xp)
+        return _decide_quantum_tile(k, blocks, p, m, plan, detection_cache, xp=xp)
     out = np.empty(trials, dtype=bool)
     for lo, hi in tile_bounds(trials, tile):
         out[lo:hi] = _decide_quantum_tile(
-            k, blocks, p, m, seeds[lo:hi], detection_cache, xp=xp
+            k, blocks, p, m, plan[lo:hi], detection_cache, xp=xp
         )
     return out
 

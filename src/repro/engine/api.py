@@ -35,7 +35,7 @@ import numpy as np
 
 from ..analysis.bounds import binomial_stderr, wilson_interval
 from ..obs import get_registry, span
-from ..rng import RngLike, ensure_rng, spawn_seeds
+from ..rng import RngLike, plan_ints, spawn_seeds, trial_parent, trial_plan
 
 #: Recognizer names every backend understands (the *what* to sample;
 #: the backend is the *how*).  "quantum" is Theorem 3.4's machine,
@@ -51,12 +51,15 @@ RECOGNIZERS = ("quantum", "classical-blockwise", "classical-full")
 DETERMINISTIC_RECOGNIZERS = frozenset({"classical-full"})
 
 
-def trial_seed_plan(rng: RngLike, trials: int) -> List[int]:
-    """The per-trial child seeds an unsharded single-word run would draw.
+def trial_seed_plan(rng: RngLike, trials: int, start: int = 0) -> List[int]:
+    """The per-trial child seeds of an unsharded single-word run.
 
     For a parent seed *rng*, every backend derives trial *i*'s child
-    generator from ``spawn_seeds(parent, trials)[i]`` — this function is
-    that list, exposed as a public API.  Two contracts hang off it:
+    generator from ``spawn_seeds(parent, trials)[i]`` — this function
+    returns that list's rows ``start..trials``, as a public API.  The
+    bulk chain in :mod:`repro.rng` addresses a child by its index, so
+    the cost is ``O(trials - start)`` whatever *start* is.  Two
+    contracts hang off it:
 
     * **sharding** — any contiguous slice ``plan[lo:hi]`` fed to a
       backend's ``count_accepted_from_seeds`` runs exactly trials
@@ -64,10 +67,11 @@ def trial_seed_plan(rng: RngLike, trials: int) -> List[int]:
       ``shard_trials`` path is built on this);
     * **resumption** — because ``SeedSequence`` children depend only on
       the parent entropy and the child index, ``trial_seed_plan(seed,
-      more)[done:]`` is the exact continuation of a run that stopped
-      after ``done`` trials: counts merged across the boundary are
-      identical to one fresh ``more``-trial run.  ``repro.lab`` deepens
-      cached experiments through this.
+      more, start=done)`` is the exact continuation of a run that
+      stopped after ``done`` trials: counts merged across the boundary
+      are identical to one fresh ``more``-trial run.  ``repro.lab``
+      deepens cached experiments through this, deriving only the new
+      trials' seeds.
 
     Deterministic recognizers (:data:`DETERMINISTIC_RECOGNIZERS`) never
     consult their child generators, so for them the plan is a valid —
@@ -81,22 +85,26 @@ def trial_seed_plan(rng: RngLike, trials: int) -> List[int]:
             (``numpy.random.default_rng``) or ``TypeError`` is raised;
             a generator that has already spawned children yields a
             *different* plan than its seed would (the spawn counter has
-            advanced), so pass the seed itself when you need the
-            resumption contract.
-        trials: plan length; ``0`` is legal (an empty plan),
-            negative raises ``ValueError``.
+            advanced, and this call advances it by *trials* more), so
+            pass the seed itself when you need the resumption contract.
+        trials: plan end; ``0`` is legal (an empty plan), negative
+            raises ``ValueError``.
+        start: the first trial returned, ``0 <= start <= trials``.
 
     Plans are prefix-stable — a shorter plan from the same seed is a
-    prefix of a longer one, which is exactly the resumption contract:
+    prefix of a longer one — and a suffix is addressed directly, which
+    together are the resumption contract:
 
     >>> trial_seed_plan(7, 4) == trial_seed_plan(7, 9)[:4]
+    True
+    >>> trial_seed_plan(7, 9, start=4) == trial_seed_plan(7, 9)[4:]
     True
     >>> trial_seed_plan(7, 0)
     []
     """
     if trials < 0:
         raise ValueError("trials must be non-negative")
-    return spawn_seeds(ensure_rng(rng), trials)
+    return plan_ints(trial_plan(rng, trials, start))
 
 
 def validate_recognizer(recognizer: str) -> str:
@@ -185,13 +193,17 @@ class ExecutionBackend(ABC):
         self,
         word: str,
         trials: int,
-        rng: np.random.Generator,
+        rng: RngLike,
         factory: Optional[Callable[[np.random.Generator], Any]] = None,
         recognizer: str = "quantum",
     ) -> int:
         """Number of accepting trials among *trials* runs on *word*.
 
-        *recognizer* picks the machine to sample (see
+        *rng* is the trials' parent: an int seed (whose children the
+        batched samplers address directly) or a ``Generator`` whose
+        spawn counter advances by *trials* — see
+        :func:`repro.rng.trial_parent`.  *recognizer* picks the machine
+        to sample (see
         :data:`RECOGNIZERS`); *factory* (child generator -> algorithm)
         overrides it with an arbitrary algorithm — backends that
         vectorize the recognizers themselves reject custom factories.
@@ -201,16 +213,14 @@ class ExecutionBackend(ABC):
         self,
         words: Sequence[str],
         trials: int,
-        rng: np.random.Generator,
+        rng: RngLike,
         factory: Optional[Callable[[np.random.Generator], Any]] = None,
         recognizer: str = "quantum",
     ) -> List[int]:
         """Accepted counts per word; one spawned child seed per word."""
         seeds = spawn_seeds(rng, len(words))
         return [
-            self.count_accepted(
-                word, trials, np.random.default_rng(seed), factory, recognizer
-            )
+            self.count_accepted(word, trials, seed, factory, recognizer)
             for word, seed in zip(words, seeds)
         ]
 
@@ -282,7 +292,10 @@ class ExecutionEngine:
     of the per-trial (and, for :meth:`run_many`, per-word) child
     streams, derived via ``SeedSequence`` spawning — so a fixed seed
     gives identical acceptance counts on every backend, and switching
-    backend is purely a throughput decision.
+    backend is purely a throughput decision.  An int seed reaches the
+    backend as an int (no generator is built for it); a caller-owned
+    ``Generator`` sees its spawn counter advance exactly as
+    ``spawn(rng, trials)`` would advance it.
 
     Failure modes: unknown backend or recognizer names raise
     ``ValueError`` at construction / call time; the process-pool
@@ -344,7 +357,7 @@ class ExecutionEngine:
         if trials <= 0:
             raise ValueError("trials must be positive")
         validate_recognizer(recognizer)
-        gen = ensure_rng(rng)
+        parent = trial_parent(rng)
         label = "custom" if factory is not None else recognizer
         start = time.perf_counter()
         with span(
@@ -355,7 +368,7 @@ class ExecutionEngine:
             words=1,
         ):
             accepted = self.backend.count_accepted(
-                word, trials, gen, factory, recognizer
+                word, trials, parent, factory, recognizer
             )
         elapsed = time.perf_counter() - start
         self._observe_run(label, trials, elapsed)
@@ -382,7 +395,7 @@ class ExecutionEngine:
         if trials <= 0:
             raise ValueError("trials must be positive")
         validate_recognizer(recognizer)
-        gen = ensure_rng(rng)
+        parent = trial_parent(rng)
         label = "custom" if factory is not None else recognizer
         start = time.perf_counter()
         with span(
@@ -393,7 +406,7 @@ class ExecutionEngine:
             words=len(words),
         ):
             counts = self.backend.count_accepted_many(
-                words, trials, gen, factory, recognizer
+                words, trials, parent, factory, recognizer
             )
         elapsed = time.perf_counter() - start
         self._observe_run(label, trials * len(words), elapsed)

@@ -16,8 +16,9 @@ Delegates to the core layer's batch paths, one per recognizer:
   the deterministic baseline decided once over packed uint64 lanes and
   broadcast across trials.
 
-Trial randomness is drawn generator-for-generator like the sequential
-backend, so the acceptance counts are identical, only faster.
+Trial randomness is the sequential backend's draw for draw, derived in
+bulk (:mod:`repro.rng`), so the acceptance counts are identical, only
+faster.
 """
 
 from __future__ import annotations

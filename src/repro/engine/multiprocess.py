@@ -54,9 +54,7 @@ def _count_one(args: tuple) -> int:
     """Pool worker: rebuild the inner backend and run one word."""
     word, trials, seed, inner_name, recognizer, max_batch_bytes = args
     backend = _inner_backend(inner_name, max_batch_bytes)
-    return backend.count_accepted(
-        word, trials, np.random.default_rng(seed), recognizer=recognizer
-    )
+    return backend.count_accepted(word, trials, seed, recognizer=recognizer)
 
 
 def _count_shard(args: tuple) -> int:
@@ -224,12 +222,7 @@ class MultiprocessBackend(ExecutionBackend):
         if self.shard_trials and len(words) == 1:
             # A single word fans out better across its trials.
             return [
-                self.count_accepted(
-                    words[0],
-                    trials,
-                    np.random.default_rng(seeds[0]),
-                    recognizer=recognizer,
-                )
+                self.count_accepted(words[0], trials, seeds[0], recognizer=recognizer)
             ]
         with observe_backend_call(
             self.name, recognizer, trials * len(words), words=len(words)

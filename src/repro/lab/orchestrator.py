@@ -8,8 +8,9 @@ content key:
   stored counts are served with *zero* engine work;
 * **deepened** — a shallower checkpoint exists: only the missing
   trials run, from the exact per-trial child seeds the unsharded fresh
-  run would have drawn (``trial_seed_plan(seed, trials)[done:]``), and
-  the counts merge seed-identically to one fresh ``trials``-trial run;
+  run would have drawn (``trial_seed_plan(seed, trials, start=done)``,
+  which derives only those seeds), and the counts merge
+  seed-identically to one fresh ``trials``-trial run;
 * **fresh** — nothing stored: the full seed plan runs.
 
 Either way a new cumulative checkpoint is appended, so the store only
@@ -208,8 +209,8 @@ class Orchestrator:
                 base = record  # ladder is sorted: ends at deepest prefix
         done = base.trials if base is not None else 0
         # The continuation seeds: exactly what the unsharded fresh run
-        # would draw for trials done..trials (the slice contract).
-        seeds = trial_seed_plan(spec.seed, spec.trials)[done:]
+        # would draw for trials done..trials, addressed directly.
+        seeds = trial_seed_plan(spec.seed, spec.trials, start=done)
         backend = self._backend(spec)
         start = time.perf_counter()
         accepted_new = backend.count_accepted_from_seeds(

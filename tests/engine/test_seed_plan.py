@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.core import intersecting_nonmember
+from repro.core import intersecting_nonmember, malformed_nonmember
 from repro.engine import ExecutionEngine, get_backend, trial_seed_plan
 from repro.rng import ensure_rng, spawn_seeds
 
@@ -28,6 +28,15 @@ class TestPlan:
     def test_empty_plan(self):
         assert trial_seed_plan(9, 0) == []
 
+    def test_suffix_is_addressed_directly(self):
+        """The lab's deepening continuation, without the prefix."""
+        assert trial_seed_plan(9, 100, start=40) == trial_seed_plan(9, 100)[40:]
+        assert trial_seed_plan(9, 100, start=100) == []
+
+    def test_rejects_start_past_the_end(self):
+        with pytest.raises(ValueError):
+            trial_seed_plan(9, 10, start=11)
+
     @pytest.mark.parametrize("backend", ["sequential", "batched"])
     @pytest.mark.parametrize(
         "recognizer", ["quantum", "classical-blockwise", "classical-full"]
@@ -44,6 +53,32 @@ class TestPlan:
             word, 90, rng=9, recognizer=recognizer
         )
         assert whole == split == direct.accepted
+
+
+class TestSharedGenerator:
+    def test_randomized_calls_advance_one_parent_identically(self):
+        """One caller-owned generator across consecutive randomized calls.
+
+        The per-trial path spawns from the generator; the bulk path reads
+        its spawn counter and must then advance it the same way, or every
+        later call on the generator draws different children.
+        """
+        q_word = intersecting_nonmember(1, 1, np.random.default_rng(3))
+        b_word = malformed_nonmember(1, "x_copy_mismatch", np.random.default_rng(4))
+        outcomes = []
+        for backend in ("sequential", "batched"):
+            engine = ExecutionEngine(backend)
+            gen = np.random.default_rng(42)
+            counts = [
+                engine.estimate_acceptance(q_word, 40, rng=gen).accepted,
+                engine.estimate_acceptance(
+                    b_word, 60, rng=gen, recognizer="classical-blockwise"
+                ).accepted,
+                engine.estimate_acceptance(q_word, 40, rng=gen).accepted,
+            ]
+            outcomes.append((counts, gen.bit_generator.seed_seq.n_children_spawned))
+        assert outcomes[0] == outcomes[1]
+        assert outcomes[0][1] == 140
 
 
 class TestMultiprocessFromSeeds:

@@ -83,12 +83,18 @@ class TestSpawnSeeds:
 
 class TestResolveTrialSeeds:
     def test_defaults_to_spawn_seeds(self):
-        assert rngmod.resolve_trial_seeds(3, 11) == rngmod.spawn_seeds(
+        plan = rngmod.resolve_trial_seeds(3, 11)
+        assert plan.shape == (3, 4) and plan.dtype == np.uint32
+        assert rngmod.plan_ints(plan) == rngmod.spawn_seeds(
             np.random.default_rng(11), 3
         )
 
     def test_explicit_seeds_pass_through(self):
-        assert rngmod.resolve_trial_seeds(2, None, [4, 5]) == [4, 5]
+        assert rngmod.plan_ints(rngmod.resolve_trial_seeds(2, None, [4, 5])) == [4, 5]
+
+    def test_explicit_plan_words_pass_through(self):
+        plan = rngmod.trial_plan(3, 5)
+        assert rngmod.resolve_trial_seeds(5, None, plan) is plan
 
     def test_length_mismatch_rejected(self):
         with pytest.raises(ValueError, match="trial seeds"):
@@ -101,8 +107,8 @@ class TestResolveTrialSeeds:
     def test_zero_trials_is_a_legal_empty_plan(self):
         """A zero-length shard (an already-complete run's continuation)
         resolves to the empty list instead of raising."""
-        assert rngmod.resolve_trial_seeds(0, None) == []
-        assert rngmod.resolve_trial_seeds(0, None, []) == []
+        assert rngmod.resolve_trial_seeds(0, None).shape == (0, 4)
+        assert rngmod.resolve_trial_seeds(0, None, []).shape == (0, 4)
 
 
 class TestHelpers:
