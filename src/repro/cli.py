@@ -39,7 +39,8 @@ import numpy as np
 
 def _cmd_info(args: argparse.Namespace) -> int:
     from . import __version__
-    from .engine import RECOGNIZERS, available_backends, describe_backends
+    from .engine import RECOGNIZERS, available_backends
+    from .engine.api import RETIRED_BACKENDS
 
     print(f"repro {__version__}")
     print(
@@ -53,8 +54,8 @@ def _cmd_info(args: argparse.Namespace) -> int:
         "  Prop. 3.7     classical online upper bound O(n^{1/3})\n"
         "\n"
         f"Engine backends (--backend): {', '.join(available_backends())}\n"
-        + "".join(f"  {line}\n" for line in describe_backends())
-        + f"Recognizers (--recognizer):  {', '.join(RECOGNIZERS)}\n"
+        f"  retired names, run as batched: {', '.join(sorted(RETIRED_BACKENDS))}\n"
+        f"Recognizers (--recognizer):  {', '.join(RECOGNIZERS)}\n"
         "Memory budget (--memory-budget): tile dense trial batches to a\n"
         "  byte cap (e.g. 256M); counts are identical to unbudgeted runs\n"
         "Service: `repro serve` shares one store/engine across concurrent\n"
@@ -148,19 +149,18 @@ def _parse_memory_budget(text: Optional[str]) -> Optional[int]:
 
 
 def _backend_arg(text: str) -> str:
-    """``--backend`` values: any *registered* engine backend name.
+    """``--backend`` values: a registered engine backend or retired name.
 
     Validated against the live registry (not a frozen ``choices=``
-    list), so the error names every backend with its availability —
-    including why ``gpu`` would degrade on this machine.
+    list); a retired name (``sharedmem``, ``gpu``) runs as ``batched``.
     """
-    from .engine import available_backends, describe_backends
+    from .engine import available_backends, backend_availability
 
-    if text in available_backends():
+    if text in backend_availability():
         return text
-    listing = "; ".join(describe_backends())
     raise argparse.ArgumentTypeError(
-        f"unknown backend {text!r}; registered backends: {listing}"
+        f"unknown backend {text!r}; registered backends: "
+        f"{', '.join(available_backends())}"
     )
 
 
@@ -182,11 +182,8 @@ def _cmd_sample(args: argparse.Namespace) -> int:
     if args.trials <= 0:
         print("sample: --trials must be positive", file=sys.stderr)
         return 2
-    if args.shard_trials and args.backend != "multiprocess":
-        print("sample: --shard-trials requires --backend multiprocess", file=sys.stderr)
-        return 2
     word = _make_word(args)
-    options = {"shard_trials": True} if args.shard_trials else {}
+    options = {}
     if args.memory_budget is not None:
         options["max_batch_bytes"] = args.memory_budget
     engine = ExecutionEngine(args.backend, **options)
@@ -605,9 +602,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--backend",
         default="batched",
         type=_backend_arg,
-        help="execution backend (sequential | batched | multiprocess | "
-        "sharedmem | gpu; gpu degrades to the identical numpy path "
-        "when no device is visible)",
+        help="execution backend (sequential | batched | multiprocess; "
+        "the retired names sharedmem and gpu run as batched)",
     )
     samp.add_argument(
         "--memory-budget",
@@ -623,12 +619,6 @@ def build_parser() -> argparse.ArgumentParser:
         choices=["quantum", "classical-blockwise", "classical-full"],
         help="which machine to sample (Theorem 3.4, Prop. 3.7, or the "
         "full-storage baseline)",
-    )
-    samp.add_argument(
-        "--shard-trials",
-        action="store_true",
-        help="with --backend multiprocess: split this word's trials "
-        "across workers (same counts as unsharded)",
     )
     _add_trace_arg(samp)
     samp.set_defaults(func=_cmd_sample)

@@ -40,7 +40,7 @@ from .a1_format import A1FormatCheck
 from .a2_fingerprint import A2FingerprintCheck, a2_passes_at_points
 from .language import parse_condition_i
 from .structure import BlockStreamParser, block_type, round_index
-from .tiling import resolve_chunk_trials, tile_bounds
+from .tiling import decide_in_tiles, resolve_chunk_trials
 
 
 class _BlockwiseCore(OnlineAlgorithm):
@@ -274,14 +274,15 @@ def sample_blockwise_acceptance_batch(
     sweep, and the deterministic A1/chunk-matching verdicts are
     computed once and broadcast.  *trial_seeds* (one child seed per
     trial, as :func:`repro.rng.spawn_seeds` would produce, or their
-    ``(trials, 4)`` plan words) overrides the spawn so shards of one
-    word's trials can run in other processes.
+    ``(trials, 4)`` plan words) overrides the spawn, so a slice of a
+    run's plan decides exactly those trials.
     *max_batch_bytes* / *chunk_trials* tile the trials into contiguous
-    chunks decided sequentially with byte-identical counts (see
-    :mod:`repro.core.tiling`).  *xp* (numpy when omitted) is the array
-    namespace the Horner sweep runs in (see :mod:`repro.xp`); counts
-    are namespace-invariant because the sweep is exact integer
-    arithmetic.  Returns a boolean array of length *trials*.
+    chunks decided sequentially with byte-identical counts
+    (:func:`repro.core.tiling.decide_in_tiles`).  *xp* (numpy when
+    omitted) is the array namespace the Horner sweep runs in (see
+    :mod:`repro.xp`); counts are namespace-invariant because the sweep
+    is exact integer arithmetic.  Returns a boolean array of length
+    *trials*.
     """
     plan = resolve_trial_seeds(trials, rng, trial_seeds)
     if trials == 0:
@@ -300,12 +301,9 @@ def sample_blockwise_acceptance_batch(
     # fingerprint sweeps and verdict masks.
     per_trial = 24 + 8 * len(set(blocks))
     tile = resolve_chunk_trials(trials, max_batch_bytes, chunk_trials, per_trial)
-    if tile >= trials:
-        return _decide_blockwise_tile(k, blocks, p, plan, xp=xp)
-    out = np.empty(trials, dtype=bool)
-    for lo, hi in tile_bounds(trials, tile):
-        out[lo:hi] = _decide_blockwise_tile(k, blocks, p, plan[lo:hi], xp=xp)
-    return out
+    return decide_in_tiles(
+        plan, tile, lambda rows: _decide_blockwise_tile(k, blocks, p, rows, xp=xp)
+    )
 
 
 def sample_full_storage_acceptance_batch(
@@ -313,9 +311,6 @@ def sample_full_storage_acceptance_batch(
     trials: int,
     rng=None,
     trial_seeds: Optional[Sequence[int]] = None,
-    max_batch_bytes: Optional[int] = None,
-    chunk_trials: Optional[int] = None,
-    xp=None,
 ) -> np.ndarray:
     """Per-trial accept decisions of the full-storage baseline, batched.
 
@@ -325,18 +320,15 @@ def sample_full_storage_acceptance_batch(
     one million trials that loop alone costs seconds for a decision
     made in microseconds), so unlike the randomized samplers the
     parent's spawn counter is left untouched.  Explicit *trial_seeds*
-    are still validated so the sampler stays shard-compatible, and the
-    tiling knobs are accepted (and validated) for signature parity with
-    the randomized samplers — the broadcast output array is the whole
-    working set, so there is nothing to tile.  *xp* is likewise accepted
-    and ignored: the uint64-lane decision is a one-shot host reduction
-    with nothing worth shipping to a device.
+    are still validated, so a plan slice is accepted like everywhere
+    else.  The broadcast output array is the whole working set and the
+    decision is one host reduction, so there is nothing to tile or to
+    move to another array namespace.
     """
     if trial_seeds is not None:
         resolve_trial_seeds(trials, rng, trial_seeds)
     elif trials < 0:
         raise ValueError("trials must be non-negative")
-    resolve_chunk_trials(trials, max_batch_bytes, chunk_trials)
     if trials == 0:
         return np.zeros(0, dtype=bool)
     return np.full(trials, full_storage_accepts(word), dtype=bool)

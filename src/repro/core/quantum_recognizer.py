@@ -42,7 +42,7 @@ from .a1_format import A1FormatCheck
 from .a2_fingerprint import A2FingerprintCheck, a2_passes_at_points
 from .a3_grover import A3GroverProcedure
 from .language import parse_condition_i
-from .tiling import resolve_chunk_trials, tile_bounds
+from .tiling import decide_in_tiles, resolve_chunk_trials
 
 
 class QuantumOnlineRecognizer(ParallelComposition):
@@ -153,8 +153,8 @@ def batched_a3_detection(k: int, blocks: list[str], js, xp=None) -> np.ndarray:
     returned probabilities are bit-identical to the per-trial path.
 
     *xp* (numpy when omitted) is the array namespace the state batch
-    lives in — the ``gpu`` engine backend passes a device namespace so
-    the whole evolution runs on the device; masks and the returned
+    lives in — ``BatchedDenseBackend(xp=...)`` passes a device namespace
+    so the whole evolution runs on the device; masks and the returned
     probabilities stay host-side numpy either way.
     """
     host = xp is None or xp is np
@@ -271,12 +271,13 @@ def sample_acceptance_batch(
     one Horner sweep, and A3's detection probabilities are evolved once
     per *distinct* j as a state batch.  *trial_seeds* (one child seed
     per trial, as :func:`repro.rng.spawn_seeds` would produce, or their
-    ``(trials, 4)`` plan words) overrides the spawn so shards of one
-    word's trials can run in other processes.
+    ``(trials, 4)`` plan words) overrides the spawn, so a slice of a
+    run's plan — e.g. the continuation ``repro.lab`` deepens with —
+    decides exactly those trials.
 
     *max_batch_bytes* / *chunk_trials* tile the trials into contiguous
-    chunks decided sequentially (see :mod:`repro.core.tiling`): each
-    trial's decision depends only on its own plan row, so the
+    chunks decided sequentially (:func:`repro.core.tiling.decide_in_tiles`):
+    each trial's decision depends only on its own plan row, so the
     concatenated decisions are byte-identical to the untiled run while
     the working set stays within the budget.  Returns a boolean array
     of length *trials*.
@@ -312,14 +313,13 @@ def sample_acceptance_batch(
             trials, max_batch_bytes, chunk_trials, per_trial, m * state_row
         )
     detection_cache: dict[int, float] = {}
-    if tile >= trials:
-        return _decide_quantum_tile(k, blocks, p, m, plan, detection_cache, xp=xp)
-    out = np.empty(trials, dtype=bool)
-    for lo, hi in tile_bounds(trials, tile):
-        out[lo:hi] = _decide_quantum_tile(
-            k, blocks, p, m, plan[lo:hi], detection_cache, xp=xp
-        )
-    return out
+    return decide_in_tiles(
+        plan,
+        tile,
+        lambda rows: _decide_quantum_tile(
+            k, blocks, p, m, rows, detection_cache, xp=xp
+        ),
+    )
 
 
 def exact_acceptance_probability(word: str, max_k_for_a2: int = 3) -> float:

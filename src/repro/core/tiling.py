@@ -23,12 +23,25 @@ Two knobs, resolved by :func:`resolve_chunk_trials`:
 When both are given the smaller tile wins.  The budget is best-effort:
 a budget smaller than one trial's working set still processes one trial
 per tile (zero progress is never an option), it just cannot shrink the
-fixed floor.
+fixed floor.  :func:`decide_in_tiles` is the one tile loop both
+randomized samplers run.
 """
 
 from __future__ import annotations
 
-from typing import Iterator, Optional, Tuple
+from typing import Callable, Iterator, Optional, Tuple
+
+import numpy as np
+
+
+def validate_tile_knobs(
+    max_batch_bytes: Optional[int] = None, chunk_trials: Optional[int] = None
+) -> None:
+    """Reject a non-positive budget or tile cap (``None`` means unset)."""
+    if chunk_trials is not None and chunk_trials <= 0:
+        raise ValueError("chunk_trials must be positive")
+    if max_batch_bytes is not None and max_batch_bytes <= 0:
+        raise ValueError("max_batch_bytes must be positive")
 
 
 def resolve_chunk_trials(
@@ -46,10 +59,7 @@ def resolve_chunk_trials(
     tile size in ``[1, trials]`` (``trials == 0`` resolves to 1 so
     callers can tile vacuously).
     """
-    if chunk_trials is not None and chunk_trials <= 0:
-        raise ValueError("chunk_trials must be positive")
-    if max_batch_bytes is not None and max_batch_bytes <= 0:
-        raise ValueError("max_batch_bytes must be positive")
+    validate_tile_knobs(max_batch_bytes, chunk_trials)
     if bytes_per_trial <= 0:
         raise ValueError("bytes_per_trial must be positive")
     tile = max(trials, 1)
@@ -77,3 +87,23 @@ def tile_bounds(trials: int, tile: int) -> Iterator[Tuple[int, int]]:
     for lo in range(0, trials, tile):
         tiles.inc()
         yield lo, min(lo + tile, trials)
+
+
+def decide_in_tiles(
+    plan: np.ndarray, tile: int, decide: Callable[[np.ndarray], np.ndarray]
+) -> np.ndarray:
+    """Accept decisions for every row of *plan*, *tile* rows at a time.
+
+    *decide* maps a contiguous slice of the ``(T, 4)`` trial plan to
+    that slice's boolean decisions.  Each trial's decision depends only
+    on its own plan row, so the concatenation is byte-identical to one
+    ``decide(plan)`` call — which is what a tile covering the whole plan
+    runs, without the copy.
+    """
+    trials = len(plan)
+    if tile >= trials:
+        return decide(plan)
+    out = np.empty(trials, dtype=bool)
+    for lo, hi in tile_bounds(trials, tile):
+        out[lo:hi] = decide(plan[lo:hi])
+    return out

@@ -1,4 +1,4 @@
-"""The batched execution engine: one API, pluggable trial backends.
+"""The batched execution engine: one API, three trial backends.
 
 The experiments' hot path is always the same shape — estimate the
 recognizer's acceptance probability on each word of a list by running
@@ -11,11 +11,12 @@ the *how* vary per backend:
   state batches and one modular-Horner sweep
   (:mod:`repro.engine.batched`);
 * ``multiprocess`` — the word list fans out over a process pool, each
-  worker running one of the in-process backends
-  (:mod:`repro.engine.multiprocess`);
-* ``sharedmem`` — one word's trials fan out over a process pool with
-  the word material and per-trial seed plan placed in shared memory
-  once instead of pickled per task (:mod:`repro.engine.sharedmem`).
+  worker running ``batched`` on its word
+  (:mod:`repro.engine.multiprocess`).
+
+The retired names ``sharedmem`` and ``gpu`` resolve to ``batched``
+(:data:`RETIRED_BACKENDS`), so stored specs and scripts naming them
+keep working with unchanged counts.
 
 Seeding is part of the API contract: ``run_many`` derives one child
 seed per word with :func:`repro.rng.spawn_seeds`, in word order, and
@@ -27,6 +28,7 @@ counts, and the batched/multiprocess backends are pure speedups.
 from __future__ import annotations
 
 import time
+import warnings
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, Type, Union
@@ -52,7 +54,7 @@ DETERMINISTIC_RECOGNIZERS = frozenset({"classical-full"})
 
 
 def trial_seed_plan(rng: RngLike, trials: int, start: int = 0) -> List[int]:
-    """The per-trial child seeds of an unsharded single-word run.
+    """The per-trial child seeds of a single-word run.
 
     For a parent seed *rng*, every backend derives trial *i*'s child
     generator from ``spawn_seeds(parent, trials)[i]`` — this function
@@ -61,10 +63,9 @@ def trial_seed_plan(rng: RngLike, trials: int, start: int = 0) -> List[int]:
     the cost is ``O(trials - start)`` whatever *start* is.  Two
     contracts hang off it:
 
-    * **sharding** — any contiguous slice ``plan[lo:hi]`` fed to a
+    * **slicing** — any contiguous slice ``plan[lo:hi]`` fed to a
       backend's ``count_accepted_from_seeds`` runs exactly trials
-      ``lo..hi`` of the unsharded run (the multiprocess backend's
-      ``shard_trials`` path is built on this);
+      ``lo..hi`` of the whole run;
     * **resumption** — because ``SeedSequence`` children depend only on
       the parent entropy and the child index, ``trial_seed_plan(seed,
       more, start=done)`` is the exact continuation of a run that
@@ -168,25 +169,13 @@ class ExecutionBackend(ABC):
     """One strategy for running the trials of an acceptance experiment.
 
     Subclasses implement :meth:`count_accepted` (one word, many trials)
-    and may override :meth:`count_accepted_many` when they can do better
-    than a word loop (the multiprocess backend fans it out).
+    and :meth:`count_accepted_from_seeds` (one word, explicit trial
+    seeds), and may override :meth:`count_accepted_many` when they can
+    do better than a word loop (the multiprocess backend fans it out).
     """
 
     #: Registry key; subclasses set it and register via register_backend.
     name: str = "abstract"
-
-    @classmethod
-    def availability(cls) -> Tuple[bool, str]:
-        """``(usable_at_full_speed, detail)`` for this backend, probed cheaply.
-
-        Every registered backend *runs* everywhere (the process-pool and
-        device backends degrade inline), so the flag answers "would it
-        run in its native mode here?" — the ``gpu`` backend overrides
-        this with which array library / device the probe found.  The
-        detail string is surfaced by ``repro info`` and by
-        :func:`get_backend`'s unknown-name error.
-        """
-        return True, "always available"
 
     @abstractmethod
     def count_accepted(
@@ -207,6 +196,21 @@ class ExecutionBackend(ABC):
         :data:`RECOGNIZERS`); *factory* (child generator -> algorithm)
         overrides it with an arbitrary algorithm — backends that
         vectorize the recognizers themselves reject custom factories.
+        """
+
+    @abstractmethod
+    def count_accepted_from_seeds(
+        self,
+        word: str,
+        seeds: Sequence[int],
+        recognizer: str = "quantum",
+    ) -> int:
+        """Accepted count for explicit per-trial child seeds.
+
+        *seeds* is a contiguous slice of :func:`trial_seed_plan` — e.g.
+        the continuation ``done..trials`` of an experiment ``repro.lab``
+        is deepening — so the count equals that slice's share of the
+        whole run.  An empty slice is a 0-accepted no-op.
         """
 
     def count_accepted_many(
@@ -241,38 +245,53 @@ def available_backends() -> List[str]:
     return sorted(_BACKENDS)
 
 
-def backend_availability() -> Dict[str, Tuple[bool, str]]:
-    """``{name: (usable_at_full_speed, detail)}`` for every backend."""
-    return {name: _BACKENDS[name].availability() for name in available_backends()}
+#: Retired backend names -> the backend that now serves them.  Stored
+#: specs, service requests and ``--backend`` scripts still name them;
+#: ``backend`` is provenance, not identity, so counts do not move.
+RETIRED_BACKENDS: Dict[str, str] = {"sharedmem": "batched", "gpu": "batched"}
+
+_warned_retired: set = set()
 
 
-def describe_backends() -> List[str]:
-    """One ``"name: detail"`` line per registered backend.
+def backend_availability() -> Dict[str, bool]:
+    """``{name: usable}`` for every name :func:`get_backend` accepts.
 
-    The shared vocabulary of ``repro info``, the CLI's ``--backend``
-    validation error, and :func:`get_backend`'s unknown-name error —
-    all three list the same names with the same availability detail.
+    Registered backends and retired aliases alike run at full speed on
+    any host (the pool degrades inline), so every value is ``True``;
+    the service's ``stats.backends`` field reports this mapping.
     """
-    return [
-        f"{name}: {detail}" for name, (_ok, detail) in backend_availability().items()
-    ]
+    return {name: True for name in sorted([*_BACKENDS, *RETIRED_BACKENDS])}
 
 
 BackendSpec = Union[str, ExecutionBackend]
 
 
 def get_backend(spec: BackendSpec = "batched", **options: Any) -> ExecutionBackend:
-    """Resolve a backend name (or pass an instance through)."""
+    """Resolve a backend name (or pass an instance through).
+
+    A retired name (:data:`RETIRED_BACKENDS`) resolves to its successor
+    with one ``DeprecationWarning`` per name per process.
+    """
     if isinstance(spec, ExecutionBackend):
         if options:
             raise ValueError("options only apply when resolving by name")
         return spec
+    if spec in RETIRED_BACKENDS:
+        if spec not in _warned_retired:
+            _warned_retired.add(spec)
+            warnings.warn(
+                f"backend {spec!r} is retired; running "
+                f"{RETIRED_BACKENDS[spec]!r} (identical counts)",
+                DeprecationWarning,
+                stacklevel=2,
+            )
+        spec = RETIRED_BACKENDS[spec]
     try:
         cls = _BACKENDS[spec]
     except KeyError:
-        listing = "; ".join(describe_backends())
         raise ValueError(
-            f"unknown backend {spec!r}; registered backends: {listing}"
+            f"unknown backend {spec!r}; registered backends: "
+            f"{', '.join(available_backends())}"
         ) from None
     return cls(**options)
 
@@ -282,10 +301,10 @@ class ExecutionEngine:
 
     Args:
         backend: a registry name (``"sequential"``, ``"batched"``,
-            ``"multiprocess"``, ``"sharedmem"``) or a configured
+            ``"multiprocess"``) or a configured
             :class:`ExecutionBackend` instance.  ``**options`` go to
             the named backend's constructor (e.g.
-            ``max_batch_bytes=``, ``shard_trials=``) and are rejected
+            ``max_batch_bytes=``, ``processes=``) and are rejected
             alongside an instance.
 
     Seeding semantics: the ``rng`` passed to each call is the *parent*
@@ -299,7 +318,7 @@ class ExecutionEngine:
 
     Failure modes: unknown backend or recognizer names raise
     ``ValueError`` at construction / call time; the process-pool
-    backends degrade *inline* (same counts, no parallelism) when pools
+    backend degrades *inline* (same counts, no parallelism) when pools
     are unavailable rather than raising.
 
     >>> from repro.core import member

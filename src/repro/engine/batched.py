@@ -27,7 +27,13 @@ from typing import Any, Callable, Optional, Sequence
 
 import numpy as np
 
-from .api import ExecutionBackend, register_backend, validate_recognizer
+from ..core.tiling import validate_tile_knobs
+from .api import (
+    DETERMINISTIC_RECOGNIZERS,
+    ExecutionBackend,
+    register_backend,
+    validate_recognizer,
+)
 from .telemetry import observe_backend_call
 
 
@@ -54,7 +60,7 @@ class BatchedDenseBackend(ExecutionBackend):
     samplers split the trial batch into contiguous tiles decided
     sequentially (see :mod:`repro.core.tiling`), with counts
     byte-identical to the untiled run — a fixed memory budget serves
-    any depth.
+    any depth.  Both are validated here, once.
     """
 
     name = "batched"
@@ -65,6 +71,7 @@ class BatchedDenseBackend(ExecutionBackend):
         chunk_trials: Optional[int] = None,
         xp: Any = None,
     ) -> None:
+        validate_tile_knobs(max_batch_bytes, chunk_trials)
         self.max_batch_bytes = max_batch_bytes
         self.chunk_trials = chunk_trials
         #: Array namespace the dense sweeps run in (see :mod:`repro.xp`);
@@ -86,26 +93,7 @@ class BatchedDenseBackend(ExecutionBackend):
                 "themselves and cannot run a custom factory; use backend="
                 "'sequential' for arbitrary algorithms"
             )
-        sampler = _batch_sampler(recognizer)
-        with observe_backend_call(
-            self.name,
-            recognizer,
-            trials,
-            max_batch_bytes=self.max_batch_bytes,
-            chunk_trials=self.chunk_trials,
-        ):
-            return int(
-                np.count_nonzero(
-                    sampler(
-                        word,
-                        trials,
-                        rng,
-                        max_batch_bytes=self.max_batch_bytes,
-                        chunk_trials=self.chunk_trials,
-                        xp=self.xp,
-                    )
-                )
-            )
+        return self._count(word, trials, recognizer, rng=rng)
 
     def count_accepted_from_seeds(
         self,
@@ -113,29 +101,24 @@ class BatchedDenseBackend(ExecutionBackend):
         seeds: Sequence[int],
         recognizer: str = "quantum",
     ) -> int:
-        """Accepted count for explicit per-trial child seeds (sharding).
+        return self._count(word, len(seeds), recognizer, trial_seeds=seeds)
 
-        An empty seed list — e.g. the continuation of an experiment
-        already at its requested depth — is a 0-accepted no-op.
-        """
+    def _count(self, word: str, trials: int, recognizer: str, **seeding: Any) -> int:
+        """One sampler call; *seeding* is ``rng=`` or ``trial_seeds=``."""
         sampler = _batch_sampler(recognizer)
+        if recognizer not in DETERMINISTIC_RECOGNIZERS:
+            # The full-storage decision is one host reduction broadcast
+            # across trials: nothing to tile or move to a device.
+            seeding.update(
+                max_batch_bytes=self.max_batch_bytes,
+                chunk_trials=self.chunk_trials,
+                xp=self.xp,
+            )
         with observe_backend_call(
             self.name,
             recognizer,
-            len(seeds),
+            trials,
             max_batch_bytes=self.max_batch_bytes,
             chunk_trials=self.chunk_trials,
         ):
-            return int(
-                np.count_nonzero(
-                    sampler(
-                        word,
-                        len(seeds),
-                        None,
-                        trial_seeds=seeds,
-                        max_batch_bytes=self.max_batch_bytes,
-                        chunk_trials=self.chunk_trials,
-                        xp=self.xp,
-                    )
-                )
-            )
+            return int(np.count_nonzero(sampler(word, trials, **seeding)))

@@ -114,12 +114,6 @@ class SequentialBackend(ExecutionBackend):
         seeds: Sequence[int],
         recognizer: str = "quantum",
     ) -> int:
-        """Accepted count for explicit per-trial child seeds.
-
-        The trial-sharding entry: ``seeds`` is a contiguous slice of
-        what :func:`repro.rng.spawn_seeds` produced for the whole word,
-        so shards reproduce the unsharded draw order exactly.
-        """
         with observe_backend_call(self.name, recognizer, len(seeds)):
             children: List[np.random.Generator] = [
                 np.random.default_rng(s) for s in seeds

@@ -1,6 +1,6 @@
 """Engine-layer instrumentation: one helper, every backend.
 
-:func:`observe_backend_call` is the single pattern all five backends
+:func:`observe_backend_call` is the single pattern all three backends
 wrap their counting entry points in — a static-named span (so traces
 show which backend decided which trials), per-``(backend, recognizer)``
 call/trial counters, and a latency histogram observed only on success
@@ -9,11 +9,11 @@ in one place keeps the metric catalog coherent: every backend emits
 the *same* names with the *same* labels, so dashboards and the bench
 harness can sweep ``backend=`` values without special cases.
 
-:func:`count_degradation` records the silent-slow-path events — gpu
-running on numpy, pool backends falling back inline — as monotonic
-counters a fleet operator can alert on (surfaced by the service's
-``stats``/``metrics`` ops).  The degradation paths themselves are
-count-preserving by construction; the counter only makes them visible.
+:func:`count_degradation` records the silent-slow-path event — the
+multiprocess pool falling back inline — as a monotonic counter an
+operator can alert on (surfaced by the service's ``stats``/``metrics``
+ops).  The degradation path itself is count-preserving by
+construction; the counter only makes it visible.
 
 Telemetry never changes counts: nothing here consults randomness, and
 the hypothesis tests in ``tests/obs`` pin instrumented runs
@@ -36,7 +36,7 @@ def observe_backend_call(
 
     *trials* is the number of engine trials the call will decide
     (``len(seeds)`` on the explicit-seeds path); extra ``**attrs`` ride
-    on the span in full-trace mode (shard counts, byte budgets).
+    on the span in full-trace mode (word counts, byte budgets).
     """
     registry = get_registry()
     registry.counter(
@@ -66,7 +66,7 @@ def count_degradation(backend: str, to: str) -> None:
 
 
 def count_shards(backend: str, shards: int) -> None:
-    """Record a fan-out's shard count (sum over calls; calls are counted
-    separately, so the mean fan-out is recoverable)."""
+    """Record a fan-out's word-task count (sum over calls; calls are
+    counted separately, so the mean fan-out is recoverable)."""
     if shards > 0:
         get_registry().counter("engine.backend.shards", backend=backend).inc(shards)

@@ -8,7 +8,7 @@ as a cumulative checkpoint in an append-only JSON-lines store, so:
 * re-running an unchanged experiment is a pure cache hit — zero engine
   trials execute;
 * asking for *more* trials **deepens** the cached result: only the
-  missing trials run, continuing the unsharded run's exact per-trial
+  missing trials run, continuing the fresh run's exact per-trial
   seed plan (:func:`repro.engine.trial_seed_plan` with ``start=``,
   which derives only the missing trials' seeds), and the merged
   counts are identical — not approximately, identically — to one

@@ -7,8 +7,8 @@ content key:
 * **cache** — a checkpoint at exactly ``spec.trials`` exists: the
   stored counts are served with *zero* engine work;
 * **deepened** — a shallower checkpoint exists: only the missing
-  trials run, from the exact per-trial child seeds the unsharded fresh
-  run would have drawn (``trial_seed_plan(seed, trials, start=done)``,
+  trials run, from the exact per-trial child seeds the fresh run would
+  have drawn (``trial_seed_plan(seed, trials, start=done)``,
   which derives only those seeds), and the counts merge
   seed-identically to one fresh ``trials``-trial run;
 * **fresh** — nothing stored: the full seed plan runs.
@@ -208,7 +208,7 @@ class Orchestrator:
             if record.trials < spec.trials:
                 base = record  # ladder is sorted: ends at deepest prefix
         done = base.trials if base is not None else 0
-        # The continuation seeds: exactly what the unsharded fresh run
+        # The continuation seeds: exactly what the fresh run
         # would draw for trials done..trials, addressed directly.
         seeds = trial_seed_plan(spec.seed, spec.trials, start=done)
         backend = self._backend(spec)

@@ -2,10 +2,10 @@
 
 The contracts this reproduction stands on — same seed ⇒ byte-identical
 counts on every backend, host-numpy RNG with ``xp``-parameterized
-device kernels, paired acquisition/release in the lab store and
-sharedmem backend — cannot be exhaustively enforced by tests: one
-stray ``np.random.default_rng()`` in a kernel or one unpaired
-``SharedMemory`` close breaks them silently.  This package makes them
+device kernels, paired acquisition/release of the lab store's file
+locks and any ``SharedMemory`` segment — cannot be exhaustively
+enforced by tests: one stray ``np.random.default_rng()`` in a kernel or
+one unpaired close breaks them silently.  This package makes them
 machine-checked on every commit.
 
 Entry points

@@ -1,16 +1,16 @@
 """``resource-discipline`` — acquisitions pair with protected releases.
 
-The lab store and the sharedmem backend own raw OS resources: advisory
-file locks over ``os.open`` descriptors (``repro.lab.store._StoreLock``)
-and ``multiprocessing.shared_memory`` segments (three per fan-out in
-``repro.engine.sharedmem``).  PR 4 fixed real bugs in exactly this
-class — a double-``__exit__`` that reached ``flock(None)``, and
-degradation paths that had to tear segments down on every branch.  The
-rule machine-checks the pairing discipline:
+The lab store owns raw OS resources — advisory file locks over
+``os.open`` descriptors (``repro.lab.store._StoreLock``) — and any
+``multiprocessing.shared_memory`` segment a module creates is one too.
+Real bugs have shipped in exactly this class — a double-``__exit__``
+that reached ``flock(None)``, and degradation paths that had to tear
+segments down on every branch.  The rule machine-checks the pairing
+discipline:
 
 * a function that assigns ``SharedMemory(...)`` to a name must release
   that name on a *protected* path — a ``finally`` block or an
-  ``except`` handler — via ``.close()`` / ``.unlink()``, the module's
+  ``except`` handler — via ``.close()`` / ``.unlink()``, a module's
   ``_destroy(seg)`` helper, or by registering the segment in a
   container that a protected loop tears down (the
   ``segments.append(shm)`` … ``for seg in segments: _destroy(seg)``

@@ -42,7 +42,6 @@ DEFAULT_SEED_SITES: Sequence[str] = (
     "repro/cli.py",
     "repro/engine/api.py",
     "repro/engine/sequential.py",
-    "repro/engine/multiprocess.py",
     "repro/lab/spec.py",
     "repro/core/quantum_recognizer.py",
     "repro/core/classical_recognizer.py",

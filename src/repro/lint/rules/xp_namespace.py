@@ -2,8 +2,9 @@
 
 The compute core's device story (``docs/ARCHITECTURE.md``, "Array
 namespace & device backends"): a function taking an ``xp`` parameter
-promises that its array *computation* runs in that namespace, so the
-``gpu`` backend can hand it device arrays and get device execution.
+promises that its array *computation* runs in that namespace, so
+``BatchedDenseBackend(xp=...)`` can hand it device arrays and get device
+execution.
 One hard-coded ``np.sum``/``np.where`` on what should be an ``xp``
 array silently drags the batch back to the host (or crashes on
 non-numpy arrays) — the exact bug class this rule machine-checks.

@@ -132,12 +132,12 @@ def resolve_trial_seeds(trials: int, rng: RngLike, trial_seeds=None) -> np.ndarr
     words of ``spawn_seeds(rng, trials)``, computed in bulk.  Otherwise
     the explicit plan (128-bit integers as :func:`spawn_seeds` returns
     them, or a ``(trials, 4)`` ``uint32`` array) is validated against
-    *trials* and used verbatim — which is how a shard of one word's
-    trials, or the ``done..trials`` continuation of a deepened run,
-    reproduces the unsharded draws.
+    *trials* and used verbatim — which is how a slice of one word's
+    plan, e.g. the ``done..trials`` continuation of a deepened run,
+    reproduces the whole run's draws.
 
     ``trials == 0`` is legal and resolves to an empty plan: a
-    zero-length shard (e.g. the continuation of an already-complete
+    zero-length slice (e.g. the continuation of an already-complete
     run) is a no-op, not an error.
     """
     if trials < 0:

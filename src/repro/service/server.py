@@ -316,9 +316,7 @@ class AcceptanceService:
                 result["inflight_keys"] = len(self._key_locks)
                 result["uptime_seconds"] = self.uptime_seconds()
                 result["array_namespace"] = self._array_namespace
-                result["backends"] = {
-                    name: ok for name, (ok, _detail) in backend_availability().items()
-                }
+                result["backends"] = backend_availability()
                 result["degradations"] = get_registry().counters_with_prefix(
                     "engine.degradations"
                 )

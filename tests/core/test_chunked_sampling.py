@@ -4,8 +4,9 @@ The memory-bounded tiling axis (``max_batch_bytes`` / ``chunk_trials``)
 splits a trial batch into contiguous tiles decided sequentially.  Each
 trial's decision depends only on its own child seed, so the
 concatenated decisions must equal the untiled run exactly — for every
-chunk size, every recognizer, and both seeding modes (parent rng and
-explicit trial seeds).
+chunk size, both randomized recognizers, and both seeding modes (parent
+rng and explicit trial seeds).  The deterministic full-storage sampler
+has nothing to tile; the engine's budgeted runs still cover it.
 """
 
 import numpy as np
@@ -19,14 +20,14 @@ from repro.core.classical_recognizer import (
     sample_full_storage_acceptance_batch,
 )
 from repro.core.quantum_recognizer import sample_acceptance_batch
-from repro.core.tiling import resolve_chunk_trials, tile_bounds
+from repro.core.tiling import decide_in_tiles, resolve_chunk_trials, tile_bounds
 from repro.engine import ExecutionEngine, get_backend, trial_seed_plan
 
-SAMPLERS = {
+TILED_SAMPLERS = {
     "quantum": sample_acceptance_batch,
     "classical-blockwise": sample_blockwise_acceptance_batch,
-    "classical-full": sample_full_storage_acceptance_batch,
 }
+SAMPLERS = {**TILED_SAMPLERS, "classical-full": sample_full_storage_acceptance_batch}
 
 
 @pytest.fixture(scope="module")
@@ -62,6 +63,21 @@ class TestTilingHelpers:
     def test_tiny_budget_still_progresses_one_trial(self):
         assert resolve_chunk_trials(100, max_batch_bytes=1, bytes_per_trial=64) == 1
 
+    def test_decide_in_tiles_concatenates_tile_decisions(self):
+        plan = np.arange(40, dtype=np.uint32).reshape(10, 4)
+        seen = []
+
+        def decide(rows):
+            seen.append(len(rows))
+            return rows[:, 0] % 8 == 0
+
+        out = decide_in_tiles(plan, 3, decide)
+        np.testing.assert_array_equal(out, plan[:, 0] % 8 == 0)
+        assert seen == [3, 3, 3, 1]
+        seen.clear()
+        decide_in_tiles(plan, 10, decide)
+        assert seen == [10]
+
     def test_invalid_knobs_rejected(self):
         with pytest.raises(ValueError):
             resolve_chunk_trials(10, chunk_trials=0)
@@ -70,20 +86,20 @@ class TestTilingHelpers:
 
 
 class TestChunkedParity:
-    @pytest.mark.parametrize("recognizer", sorted(SAMPLERS))
+    @pytest.mark.parametrize("recognizer", sorted(TILED_SAMPLERS))
     @settings(max_examples=20, deadline=None)
     @given(chunk=st.integers(min_value=1, max_value=97), seed=st.integers(0, 2**16))
     def test_chunked_counts_match_untiled(self, words, recognizer, chunk, seed):
-        sampler = SAMPLERS[recognizer]
+        sampler = TILED_SAMPLERS[recognizer]
         word = words["intersecting"]
         untiled = sampler(word, 61, np.random.default_rng(seed))
         tiled = sampler(word, 61, np.random.default_rng(seed), chunk_trials=chunk)
         np.testing.assert_array_equal(untiled, tiled)
 
-    @pytest.mark.parametrize("recognizer", sorted(SAMPLERS))
+    @pytest.mark.parametrize("recognizer", sorted(TILED_SAMPLERS))
     @pytest.mark.parametrize("budget", [1, 512, 4096, 1 << 20])
     def test_byte_budget_counts_match_untiled(self, words, recognizer, budget):
-        sampler = SAMPLERS[recognizer]
+        sampler = TILED_SAMPLERS[recognizer]
         for word in words.values():
             untiled = sampler(word, 50, np.random.default_rng(7))
             tiled = sampler(
@@ -91,10 +107,10 @@ class TestChunkedParity:
             )
             np.testing.assert_array_equal(untiled, tiled)
 
-    @pytest.mark.parametrize("recognizer", sorted(SAMPLERS))
+    @pytest.mark.parametrize("recognizer", sorted(TILED_SAMPLERS))
     def test_chunked_explicit_seed_plan(self, words, recognizer):
-        """Tiling composes with explicit trial seeds (the shard path)."""
-        sampler = SAMPLERS[recognizer]
+        """Tiling composes with explicit trial seeds (the deepening path)."""
+        sampler = TILED_SAMPLERS[recognizer]
         word = words["intersecting"]
         plan = trial_seed_plan(11, 40)
         whole = sampler(word, 40, None, trial_seeds=plan)
@@ -142,9 +158,15 @@ class TestBackendBudgetThreading:
         assert a.accepted == b.accepted
 
     def test_multiprocess_threads_budget_to_workers(self, words):
-        word = words["intersecting"]
-        plain = ExecutionEngine("batched").estimate_acceptance(word, 60, rng=8)
+        word_list = list(words.values())
+        plain = ExecutionEngine("batched").run_many(word_list, 60, rng=8)
         budgeted = ExecutionEngine(
-            "multiprocess", processes=2, shard_trials=True, max_batch_bytes=4096
-        ).estimate_acceptance(word, 60, rng=8)
-        assert budgeted.accepted == plain.accepted
+            "multiprocess", processes=2, max_batch_bytes=4096
+        ).run_many(word_list, 60, rng=8)
+        assert [e.accepted for e in budgeted] == [e.accepted for e in plain]
+
+    def test_batched_validates_knobs_at_construction(self):
+        with pytest.raises(ValueError, match="chunk_trials"):
+            get_backend("batched", chunk_trials=0)
+        with pytest.raises(ValueError, match="max_batch_bytes"):
+            get_backend("batched", max_batch_bytes=-1)

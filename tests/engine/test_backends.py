@@ -4,11 +4,16 @@ The engine's seeding contract says switching backend is purely a
 throughput decision — for a fixed seed, the sequential, batched-dense
 and multiprocess backends must produce the *same acceptance counts*,
 because the batched path replicates the sequential path's random draws
-generator for generator.
+generator for generator.  The retired names ``sharedmem`` and ``gpu``
+resolve to ``batched`` and must keep those counts too.
 """
+
+import warnings
 
 import numpy as np
 import pytest
+
+import repro.engine.api as api
 
 from repro.core import (
     QuantumOnlineRecognizer,
@@ -21,10 +26,11 @@ from repro.engine import (
     AcceptanceEstimate,
     BatchedDenseBackend,
     ExecutionEngine,
-    MultiprocessBackend,
     SequentialBackend,
     available_backends,
+    backend_availability,
     get_backend,
+    trial_seed_plan,
 )
 from repro.rng import spawn
 from repro.streaming import run_online
@@ -125,7 +131,7 @@ class TestMultiprocessBackend:
             member(1, np.random.default_rng(1)),
             intersecting_nonmember(1, 2, np.random.default_rng(2)),
         ]
-        mp = ExecutionEngine("multiprocess", inner="batched", processes=2)
+        mp = ExecutionEngine("multiprocess", processes=2)
         seq = ExecutionEngine("sequential")
         assert [e.accepted for e in mp.run_many(words, 90, rng=5)] == [
             e.accepted for e in seq.run_many(words, 90, rng=5)
@@ -139,6 +145,91 @@ class TestMultiprocessBackend:
             e.accepted for e in pooled.run_many(words, 40, rng=3)
         ]
 
-    def test_cannot_nest_itself(self):
-        with pytest.raises(ValueError):
-            MultiprocessBackend(inner="multiprocess")
+
+RECOGNIZER_NAMES = ["quantum", "classical-blockwise", "classical-full"]
+
+
+class TestExplicitSeeds:
+    @pytest.mark.parametrize("backend", ["sequential", "batched", "multiprocess"])
+    @pytest.mark.parametrize("recognizer", RECOGNIZER_NAMES)
+    def test_empty_slice_counts_zero(self, backend, recognizer):
+        """``count_accepted_from_seeds(word, [])`` — the legal empty
+        continuation ``trial_seed_plan(seed, n)[n:]`` — is a no-op."""
+        word = intersecting_nonmember(1, 2, np.random.default_rng(1))
+        b = get_backend(backend)
+        plan = trial_seed_plan(9, 8)
+        assert b.count_accepted_from_seeds(word, plan[8:], recognizer) == 0
+        assert b.count_accepted_from_seeds(word, [], recognizer) == 0
+
+
+class NumpyShim:
+    """A foreign namespace object wrapping numpy: drives the non-host
+    ``xp`` code paths of the batched backend on a machine with no device."""
+
+    name = "shim"
+
+    def __getattr__(self, item):
+        return getattr(np, item)
+
+
+class TestArrayNamespaceOption:
+    @pytest.mark.parametrize("recognizer", RECOGNIZER_NAMES)
+    def test_shim_namespace_counts_match(self, recognizer):
+        shim = BatchedDenseBackend(xp=NumpyShim())
+        plain = BatchedDenseBackend()
+        for word in _words(1).values():
+            expected = plain.count_accepted(
+                word, 60, np.random.default_rng(3), recognizer=recognizer
+            )
+            got = shim.count_accepted(
+                word, 60, np.random.default_rng(3), recognizer=recognizer
+            )
+            assert got == expected
+
+
+@pytest.fixture
+def fresh_retired_warnings(monkeypatch):
+    """Each test sees the retired names as not yet warned about."""
+    monkeypatch.setattr(api, "_warned_retired", set())
+
+
+class TestRetiredNames:
+    @pytest.mark.parametrize("name", ["sharedmem", "gpu"])
+    def test_resolves_to_batched_and_warns_once(self, name, fresh_retired_warnings):
+        with pytest.warns(DeprecationWarning, match=name) as record:
+            first = get_backend(name)
+        assert len(record) == 1
+        assert isinstance(first, BatchedDenseBackend)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", DeprecationWarning)
+            assert isinstance(get_backend(name), BatchedDenseBackend)
+
+    def test_each_name_warns_separately(self, fresh_retired_warnings):
+        with pytest.warns(DeprecationWarning) as record:
+            get_backend("sharedmem")
+            get_backend("gpu")
+            get_backend("sharedmem")
+        assert len(record) == 2
+
+    @pytest.mark.parametrize("name", ["sharedmem", "gpu"])
+    @pytest.mark.parametrize("recognizer", RECOGNIZER_NAMES)
+    def test_counts_match_batched(self, name, recognizer):
+        word = intersecting_nonmember(1, 2, np.random.default_rng(4))
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", DeprecationWarning)
+            retired = ExecutionEngine(name, max_batch_bytes=2048)
+        batched = ExecutionEngine("batched")
+        for call in ("estimate_acceptance", "run_many"):
+            arg = word if call == "estimate_acceptance" else [word, word]
+            got = getattr(retired, call)(arg, 50, rng=9, recognizer=recognizer)
+            want = getattr(batched, call)(arg, 50, rng=9, recognizer=recognizer)
+            if call == "estimate_acceptance":
+                got, want = [got], [want]
+            assert [e.accepted for e in got] == [e.accepted for e in want]
+            assert {e.backend for e in got} == {"batched"}
+
+    def test_not_listed_as_backends_but_reported_usable(self):
+        assert set(available_backends()) == {"sequential", "batched", "multiprocess"}
+        availability = backend_availability()
+        assert set(availability) == {*available_backends(), "sharedmem", "gpu"}
+        assert all(ok is True for ok in availability.values())

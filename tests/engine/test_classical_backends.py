@@ -3,7 +3,7 @@ recognizers.
 
 The engine's seeding contract now covers three recognizers: for a fixed
 seed, every backend — sequential, batched-dense, multiprocess (word
-fan-out or trial-sharded) — must return the same acceptance counts for
+fan-out) — must return the same acceptance counts for
 ``recognizer="classical-blockwise"`` and ``"classical-full"`` just as it
 does for the quantum machine, because the batched classical paths
 replicate the streamed machines' random draws generator for generator.
@@ -28,7 +28,7 @@ from repro.core.classical_recognizer import (
     sample_blockwise_acceptance_batch,
     sample_full_storage_acceptance_batch,
 )
-from repro.engine import AcceptanceEstimate, ExecutionEngine, RECOGNIZERS
+from repro.engine import AcceptanceEstimate, ExecutionEngine
 from repro.rng import spawn
 from repro.streaming import run_online
 
@@ -68,23 +68,11 @@ class TestClassicalBackendParity:
             member(1, np.random.default_rng(1)),
             intersecting_nonmember(1, 2, np.random.default_rng(2)),
         ]
-        mp = ExecutionEngine("multiprocess", inner="batched", processes=2)
+        mp = ExecutionEngine("multiprocess", processes=2)
         seq = ExecutionEngine("sequential")
         assert [
             e.accepted for e in mp.run_many(words, 60, rng=5, recognizer=recognizer)
         ] == [e.accepted for e in seq.run_many(words, 60, rng=5, recognizer=recognizer)]
-
-    @pytest.mark.parametrize("recognizer", RECOGNIZERS)
-    @pytest.mark.parametrize("inner", ["batched", "sequential"])
-    def test_sharded_trials_match_unsharded(self, recognizer, inner):
-        word = intersecting_nonmember(1, 1, np.random.default_rng(3))
-        sharded = ExecutionEngine(
-            "multiprocess", inner=inner, processes=3, shard_trials=True
-        )
-        plain = ExecutionEngine(inner)
-        a = sharded.estimate_acceptance(word, 70, rng=17, recognizer=recognizer)
-        b = plain.estimate_acceptance(word, 70, rng=17, recognizer=recognizer)
-        assert a.accepted == b.accepted
 
     def test_blockwise_per_trial_decisions_match_streamed(self):
         word = intersecting_nonmember(2, 2, np.random.default_rng(5))
@@ -237,7 +225,7 @@ class TestRecognizerApi:
         engines = [
             ExecutionEngine("sequential"),
             ExecutionEngine("batched"),
-            ExecutionEngine("multiprocess", processes=2, shard_trials=True),
+            ExecutionEngine("multiprocess", processes=2),
         ]
         for engine in engines:
             gen = np.random.default_rng(42)

@@ -50,47 +50,45 @@ class TestBrokenPoolFallback:
             e.accepted for e in seq.run_many(words, 40, rng=3)
         ]
 
-    def test_sharded_trials_fall_back_inline(self, broken_pool):
-        word = intersecting_nonmember(1, 1, np.random.default_rng(4))
-        sharded = ExecutionEngine("multiprocess", processes=2, shard_trials=True)
-        plain = ExecutionEngine("batched")
-        a = sharded.estimate_acceptance(word, 50, rng=9)
-        b = plain.estimate_acceptance(word, 50, rng=9)
-        assert a.accepted == b.accepted
-
     def test_classical_recognizers_survive_broken_pool(self, broken_pool):
-        word = member(1, np.random.default_rng(5))
-        mp = ExecutionEngine("multiprocess", processes=2, shard_trials=True)
+        words = [member(1, np.random.default_rng(5)), member(1, np.random.default_rng(6))]
+        mp = ExecutionEngine("multiprocess", processes=2)
         for rec in ("classical-blockwise", "classical-full"):
-            est = mp.estimate_acceptance(word, 30, rng=2, recognizer=rec)
-            assert est.accepted == 30
+            estimates = mp.run_many(words, 30, rng=2, recognizer=rec)
+            assert [e.accepted for e in estimates] == [30, 30]
+
+    def test_fallback_is_counted(self, broken_pool):
+        from repro.obs import get_registry
+
+        registry = get_registry()
+        registry.reset()
+        words = [member(1, np.random.default_rng(1)), member(1, np.random.default_rng(2))]
+        ExecutionEngine("multiprocess", processes=2).run_many(words, 10, rng=1)
+        assert registry.counters_with_prefix("engine.degradations") == {
+            "engine.degradations{backend=multiprocess,to=inline}": 1
+        }
+        registry.reset()
 
 
-class TestShardConfiguration:
-    def test_single_process_sharding_runs_inline(self):
-        word = member(1, np.random.default_rng(0))
-        inline = ExecutionEngine("multiprocess", processes=1, shard_trials=True)
-        plain = ExecutionEngine("batched")
-        assert (
-            inline.estimate_acceptance(word, 25, rng=6).accepted
-            == plain.estimate_acceptance(word, 25, rng=6).accepted
-        )
+class TestConfiguration:
+    def test_single_word_runs_batched_inline(self, monkeypatch):
+        def no_pool(*a, **kw):  # pragma: no cover - must not be reached
+            raise AssertionError("a single word reached the pool")
 
-    def test_run_many_single_word_uses_trial_sharding(self):
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
         word = intersecting_nonmember(1, 2, np.random.default_rng(7))
-        sharded = ExecutionEngine("multiprocess", processes=2, shard_trials=True)
+        mp = ExecutionEngine("multiprocess", processes=2)
         plain = ExecutionEngine("batched")
-        assert [e.accepted for e in sharded.run_many([word], 45, rng=8)] == [
+        assert [e.accepted for e in mp.run_many([word], 45, rng=8)] == [
             e.accepted for e in plain.run_many([word], 45, rng=8)
         ]
-
-    def test_more_workers_than_trials(self):
-        word = member(1, np.random.default_rng(9))
-        sharded = ExecutionEngine("multiprocess", processes=8, shard_trials=True)
-        assert sharded.estimate_acceptance(word, 3, rng=1).accepted == 3
+        assert (
+            mp.estimate_acceptance(word, 45, rng=8).accepted
+            == plain.estimate_acceptance(word, 45, rng=8).accepted
+        )
 
     def test_factory_still_rejected(self):
-        backend = MultiprocessBackend(shard_trials=True)
+        backend = MultiprocessBackend()
         with pytest.raises(ValueError, match="seeds, not closures"):
             backend.count_accepted(
                 "1#00#", 5, np.random.default_rng(0), factory=lambda g: None

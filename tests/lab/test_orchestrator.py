@@ -1,6 +1,8 @@
 """Orchestrator: cache hits serve with zero engine work, deepening is
 seed-exact, and the store is backend-blind."""
 
+import warnings
+
 import pytest
 
 import repro.lab.orchestrator as orchestrator_mod
@@ -163,19 +165,23 @@ class TestMemoryBudget:
         assert deep.estimate.accepted == fresh.accepted
 
 
-class TestSharedmemDeepening:
-    def test_sharedmem_deepening_matches_fresh(self, tmp_path):
-        """The lab's continuation slices fan out through shared memory
-        with counts identical to a fresh batched run."""
+class TestRetiredBackendSpecs:
+    def test_retired_backend_deepening_matches_fresh(self, tmp_path):
+        """A spec naming the retired ``sharedmem`` backend still runs and
+        deepens (through ``batched``) with counts identical to a fresh
+        batched run."""
         orch = Orchestrator(tmp_path)
         spec = _spec(trials=60, backend="sharedmem")
-        orch.run(spec)
-        deep = orch.run(spec.with_trials(180))
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", DeprecationWarning)
+            orch.run(spec)
+            deep = orch.run(spec.with_trials(180))
         fresh = ExecutionEngine("batched").estimate_acceptance(
             spec.resolve_word(), 180, rng=spec.seed
         )
         assert deep.source == "deepened" and deep.trials_executed == 120
         assert deep.estimate.accepted == fresh.accepted
+        assert deep.estimate.backend == "batched"
 
 
 class TestExactDepthRequests:

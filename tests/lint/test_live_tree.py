@@ -128,15 +128,15 @@ class TestMutationsAreCaught:
         )
         assert any(f.rule == "wallclock-hygiene" for f in findings)
 
-    def test_unprotected_segment_in_sharedmem_is_caught(self):
-        module = PACKAGE_DIR / "engine" / "sharedmem.py"
+    def test_unprotected_segment_in_multiprocess_is_caught(self):
+        module = PACKAGE_DIR / "engine" / "multiprocess.py"
         source = module.read_text(encoding="utf-8")
         injected = source.replace(
-            "def _pack_seed_plan(",
+            "def _pool_errors(",
             "def _rogue_segment():\n"
             "    shm = shared_memory.SharedMemory(create=True, size=8)\n"
             "    return shm.name\n"
-            "def _pack_seed_plan(",
+            "def _pool_errors(",
             1,
         )
         assert injected != source

@@ -6,14 +6,12 @@ mode.  Telemetry consults no randomness and feeds nothing back into
 execution — these tests are the enforcement.
 """
 
-import warnings
-
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core import member
-from repro.engine import ExecutionEngine, GpuDegradationWarning, available_backends
+from repro.engine import ExecutionEngine, available_backends
 from repro.obs import get_recorder, get_registry, set_trace_mode, span
 from repro.obs.spans import _NULL_SPAN
 
@@ -27,12 +25,6 @@ def _clean_telemetry():
     set_trace_mode(None)
     get_recorder().drain()
     get_registry().reset()
-
-
-def _engine(backend):
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", GpuDegradationWarning)
-        return ExecutionEngine(backend)
 
 
 class TestCountInvariance:
@@ -54,7 +46,7 @@ class TestCountInvariance:
             for mode in ("off", "summary", "full"):
                 set_trace_mode(mode)
                 get_recorder().drain()
-                counts[mode] = _engine(backend).estimate_acceptance(
+                counts[mode] = ExecutionEngine(backend).estimate_acceptance(
                     word, trials, rng=seed, recognizer=recognizer
                 ).accepted
             assert counts["off"] == counts["summary"] == counts["full"], (
@@ -69,7 +61,7 @@ class TestCountInvariance:
         word = member(1, np.random.default_rng(5))
         set_trace_mode("full")
         accepted = {
-            backend: _engine(backend)
+            backend: ExecutionEngine(backend)
             .estimate_acceptance(word, 40, rng=5)
             .accepted
             for backend in available_backends()
@@ -89,7 +81,7 @@ class TestOffModeOverhead:
 
         set_trace_mode("off")
         word = member(1, np.random.default_rng(0))
-        _engine("batched").estimate_acceptance(word, 10, rng=0)
+        ExecutionEngine("batched").estimate_acceptance(word, 10, rng=0)
         assert len(get_recorder()) == 0
         doc = get_registry().snapshot()
         assert not any(k.startswith("span.seconds") for k in doc["histograms"])
@@ -104,7 +96,7 @@ class TestOffModeOverhead:
         set_trace_mode("full")
         get_recorder().drain()
         word = member(1, np.random.default_rng(0))
-        _engine("batched").estimate_acceptance(word, 10, rng=0)
+        ExecutionEngine("batched").estimate_acceptance(word, 10, rng=0)
         events = get_recorder().drain()
         names = [e["name"] for e in events]
         assert "engine.run" in names and "engine.backend.count" in names
@@ -120,7 +112,7 @@ class TestLayerMetrics:
         import numpy as np
 
         word = member(1, np.random.default_rng(1))
-        _engine("batched").estimate_acceptance(word, 30, rng=1)
+        ExecutionEngine("batched").estimate_acceptance(word, 30, rng=1)
         reg = get_registry()
         assert (
             reg.counter(
@@ -140,20 +132,6 @@ class TestLayerMetrics:
             ).count
             == 1
         )
-
-    def test_gpu_degradation_counted_without_device(self):
-        from repro.xp import namespace_status
-
-        statuses = namespace_status()
-        if any(
-            statuses[n].available for n in statuses if n != "numpy"
-        ):  # pragma: no cover - device hosts take the real path
-            pytest.skip("an accelerator is visible; no degradation to count")
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", GpuDegradationWarning)
-            ExecutionEngine("gpu")
-        degradations = get_registry().counters_with_prefix("engine.degradations")
-        assert degradations == {"engine.degradations{backend=gpu,to=batched}": 1}
 
     def test_lab_runs_counted_by_source(self, tmp_path):
         from repro.lab import ExperimentSpec, Orchestrator

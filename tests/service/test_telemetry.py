@@ -48,14 +48,14 @@ class TestExtendedStats:
 
     def test_degradation_counters_surface_in_stats(self, service):
         # Degradations live in the process-global registry; a counted
-        # gpu->batched fallback must appear in the service's stats view.
+        # multiprocess->inline fallback must appear in the stats view.
         from repro.engine.telemetry import count_degradation
 
-        count_degradation("gpu", "batched")
+        count_degradation("multiprocess", "inline")
         with ServiceClient(port=service.port) as client:
             stats = client.stats()
         assert stats["degradations"] == {
-            "engine.degradations{backend=gpu,to=batched}": 1
+            "engine.degradations{backend=multiprocess,to=inline}": 1
         }
 
     def test_existing_counters_unchanged(self, service):

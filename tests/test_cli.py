@@ -1,5 +1,7 @@
 """Unit tests for the command-line interface."""
 
+import warnings
+
 import pytest
 
 from repro.cli import build_parser, main
@@ -102,21 +104,27 @@ class TestCommands:
         a, b = outputs
         assert a.split("accepted=")[1].split()[0] == b.split("accepted=")[1].split()[0]
 
-    def test_sample_shard_trials(self, capsys):
-        assert (
-            main(
-                ["sample", "--k", "1", "--trials", "40", "--backend",
-                 "multiprocess", "--shard-trials"]
-            )
-            == 0
-        )
-        out = capsys.readouterr().out
-        assert "backend=multiprocess" in out
+    @pytest.mark.parametrize("retired", ["gpu", "sharedmem"])
+    def test_sample_retired_backend_prints_batched_count(self, capsys, retired):
+        args = ["sample", "--k", "1", "--kind", "intersecting", "--trials", "80"]
+        assert main(args + ["--backend", "batched"]) == 0
+        want = capsys.readouterr().out
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", DeprecationWarning)
+            assert main(args + ["--backend", retired]) == 0
+        got = capsys.readouterr().out
 
-    def test_sample_shard_trials_requires_multiprocess(self, capsys):
-        assert main(["sample", "--k", "1", "--shard-trials"]) == 2
+        def counts(out):
+            return [l for l in out.splitlines() if "accepted=" in l]
+
+        assert counts(got) == counts(want)
+        assert "backend=batched" in counts(got)[0]
+
+    def test_sample_unknown_backend_lists_registered(self, capsys):
+        with pytest.raises(SystemExit):
+            main(["sample", "--k", "1", "--backend", "tpu"])
         err = capsys.readouterr().err
-        assert "--backend multiprocess" in err
+        assert "unknown backend 'tpu'" in err and "multiprocess" in err
 
     def test_sample_reports_uncertainty(self, capsys):
         assert main(["sample", "--k", "1", "--trials", "50"]) == 0
