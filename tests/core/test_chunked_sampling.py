@@ -165,6 +165,31 @@ class TestBackendBudgetThreading:
         ).run_many(word_list, 60, rng=8)
         assert [e.accepted for e in budgeted] == [e.accepted for e in plain]
 
+    @pytest.mark.parametrize("recognizer", sorted(SAMPLERS))
+    @pytest.mark.parametrize("budget", [1, 512, 4096, 1 << 20])
+    def test_budgeted_backend_counts_match_untiled(self, words, recognizer, budget):
+        """Every recognizer, the full-storage one included, under every
+        budget the samplers are checked at — through both seeding modes."""
+        plain = get_backend("batched")
+        tiled = get_backend("batched", max_batch_bytes=budget)
+        plan = trial_seed_plan(7, 50)
+        for word in words.values():
+            assert tiled.count_accepted(
+                word, 50, 7, recognizer=recognizer
+            ) == plain.count_accepted(word, 50, 7, recognizer=recognizer)
+            assert tiled.count_accepted_from_seeds(
+                word, plan, recognizer
+            ) == plain.count_accepted_from_seeds(word, plan, recognizer)
+
+    def test_full_storage_sampler_takes_no_tile_knobs(self, words):
+        """Its one decision is broadcast across trials: nothing to tile,
+        so the knobs are not part of its signature."""
+        for knob in ("max_batch_bytes", "chunk_trials", "xp"):
+            with pytest.raises(TypeError, match=knob):
+                sample_full_storage_acceptance_batch(
+                    words["member"], 5, 0, **{knob: None}
+                )
+
     def test_batched_validates_knobs_at_construction(self):
         with pytest.raises(ValueError, match="chunk_trials"):
             get_backend("batched", chunk_trials=0)

@@ -150,13 +150,18 @@ RECOGNIZER_NAMES = ["quantum", "classical-blockwise", "classical-full"]
 
 
 class TestExplicitSeeds:
-    @pytest.mark.parametrize("backend", ["sequential", "batched", "multiprocess"])
+    @pytest.mark.parametrize(
+        "backend", ["sequential", "batched", "multiprocess", "sharedmem", "gpu"]
+    )
     @pytest.mark.parametrize("recognizer", RECOGNIZER_NAMES)
     def test_empty_slice_counts_zero(self, backend, recognizer):
         """``count_accepted_from_seeds(word, [])`` — the legal empty
-        continuation ``trial_seed_plan(seed, n)[n:]`` — is a no-op."""
+        continuation ``trial_seed_plan(seed, n)[n:]`` — is a no-op,
+        under the retired names too."""
         word = intersecting_nonmember(1, 2, np.random.default_rng(1))
-        b = get_backend(backend)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", DeprecationWarning)
+            b = get_backend(backend)
         plan = trial_seed_plan(9, 8)
         assert b.count_accepted_from_seeds(word, plan[8:], recognizer) == 0
         assert b.count_accepted_from_seeds(word, [], recognizer) == 0
@@ -185,6 +190,29 @@ class TestArrayNamespaceOption:
                 word, 60, np.random.default_rng(3), recognizer=recognizer
             )
             assert got == expected
+
+    @pytest.mark.parametrize("recognizer", RECOGNIZER_NAMES)
+    def test_shim_namespace_seed_slices_match(self, recognizer):
+        """The lab's deepening path (explicit seed slices) on the shim."""
+        word = intersecting_nonmember(1, 2, np.random.default_rng(6))
+        plan = trial_seed_plan(5, 60)
+        whole = BatchedDenseBackend().count_accepted_from_seeds(
+            word, plan, recognizer
+        )
+        shim = BatchedDenseBackend(xp=NumpyShim())
+        split = sum(
+            shim.count_accepted_from_seeds(word, plan[lo:hi], recognizer)
+            for lo, hi in [(0, 21), (21, 45), (45, 60)]
+        )
+        assert split == whole
+
+    def test_shim_namespace_tiles_match_untiled(self):
+        word = intersecting_nonmember(1, 2, np.random.default_rng(4))
+        plain = BatchedDenseBackend(xp=NumpyShim())
+        tiled = BatchedDenseBackend(xp=NumpyShim(), max_batch_bytes=2048)
+        assert tiled.count_accepted(
+            word, 70, np.random.default_rng(4)
+        ) == plain.count_accepted(word, 70, np.random.default_rng(4))
 
 
 @pytest.fixture
@@ -233,3 +261,25 @@ class TestRetiredNames:
         availability = backend_availability()
         assert set(availability) == {*available_backends(), "sharedmem", "gpu"}
         assert all(ok is True for ok in availability.values())
+
+    @pytest.mark.parametrize("name", ["sharedmem", "gpu"])
+    def test_options_reach_the_batched_backend(self, name):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", DeprecationWarning)
+            backend = get_backend(name, max_batch_bytes=4096, chunk_trials=7)
+        assert isinstance(backend, BatchedDenseBackend)
+        assert (backend.max_batch_bytes, backend.chunk_trials) == (4096, 7)
+
+    @pytest.mark.parametrize("name", ["sharedmem", "gpu"])
+    def test_metrics_are_labelled_batched(self, name):
+        from repro.obs import get_registry
+
+        registry = get_registry()
+        registry.reset()
+        word = member(1, np.random.default_rng(2))
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", DeprecationWarning)
+            ExecutionEngine(name).estimate_acceptance(word, 20, rng=1)
+        calls = registry.counters_with_prefix("engine.run.calls")
+        registry.reset()
+        assert calls == {"engine.run.calls{backend=batched,recognizer=quantum}": 1}

@@ -1,5 +1,7 @@
 """trial_seed_plan: the public slice contract the lab resumes through."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -37,21 +39,24 @@ class TestPlan:
         with pytest.raises(ValueError):
             trial_seed_plan(9, 10, start=11)
 
-    @pytest.mark.parametrize("backend", ["sequential", "batched"])
+    @pytest.mark.parametrize(
+        "backend", ["sequential", "batched", "multiprocess", "sharedmem", "gpu"]
+    )
     @pytest.mark.parametrize(
         "recognizer", ["quantum", "classical-blockwise", "classical-full"]
     )
     def test_sliced_plan_reproduces_unsharded_counts(self, word, backend, recognizer):
         plan = trial_seed_plan(9, 90)
-        b = get_backend(backend)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", DeprecationWarning)
+            b = get_backend(backend)
+            engine = ExecutionEngine(backend)
         whole = b.count_accepted_from_seeds(word, plan, recognizer)
         split = sum(
             b.count_accepted_from_seeds(word, plan[lo:hi], recognizer)
             for lo, hi in [(0, 17), (17, 60), (60, 90)]
         )
-        direct = ExecutionEngine(backend).estimate_acceptance(
-            word, 90, rng=9, recognizer=recognizer
-        )
+        direct = engine.estimate_acceptance(word, 90, rng=9, recognizer=recognizer)
         assert whole == split == direct.accepted
 
 
@@ -111,3 +116,29 @@ class TestMultiprocessFromSeeds:
         plan = trial_seed_plan(9, 40)
         count = mp.count_accepted_from_seeds(word, plan, "classical-full")
         assert count in (0, 40)
+
+    @pytest.mark.parametrize(
+        "recognizer", ["quantum", "classical-blockwise", "classical-full"]
+    )
+    def test_seed_slices_never_reach_the_pool(self, word, recognizer, monkeypatch):
+        """A seed slice is one word: nothing to fan out, so it runs
+        ``batched`` inline however many processes are configured."""
+
+        def no_pool(*a, **kw):  # pragma: no cover - must not be reached
+            raise AssertionError("a seed slice reached the pool")
+
+        monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", no_pool)
+        mp = get_backend("multiprocess", processes=4)
+        plan = trial_seed_plan(9, 50)
+        inline = get_backend("batched").count_accepted_from_seeds(
+            word, plan[10:], recognizer
+        )
+        assert mp.count_accepted_from_seeds(word, plan[10:], recognizer) == inline
+
+    def test_empty_slice_never_reaches_the_pool(self, word, monkeypatch):
+        def no_pool(*a, **kw):  # pragma: no cover - must not be reached
+            raise AssertionError("an empty slice reached the pool")
+
+        monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", no_pool)
+        mp = get_backend("multiprocess", processes=4)
+        assert mp.count_accepted_from_seeds(word, [], "quantum") == 0

@@ -1,5 +1,7 @@
 """The streaming layer's engine entry points and the rewired sampler."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -17,6 +19,24 @@ def test_estimate_acceptance_backends_agree():
     a = estimate_acceptance(word, 150, rng=21, backend="sequential")
     b = estimate_acceptance(word, 150, rng=21, backend="batched")
     assert a.accepted == b.accepted
+
+
+@pytest.mark.parametrize("retired", ["sharedmem", "gpu"])
+def test_entry_points_accept_retired_backend_names(retired):
+    """Scripts that name a retired backend keep their counts."""
+    words = [
+        member(1, np.random.default_rng(0)),
+        intersecting_nonmember(1, 1, np.random.default_rng(4)),
+    ]
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", DeprecationWarning)
+        one = estimate_acceptance(words[1], 80, rng=21, backend=retired)
+        many = run_many(words, 40, rng=3, backend=retired)
+        swept = acceptance_sweep(list(enumerate(words)), 40, rng=3, backend=retired)
+    assert one.accepted == estimate_acceptance(words[1], 80, rng=21).accepted
+    want = [e.accepted for e in run_many(words, 40, rng=3)]
+    assert [e.accepted for e in many] == want
+    assert [est.accepted for _, est in swept] == want
 
 
 def test_run_many_orders_and_counts():

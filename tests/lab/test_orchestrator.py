@@ -83,7 +83,9 @@ class TestRunFlow:
         # ... and the prefix depth is now itself a servable checkpoint.
         assert orch.run(_spec(trials=80)).source == "cache"
 
-    @pytest.mark.parametrize("backend", ["sequential", "batched", "multiprocess"])
+    @pytest.mark.parametrize(
+        "backend", ["sequential", "batched", "multiprocess", "sharedmem", "gpu"]
+    )
     def test_every_backend_writes_and_reads_the_same_store(self, tmp_path, backend):
         seeded = Orchestrator(tmp_path)
         seeded.run(_spec(backend="batched"))

@@ -185,6 +185,17 @@ def test_per_query_memory_budget_does_not_change_counts(client):
     assert tiny_budget.accepted == unbudgeted.accepted
 
 
+@pytest.mark.parametrize("retired", ["sharedmem", "gpu"])
+def test_query_naming_a_retired_backend_runs_batched(client, retired):
+    """Requests still naming a retired backend are served, counts unchanged."""
+    result = client.query(trials=250, backend=retired, **SPEC_KWARGS)
+    assert result.source == "fresh" and result.backend == "batched"
+    direct = ExecutionEngine("batched").estimate_acceptance(
+        ExperimentSpec(**SPEC_KWARGS).resolve_word(), 250, rng=SPEC_KWARGS["seed"]
+    )
+    assert result.accepted == direct.accepted
+
+
 def test_bad_requests_leave_the_connection_usable(client):
     with pytest.raises(ServiceError) as exc_info:
         client.query({"family": "member", "trials": -5})

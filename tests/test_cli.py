@@ -120,6 +120,18 @@ class TestCommands:
         assert counts(got) == counts(want)
         assert "backend=batched" in counts(got)[0]
 
+    def test_sample_retired_backend_honours_memory_budget(self, capsys):
+        """The retired names take the ``batched`` options, budget included."""
+        args = ["sample", "--k", "1", "--kind", "intersecting", "--trials", "80",
+                "--seed", "3"]
+        assert main(args + ["--backend", "batched"]) == 0
+        want = [l for l in capsys.readouterr().out.splitlines() if "accepted=" in l]
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", DeprecationWarning)
+            assert main(args + ["--backend", "sharedmem", "--memory-budget", "64K"]) == 0
+        got = [l for l in capsys.readouterr().out.splitlines() if "accepted=" in l]
+        assert got == want
+
     def test_sample_unknown_backend_lists_registered(self, capsys):
         with pytest.raises(SystemExit):
             main(["sample", "--k", "1", "--backend", "tpu"])
