@@ -42,6 +42,8 @@ def validate_word(word: str) -> str:
     AlphabetError
         If any character of *word* is outside {0, 1, #}.
     """
+    if not word.strip("01#"):
+        return word
     for pos, ch in enumerate(word):
         if ch not in _SIGMA_SET:
             raise AlphabetError(

@@ -105,7 +105,7 @@ def parse_ldisj(word: str) -> Optional[LDISJInstance]:
         if bx != x or by != y or bz != x:
             return None
         for b in (bx, by, bz):
-            if any(ch not in "01" for ch in b):
+            if b.strip("01"):
                 return None
     return LDISJInstance(k=k, x=x, y=y)
 
@@ -134,7 +134,7 @@ def parse_condition_i(word: str) -> Optional[tuple[int, list[str]]]:
         return None
     blocks = fields[:-1]
     for b in blocks:
-        if len(b) != n or any(ch not in "01" for ch in b):
+        if len(b) != n or b.strip("01"):
             return None
     return k, blocks
 

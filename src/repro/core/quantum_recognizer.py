@@ -33,7 +33,6 @@ from ..quantum.operators import (
     initial_phi,
 )
 from ..quantum.registers import A3Registers
-from ..quantum.state import BatchedStateVector, StateVector
 from ..rng import bulk_draws, ensure_rng, resolve_trial_seeds, spawn
 from ..xp import to_numpy
 from ..streaming.combinators import ParallelComposition
@@ -105,8 +104,8 @@ def exact_a3_detection_for_blocks(k: int, blocks: list[str], j: int) -> float:
 def exact_a3_output_one_probability(word: str) -> float:
     """Exact Pr[A3 outputs 1] on a condition-(i) word (averaged over j).
 
-    All 2^k iteration counts evolve as one state batch (bit-identical
-    to, and much faster than, 2^k calls to
+    All 2^k iteration counts come out of one walk of the block sequence
+    (bit-identical to, and much faster than, 2^k calls to
     :func:`exact_a3_detection_for_blocks`).
     """
     parsed = parse_condition_i(word)
@@ -143,65 +142,70 @@ def exact_a2_pass_probability(word: str, max_k: int = 3) -> float:
 def batched_a3_detection(k: int, blocks: list[str], js, xp=None) -> np.ndarray:
     """Exact Pr[b = 1] of A3's final measurement for each j in *js*.
 
-    The batched counterpart of :func:`exact_a3_detection_for_blocks`:
-    one ``(J, 2^{2k+2})`` state batch is evolved through the block
-    sequence via the operators' leading batch axis, with per-row masks
-    selecting which trajectories a block still drives (row ``i`` is live
-    through round ``js[i]``).  Operators are built once per distinct
-    block string.  Row ``i`` undergoes float-for-float the same
-    operation sequence as a sequential run with ``j = js[i]``, so the
-    returned probabilities are bit-identical to the per-trial path.
+    The batched counterpart of :func:`exact_a3_detection_for_blocks`.
+    Every trajectory still inside its Grover iterations at round ``r``
+    has had the same operators applied to the same ``|phi_k>``, so one
+    ``(1, 2^{2k+2})`` trajectory walks the block sequence once: each
+    round applies ``V_x``; at a requested ``j`` a copy branches through
+    ``R_y`` and is measured; while a larger ``j`` is still wanted the
+    round finishes its iteration with ``W_y, V_z, U_k, S_k, U_k``.  At
+    most two state rows are alive at once, and the walk stops after the
+    largest requested ``j``.  Each ``j`` undergoes float-for-float the
+    same operation sequence as a sequential run with that ``j`` (every
+    operator acts on rows independently), so the returned probabilities
+    are bit-identical to the per-trial path.  Operators are built once
+    per distinct block string.
 
-    *xp* (numpy when omitted) is the array namespace the state batch
+    *xp* (numpy when omitted) is the array namespace the trajectory
     lives in — ``BatchedDenseBackend(xp=...)`` passes a device namespace
-    so the whole evolution runs on the device; masks and the returned
+    so the whole evolution runs on the device; the returned
     probabilities stay host-side numpy either way.
     """
     host = xp is None or xp is np
-    xp = np if host else xp
     regs = A3Registers(k)
     js = np.asarray(js, dtype=np.int64)
     if js.ndim != 1 or js.size == 0:
         raise ValueError("js must be a non-empty 1-D array")
     if np.any((js < 0) | (js >= (1 << k))):
         raise ValueError(f"every j must lie in [0, 2^{k})")
-    states = BatchedStateVector.broadcast(
-        StateVector(initial_phi(regs), check=False), js.size
-    )
-    batch = states.amplitudes if host else xp.asarray(states.amplitudes)
+    wanted = np.zeros(1 << k, dtype=bool)
+    wanted[js] = True
+    last = int(js.max())
+    phi = initial_phi(regs)[None, :]
+    state = phi if host else xp.asarray(phi)
     op_xp = None if host else xp
     uk = UkOperator(regs, xp=op_xp)
     sk = SkOperator(regs, xp=op_xp)
-    vx: dict[str, VxOperator] = {}
-    wx: dict[str, WxOperator] = {}
-    rx: dict[str, RxOperator] = {}
+    ops: dict[tuple[type, str], object] = {}
+    detection = np.zeros(1 << k)
 
-    def masked(mask: np.ndarray, *ops) -> None:
-        if not mask.any():
-            return
-        rows = mask if host else xp.asarray(mask)
-        sub = batch[rows]
-        for op in ops:
-            sub = op.apply(sub)
-        batch[rows] = sub
+    def op(cls, s: str):
+        key = (cls, s)
+        return ops.get(key) or ops.setdefault(key, cls(regs, s, xp=op_xp))
 
-    for b, s in enumerate(blocks):
+    for b, s in enumerate(blocks[: 3 * (last + 1)]):
         r, typ = b // 3, b % 3
-        running = js > r    # rows still inside full Grover iterations
-        closing = js == r   # rows in repetition j + 1 (the V/R finish)
         if typ == 0:
-            # x block: V_x for running and closing rows alike.
-            op = vx.get(s) or vx.setdefault(s, VxOperator(regs, s, xp=op_xp))
-            masked(running | closing, op)
+            # x block: V_x, for the iterating and the closing j alike.
+            state = op(VxOperator, s).apply(state)
         elif typ == 1:
-            # y block: W_y while iterating, R_y at the finish.
-            masked(running, wx.get(s) or wx.setdefault(s, WxOperator(regs, s, xp=op_xp)))
-            masked(closing, rx.get(s) or rx.setdefault(s, RxOperator(regs, s, xp=op_xp)))
-        else:
+            # y block: R_y branches off the closing j (a gather, so the
+            # trajectory is untouched); W_y continues the iteration.
+            if wanted[r]:
+                branch = op(RxOperator, s).apply(state)
+                detection[r] = marked_probabilities(branch, regs, xp=op_xp)[0]
+            if r < last:
+                state = op(WxOperator, s).apply(state)
+        elif r < last:
             # z block: V_z then the diffusion closes a full iteration.
-            masked(running, vx.get(s) or vx.setdefault(s, VxOperator(regs, s, xp=op_xp)), uk, sk, uk)
-    # Exact Pr[l = 1] per row; the l qubit is "the last qubit" of step 5.
-    return marked_probabilities(batch, regs, xp=op_xp)
+            for step in (op(VxOperator, s), uk, sk, uk):
+                state = step.apply(state)
+    unclosed = 3 * np.arange(1 << k) + 1 >= len(blocks)
+    if unclosed[last]:
+        # The blocks ran out before the largest j reached its y block:
+        # every j still iterating then shares the final state.
+        detection[unclosed] = marked_probabilities(state, regs, xp=op_xp)[0]
+    return detection[js]
 
 
 def _decide_quantum_tile(
@@ -210,7 +214,7 @@ def _decide_quantum_tile(
     p: int,
     m: int,
     plan: np.ndarray,
-    detection_cache: dict[int, float],
+    detection: np.ndarray,
     xp=None,
 ) -> np.ndarray:
     """Accept decisions for one tile of trials, from their plan words.
@@ -220,18 +224,15 @@ def _decide_quantum_tile(
     for draw the streamed machine's ``spawn(default_rng(seed), 2)``:
     child 0 draws A2's ``t``, child 1 A3's ``j`` and then its coin.
 
-    *detection_cache* memoizes A3's per-``j`` detection probability
-    across tiles: the value depends only on ``(blocks, j)`` and the
-    batched evolution is row-independent, so each of the at-most-2^k
-    distinct counts is evolved once per word however many tiles the run
-    is split into (only scalars are retained, so the cache never eats
-    into the byte budget).
+    *detection* is A3's detection probability for every iteration count
+    ``j`` in ``[0, m)``, evolved once per word by the caller; a trial's
+    is ``detection[j]``.
 
     Trial draws and the per-trial accept decisions always stay on the
-    host; *xp* only moves the A2 Horner sweep and the A3 state evolution
-    into another namespace, so counts are namespace-invariant whenever
-    the namespace's float arithmetic is (and exactly bit-stable on any
-    CPU namespace, where the operation sequence is identical).
+    host; *xp* only moves the A2 Horner sweep into another namespace, so
+    counts are namespace-invariant whenever the namespace's float
+    arithmetic is (and exactly bit-stable on any CPU namespace, where
+    the operation sequence is identical).
     """
     ts, js, coins = bulk_draws(
         plan, 2, lambda a2_rng, a3_rng: (
@@ -239,15 +240,7 @@ def _decide_quantum_tile(
         )
     )
     a2_ok = to_numpy(a2_passes_at_points(k, blocks, ts, p=p, xp=xp))
-    unique_js, inverse = np.unique(js, return_inverse=True)
-    missing = [int(j) for j in unique_js if int(j) not in detection_cache]
-    if missing:
-        probs = batched_a3_detection(
-            k, blocks, np.asarray(missing, dtype=np.int64), xp=xp
-        )
-        detection_cache.update(zip(missing, (float(q) for q in probs)))
-    detection = np.array([detection_cache[int(j)] for j in unique_js])[inverse]
-    a3_ok = ~(coins < detection)  # b = 1 (intersection seen) rejects
+    a3_ok = ~(coins < detection[js])  # b = 1 (intersection seen) rejects
     return a2_ok & a3_ok
 
 
@@ -268,8 +261,9 @@ def sample_acceptance_batch(
     same seed: the same child streams are derived (in bulk, by
     :func:`repro.rng.spawn_bulk`) and consulted in the same order (A2's
     t, A3's j, A3's measurement coin), A2 is evaluated for all trials in
-    one Horner sweep, and A3's detection probabilities are evolved once
-    per *distinct* j as a state batch.  *trial_seeds* (one child seed
+    one Horner sweep, and A3's detection probabilities for all 2^k
+    iteration counts come out of one walk of the block sequence
+    (:func:`batched_a3_detection`).  *trial_seeds* (one child seed
     per trial, as :func:`repro.rng.spawn_seeds` would produce, or their
     ``(trials, 4)`` plan words) overrides the spawn, so a slice of a
     run's plan — e.g. the continuation ``repro.lab`` deepens with —
@@ -298,27 +292,19 @@ def sample_acceptance_batch(
     p = fingerprint_prime(k)
     m = 1 << k
     # Working-set model: ts/js/coins plus A2's per-distinct-block
-    # fingerprint sweeps scale with the tile; the (J, 2^{2k+2})
-    # complex128 state batch has one row per distinct j in the tile,
-    # capped at the 2^k possible iteration counts whatever the tile.
+    # fingerprint sweeps scale with the tile; A3's walk holds two
+    # complex128 state rows (the trajectory and one R_y branch)
+    # whatever the tile, a fixed floor.
     state_row = 16 << (2 * k + 2)
     per_trial = 48 + 8 * len(set(blocks))
     tile = resolve_chunk_trials(
-        trials, max_batch_bytes, chunk_trials, per_trial + state_row
+        trials, max_batch_bytes, chunk_trials, per_trial, 2 * state_row
     )
-    if tile >= m:
-        # The state batch saturates at 2^k rows: treat it as a fixed
-        # floor and let the per-trial arrays spend the rest.
-        tile = resolve_chunk_trials(
-            trials, max_batch_bytes, chunk_trials, per_trial, m * state_row
-        )
-    detection_cache: dict[int, float] = {}
+    detection = batched_a3_detection(k, blocks, np.arange(m), xp=xp)
     return decide_in_tiles(
         plan,
         tile,
-        lambda rows: _decide_quantum_tile(
-            k, blocks, p, m, rows, detection_cache, xp=xp
-        ),
+        lambda rows: _decide_quantum_tile(k, blocks, p, m, rows, detection, xp=xp),
     )
 
 

@@ -16,9 +16,8 @@ Two knobs, resolved by :func:`resolve_chunk_trials`:
 * ``chunk_trials`` — an explicit trials-per-tile cap;
 * ``max_batch_bytes`` — a byte budget; the sampler supplies its
   per-trial working-set estimate (and any batch-size-independent floor,
-  e.g. the quantum sampler's ``(J, 2^{2k+2})`` state batch, whose row
-  count is capped by the 2^k distinct iteration counts) and the budget
-  is converted into a tile size.
+  e.g. the two ``2^{2k+2}``-amplitude state rows of the quantum
+  sampler's A3 walk) and the budget is converted into a tile size.
 
 When both are given the smaller tile wins.  The budget is best-effort:
 a budget smaller than one trial's working set still processes one trial

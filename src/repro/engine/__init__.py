@@ -4,7 +4,7 @@ See :mod:`repro.engine.api` for the contract.  Importing this package
 registers the three stock backends:
 
 * ``sequential`` — per-trial streaming passes (reference semantics);
-* ``batched``    — ``(B, 2^n)`` state batches + one Horner sweep,
+* ``batched``    — one A3 state walk per word + one Horner sweep,
   optionally tiled under a ``max_batch_bytes`` memory budget, with the
   dense sweeps in any array namespace via ``xp=`` (see :mod:`repro.xp`);
 * ``multiprocess`` — word-level fan-out over a process pool.

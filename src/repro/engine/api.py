@@ -7,8 +7,8 @@ the *how* vary per backend:
 
 * ``sequential`` — one streaming pass per trial, exactly today's
   per-trial semantics (:mod:`repro.engine.sequential`);
-* ``batched`` — all trials of a word advance together as ``(B, 2^n)``
-  state batches and one modular-Horner sweep
+* ``batched`` — all trials of a word advance together: one A3 state
+  walk for every iteration count and one modular-Horner sweep
   (:mod:`repro.engine.batched`);
 * ``multiprocess`` — the word list fans out over a process pool, each
   worker running ``batched`` on its word

@@ -4,9 +4,10 @@ Delegates to the core layer's batch paths, one per recognizer:
 
 * ``quantum`` — :func:`repro.core.quantum_recognizer.sample_acceptance_batch`:
   A1 is decided once, A2's fingerprints for every trial's evaluation
-  point come out of one modular-Horner sweep, and A3's quantum register
-  is promoted to a ``(J, 2^{2k+2})`` batch — one row per distinct
-  iteration count — evolved through the operators' leading batch axis.
+  point come out of one modular-Horner sweep, and A3's detection
+  probabilities for all 2^k iteration counts come out of one walk of a
+  single ``(1, 2^{2k+2})`` trajectory, each count branching off
+  through ``R_y`` when its round closes.
 * ``classical-blockwise`` —
   :func:`repro.core.classical_recognizer.sample_blockwise_acceptance_batch`:
   the same A1/A2 vectorization plus the Proposition 3.7 chunk matcher

@@ -89,7 +89,10 @@ class GroverA3:
 
     def iterate(self, vec: np.ndarray) -> np.ndarray:
         """One loop-3 iteration: U_k S_k U_k V_z W_y V_x."""
-        vec = self._vx.apply(vec)
+        return self._after_vx(self._vx.apply(vec))
+
+    def _after_vx(self, vec: np.ndarray) -> np.ndarray:
+        """The rest of an iteration once V_x is applied: U_k S_k U_k V_z W_y."""
         vec = self._wy.apply(vec)
         vec = self._vz.apply(vec)
         vec = self._uk.apply(vec)
@@ -126,9 +129,17 @@ class GroverA3:
         m = (1 << self.regs.k) if m is None else m
         if m < 1:
             raise QuantumError("m must be >= 1")
-        return float(
-            np.mean([self.detection_probability(j) for j in range(m)])
-        )
+        # One walk: the state before step 4 for j is loop^j |phi_k>, so
+        # each j branches R_y V_x off the shared trajectory, and the V_x
+        # it starts with is also the next iteration's first operator.
+        vec = initial_phi(self.regs)
+        probs = []
+        for j in range(m):
+            vec = self._vx.apply(vec)
+            probs.append(marked_probability(self._ry.apply(vec), self.regs))
+            if j + 1 < m:
+                vec = self._after_vx(vec)
+        return float(np.mean(probs))
 
     def a3_output_distribution(self, m: Optional[int] = None) -> dict[int, float]:
         """Distribution of A3's output bit (output = 1 - measured b)."""

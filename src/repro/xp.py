@@ -1,6 +1,6 @@
 """Array-namespace resolution: numpy by default, CuPy/torch on demand.
 
-The compute core's hot paths (the ``(B, 2^{2k+2})`` state batches, the
+The compute core's hot paths (A3's ``2^{2k+2}``-amplitude state walk, the
 modular-Horner fingerprint sweeps, the bit-packed classical reductions)
 are written against an *array namespace* parameter ``xp`` instead of a
 hard-coded ``numpy``.  ``xp`` is anything exposing the small NumPy-like

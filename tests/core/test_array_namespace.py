@@ -13,9 +13,13 @@ Three contracts under test:
   machine with no device);
 * **per-call caching** (satellites) — ``fingerprint_prime`` and the
   per-``k`` index tables are derived once per ``sample_acceptance_batch``
-  call however many tiles it splits into, the quantum sampler re-resolves
-  its tile when the state batch saturates at ``2^k`` rows, and the
-  ``detection_cache`` prevents any j from being evolved twice.
+  call however many tiles it splits into, the quantum sampler resolves
+  its tile once against A3's two-row floor, and A3's detection table is
+  evolved once per call, so no j is evolved twice.
+
+The A3 kernel itself (:func:`batched_a3_detection`) is checked against
+the per-j reference on both namespaces, and its work is pinned: one
+shared trajectory, so linear (not quadratic) in 2^k rows.
 """
 
 import sys
@@ -23,6 +27,8 @@ import types
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import repro.core.a2_fingerprint as a2_mod
 import repro.core.classical_recognizer as classical_mod
@@ -315,11 +321,10 @@ class TestPerCallCaching:
         np.testing.assert_array_equal(base, tiled)
         assert seen  # the wrapper really intercepted the tiled run
 
-    def test_state_batch_floor_re_resolves_tile(self, words, monkeypatch):
-        """When the first resolution lands at tile >= m = 2^k rows, the
-        sampler re-resolves with the saturated state batch as a fixed
-        floor — the second call must carry floor_bytes = m * state_row
-        and drop the per-trial state_row term."""
+    def test_tile_resolves_once_against_two_state_rows(self, words, monkeypatch):
+        """A3's walk holds two state rows whatever the tile, so the
+        sampler resolves its tile exactly once, with those two rows as
+        the fixed floor and only the per-trial arrays scaling."""
         from repro.core.tiling import resolve_chunk_trials
 
         calls = []
@@ -334,31 +339,69 @@ class TestPerCallCaching:
             )
 
         monkeypatch.setattr(quantum_mod, "resolve_chunk_trials", recording)
-        word = words["intersecting"]  # k = 1: m = 2, state_row = 256
-        base = sample_acceptance_batch(word, 40, np.random.default_rng(2))
-        calls.clear()
-        tiled = sample_acceptance_batch(
-            word, 40, np.random.default_rng(2), max_batch_bytes=1000
-        )
-        np.testing.assert_array_equal(base, tiled)
-        assert len(calls) == 2
+        word = words["intersecting"]  # k = 1: state_row = 256
         state_row = 16 << (2 * 1 + 2)
-        assert calls[0]["bytes_per_trial"] > state_row  # per-trial + state row
-        assert calls[1]["floor_bytes"] == 2 * state_row  # m saturated rows
-        assert calls[1]["bytes_per_trial"] < state_row  # per-trial only
+        base = sample_acceptance_batch(word, 40, np.random.default_rng(2))
+        for budget in (1, 1000):
+            calls.clear()
+            tiled = sample_acceptance_batch(
+                word, 40, np.random.default_rng(2), max_batch_bytes=budget
+            )
+            np.testing.assert_array_equal(base, tiled)
+            assert len(calls) == 1
+            assert calls[0]["floor_bytes"] == 2 * state_row
+            assert calls[0]["bytes_per_trial"] < state_row  # per-trial only
 
-    def test_tiny_budget_skips_re_resolution(self, words, monkeypatch):
-        """A budget too small to reach m rows resolves exactly once."""
-        from repro.core.tiling import resolve_chunk_trials
 
-        calls = []
+class TestA3Kernel:
+    """:func:`batched_a3_detection` against the per-j reference."""
 
-        def recording(*args, **kwargs):
-            calls.append(args)
-            return resolve_chunk_trials(*args, **kwargs)
-
-        monkeypatch.setattr(quantum_mod, "resolve_chunk_trials", recording)
-        sample_acceptance_batch(
-            words["intersecting"], 10, np.random.default_rng(2), max_batch_bytes=1
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data(), k=st.integers(1, 3), shim=st.booleans())
+    def test_bytes_equal_per_j_reference(self, data, k, shim):
+        from repro.core.quantum_recognizer import (
+            batched_a3_detection,
+            exact_a3_detection_for_blocks,
         )
-        assert len(calls) == 1
+
+        n, m = 1 << (2 * k), 1 << k
+        block = st.text(alphabet="01", min_size=n, max_size=n)
+        # Mostly condition-(i) words; a shorter block list leaves the
+        # large j still iterating when the stream ends.
+        count = data.draw(st.one_of(st.just(3 * m), st.integers(0, 3 * m)))
+        blocks = data.draw(st.lists(block, min_size=count, max_size=count))
+        js = np.array(
+            data.draw(st.lists(st.integers(0, m - 1), min_size=1, max_size=2 * m)),
+            dtype=np.int64,
+        )
+        got = batched_a3_detection(k, blocks, js, xp=SHIM if shim else None)
+        ref = np.array([exact_a3_detection_for_blocks(k, blocks, int(j)) for j in js])
+        assert got.tobytes() == ref.tobytes()
+
+    def test_rows_applied_are_linear_in_iterations(self, words, monkeypatch):
+        """One shared trajectory: at most 8 state rows pass through the
+        operators per round (the masked batch was quadratic in 2^k)."""
+        from repro.core import language
+        from repro.core.quantum_recognizer import batched_a3_detection
+        from repro.quantum import operators
+
+        rows = []
+        for cls in (
+            operators.VxOperator,
+            operators.WxOperator,
+            operators.RxOperator,
+            operators.UkOperator,
+            operators.SkOperator,
+        ):
+            def counted(self, vec, _apply=cls.apply):
+                rows.append(vec.shape[0] if vec.ndim == 2 else 1)
+                return _apply(self, vec)
+
+            monkeypatch.setattr(cls, "apply", counted)
+        k = 4
+        word = intersecting_nonmember(k, 3, np.random.default_rng(4))
+        _, blocks = language.parse_condition_i(word)
+        js = np.arange(1 << k)[::-1]
+        batched_a3_detection(k, blocks, js)
+        assert 0 < sum(rows) <= 8 * (1 << k)
+        assert max(rows) == 1

@@ -66,6 +66,21 @@ class TestGroverA3Dynamics:
                 random_j_success(t, n, 1 << k), abs=1e-10
             )
 
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    @pytest.mark.parametrize("z_is_x", [True, False], ids=["z=x", "z!=x"])
+    def test_average_walk_equals_per_j_mean(self, k, z_is_x):
+        """The single-walk average is float-for-float the mean of the
+        per-j detection probabilities, also off condition (ii)."""
+        n = 1 << (2 * k)
+        rng = np.random.default_rng(k)
+        for t in (0, 1, n // 2):
+            x, y = pair_with_t(k, t, seed=10 * k + t)
+            z = None if z_is_x else "".join(rng.choice(["0", "1"], n))
+            g = GroverA3(k, x, y, z)
+            for m in (1, 1 << k, 3):
+                per_j = np.mean([g.detection_probability(j) for j in range(m)])
+                assert g.average_detection_probability(m) == per_j
+
     @pytest.mark.parametrize("k", [1, 2])
     def test_quarter_bound_exhaustive(self, k):
         """Theorem 3.4's core inequality on the exact simulator."""

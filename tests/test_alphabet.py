@@ -26,6 +26,15 @@ class TestValidation:
         with pytest.raises(AlphabetError):
             alphabet.validate_word(bad)
 
+    def test_validate_word_reports_mid_word_position(self):
+        word = "1#" + "01" * 500 + "x" + "#10" * 300
+        with pytest.raises(AlphabetError, match=r"invalid symbol 'x' at position 1002;"):
+            alphabet.validate_word(word)
+
+    @given(sigma_words)
+    def test_validate_word_returns_sigma_words_unchanged(self, word):
+        assert alphabet.validate_word(word) is word
+
     def test_validate_bitstring_rejects_hash(self):
         with pytest.raises(AlphabetError):
             alphabet.validate_bitstring("01#")
