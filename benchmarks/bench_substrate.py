@@ -108,12 +108,6 @@ ENGINE_RECORD = Path(__file__).resolve().parent.parent / "BENCH_engine.json"
 #: batch, hence its lower floor.
 BATCHED_TRIALS_PER_SECOND_FLOORS = {"quantum": 100_000, "classical-blockwise": 250_000}
 
-#: Multiprocess word fan-out vs batched on full runs with >= 2 cores: the
-#: condition for keeping a pool backend at all.  Measured at k = 5 with
-#: MULTIPROCESS_FANOUT_TRIALS trials on each of 4 words.
-MULTIPROCESS_FANOUT_GATE = 1.5
-MULTIPROCESS_FANOUT_TRIALS = 384
-
 
 def _bench_trials() -> int:
     """Trial count for the engine benchmarks.
@@ -212,9 +206,6 @@ def _append_history(record: dict) -> None:
             recognizer: section["batched_speedup_over_sequential"]
             for recognizer, section in record["recognizers"].items()
         },
-        "multiprocess_speedup_over_batched": record["multiprocess"][
-            "speedup_over_batched"
-        ],
         "chunked_slowdown_over_unchunked": record["chunked"][
             "slowdown_over_unchunked"
         ],
@@ -267,13 +258,10 @@ def test_engine_backend_throughput():
     (quantum, classical-blockwise, classical-full).  Asserts the seeding
     contract (identical counts on every backend), the batched backend's
     >= 10x speedup on the quantum recognizer and >= 5x on the classical
-    ones, its trials/s floors (``BATCHED_TRIALS_PER_SECOND_FLOORS``),
-    the multiprocess word fan-out's >= 1.5x over batched at k = 5
-    (``MULTIPROCESS_FANOUT_GATE``), then writes ``BENCH_engine.json`` so
-    the perf trajectory is tracked across PRs.
+    ones, and its trials/s floors (``BATCHED_TRIALS_PER_SECOND_FLOORS``),
+    then writes ``BENCH_engine.json`` so the perf trajectory is tracked
+    across PRs.
     """
-    import os
-
     from repro.core import intersecting_nonmember, member
     from repro.engine import RECOGNIZERS, ExecutionEngine, available_backends
     from repro.obs import get_registry
@@ -349,50 +337,6 @@ def test_engine_backend_throughput():
     record["batched_speedup_over_sequential"] = quantum[
         "batched_speedup_over_sequential"
     ]
-
-    # The multiprocess backend's one fan-out axis: whole words over a
-    # process pool.  It earns its place only where each word carries
-    # enough work to amortize the pool start-up — k = 5 words at 384
-    # trials, min-of-3 per side.  Gates: counts identical to batched
-    # (always) and MULTIPROCESS_FANOUT_GATE on multi-core hosts at full
-    # size (the smoke's trial count is too small to amortize the pool).
-    fanout_words = [
-        member(5, np.random.default_rng(10)),
-        member(5, np.random.default_rng(11)),
-        intersecting_nonmember(5, 1, np.random.default_rng(12)),
-        intersecting_nonmember(5, 4, np.random.default_rng(13)),
-    ]
-    fanout_trials = trials if smoke else MULTIPROCESS_FANOUT_TRIALS
-
-    def _best_of_3(engine):
-        best, accepted = float("inf"), None
-        for _ in range(3):
-            start = time.perf_counter()
-            estimates = engine.run_many(fanout_words, fanout_trials, rng=2006)
-            best = min(best, time.perf_counter() - start)
-            accepted = [est.accepted for est in estimates]
-        return best, accepted
-
-    mp_s, mp_accepted = _best_of_3(ExecutionEngine("multiprocess"))
-    fan_batched_s, fan_batched_accepted = _best_of_3(ExecutionEngine("batched"))
-    assert mp_accepted == fan_batched_accepted, "multiprocess counts drifted"
-    fanout_speedup = fan_batched_s / mp_s
-    record["multiprocess"] = {
-        "k": 5,
-        "words": len(fanout_words),
-        "trials": fanout_trials,
-        "cpus": os.cpu_count(),
-        "seconds": round(mp_s, 4),
-        "batched_seconds": round(fan_batched_s, 4),
-        "accepted": mp_accepted,
-        "matches_batched": mp_accepted == fan_batched_accepted,
-        "speedup_over_batched": round(fanout_speedup, 2),
-    }
-    if not smoke and (os.cpu_count() or 1) >= 2:
-        assert fanout_speedup >= MULTIPROCESS_FANOUT_GATE, (
-            f"multiprocess word fan-out only {fanout_speedup:.2f}x over "
-            f"batched (gate {MULTIPROCESS_FANOUT_GATE}x)"
-        )
 
     # Chunked (memory-bounded) vs unchunked batched execution.  Gates:
     # byte-identical counts (always) and bounded tiling overhead (full
@@ -620,8 +564,8 @@ def _bench_store_keys() -> int:
 
     ``REPRO_BENCH_STORE_KEYS`` shrinks the run to a smoke test; below
     10 000 keys the latency gates are skipped (fixed per-shard costs
-    dominate) but the lease-safety and count invariants are still
-    enforced, and nothing is written to the tracked record.
+    dominate) but the eviction and count invariants are still enforced,
+    and nothing is written to the tracked record.
     """
     import os
 
@@ -660,16 +604,17 @@ def test_store_fleet_scale(tmp_path):
     """The sharded ResultStore at fleet scale: 10^5 keys.
 
     Measures bulk seeding, full compaction, ``status()``, and sampled
-    keyed reads, then exercises the eviction-vs-lease rule at scale.
-    Gates (full scale only):
+    keyed reads, then evicts and compacts everything away.  Gates (full
+    scale only):
 
     - ``lab status`` on the compacted store is sub-second and served
       from the per-shard indexes alone (zero full-file scans);
     - sampled ``deepest()`` reads on the compacted store cost zero
       full-file scans (index lookup + seek only).
 
-    Always enforced, smoke included: eviction never drops a leased key,
-    and the store accounts for every seeded experiment.
+    Always enforced, smoke included: the store accounts for every
+    seeded experiment, a TTL-0 eviction tombstones exactly every key,
+    and the compaction after it leaves an empty store.
     """
     from repro.lab import ResultStore
     from repro.lab.store import LabRecord
@@ -702,7 +647,6 @@ def test_store_fleet_scale(tmp_path):
     status = store.status()
     status_seconds = time.perf_counter() - start
     assert status.experiments == keys and status.checkpoints == keys
-    assert status.active_leases == 0 and status.legacy_records == 0
 
     registry = get_registry()
 
@@ -718,19 +662,16 @@ def test_store_fleet_scale(tmp_path):
     read_seconds = time.perf_counter() - start
     keyed_read_scans = scan_total() - scans_before
 
-    leased = [records[i].key for i in range(0, keys, max(1, keys // 50))][:50]
-    for key in leased:
-        assert store.claim(key, "bench-owner", ttl_s=3600.0)
     start = time.perf_counter()
     evicted = store.evict(ttl_seconds=0.0)
     evict_seconds = time.perf_counter() - start
 
-    # The two invariants that hold at every scale: leases pin their
-    # keys through an evict-everything pass, and nothing else survives.
-    assert set(leased).isdisjoint(evicted)
-    assert len(evicted) == keys - len(leased)
-    for key in leased:
-        assert store.deepest(key) is not None
+    # The invariants that hold at every scale: an evict-everything pass
+    # tombstones every key exactly once, and compaction then empties
+    # the store.
+    assert len(evicted) == len(set(evicted)) == keys
+    store.compact()
+    assert store.status().experiments == 0
 
     if not smoke:
         assert status.source == "index"
@@ -753,7 +694,6 @@ def test_store_fleet_scale(tmp_path):
             "keyed_reads": len(sample),
             "keyed_read_avg_seconds": round(read_seconds / len(sample), 9),
             "keyed_read_file_scans": keyed_read_scans,
-            "leased": len(leased),
             "evicted": len(evicted),
             "evict_seconds": round(evict_seconds, 6),
         },

@@ -222,6 +222,18 @@ def _print_estimate_stats(est) -> None:
     print(f"stderr = {est.stderr:.4f}; Wilson 95% CI [{lo:.4f}, {hi:.4f}]")
 
 
+def _open_store(args: argparse.Namespace, command: str):
+    """The ``--store`` directory as a :class:`ResultStore`, or ``None``
+    after reporting an unmigrated flat store on stderr."""
+    from .lab import ResultStore, UnmigratedStoreError
+
+    try:
+        return ResultStore(args.store)
+    except UnmigratedStoreError as exc:
+        print(f"{command}: {exc}", file=sys.stderr)
+        return None
+
+
 def _cmd_lab_run(args: argparse.Namespace) -> int:
     from .lab import Orchestrator
 
@@ -230,7 +242,10 @@ def _cmd_lab_run(args: argparse.Namespace) -> int:
     except ValueError as exc:
         print(f"lab run: {exc}", file=sys.stderr)
         return 2
-    result = Orchestrator(args.store, max_batch_bytes=args.memory_budget).run(spec)
+    store = _open_store(args, "lab run")
+    if store is None:
+        return 2
+    result = Orchestrator(store, max_batch_bytes=args.memory_budget).run(spec)
     print(f"key={result.key[:16]}  {spec.describe()}  store={args.store}")
     print(
         f"source={result.source}  trials_executed={result.trials_executed}  "
@@ -241,9 +256,9 @@ def _cmd_lab_run(args: argparse.Namespace) -> int:
 
 
 def _cmd_lab_status(args: argparse.Namespace) -> int:
-    from .lab import ResultStore
-
-    store = ResultStore(args.store)
+    store = _open_store(args, "lab status")
+    if store is None:
+        return 2
     status = store.status()
     print(f"store: {store.root}")
     print(
@@ -253,17 +268,18 @@ def _cmd_lab_status(args: argparse.Namespace) -> int:
     print(f"stored trials (deepest per experiment): {status.stored_trials}")
     print(
         f"shards: {status.shards} ({status.indexed_shards} indexed)  "
-        f"active leases: {status.active_leases}  "
-        f"legacy records: {status.legacy_records}  source: {status.source}"
+        f"source: {status.source}"
     )
     return 0
 
 
 def _cmd_lab_report(args: argparse.Namespace) -> int:
     from .analysis import Table
-    from .lab import ExperimentSpec, ResultStore
+    from .lab import ExperimentSpec
 
-    store = ResultStore(args.store)
+    store = _open_store(args, "lab report")
+    if store is None:
+        return 2
     snapshot = store.scan()
     latest = store.latest_by_key(snapshot.records)
     table = Table(
@@ -304,7 +320,7 @@ def _cmd_lab_report(args: argparse.Namespace) -> int:
 
 
 def _cmd_lab_compact(args: argparse.Namespace) -> int:
-    from .lab import Orchestrator
+    from .lab import Orchestrator, ResultStore, UnmigratedStoreError
 
     if args.ttl_seconds is not None and args.ttl_seconds < 0:
         print("lab compact: --ttl-seconds must be non-negative", file=sys.stderr)
@@ -312,10 +328,16 @@ def _cmd_lab_compact(args: argparse.Namespace) -> int:
     if args.max_keys is not None and args.max_keys < 0:
         print("lab compact: --max-keys must be non-negative", file=sys.stderr)
         return 2
-    report = Orchestrator(args.store).maintain(
+    print(f"store: {args.store}")
+    try:
+        orchestrator = Orchestrator(args.store)
+    except UnmigratedStoreError:
+        moved = ResultStore.migrate(args.store)
+        print(f"migrated {moved} record(s) from the flat layout into shards")
+        orchestrator = Orchestrator(args.store)
+    report = orchestrator.maintain(
         ttl_seconds=args.ttl_seconds, max_keys=args.max_keys
     )
-    print(f"store: {args.store}")
     print(
         f"evicted keys: {report.evicted_keys}  "
         f"removed lines: {report.removed_lines}  "
@@ -323,7 +345,7 @@ def _cmd_lab_compact(args: argparse.Namespace) -> int:
     )
     print(
         f"experiments: {report.experiments}  checkpoints: {report.checkpoints}  "
-        f"active leases: {report.active_leases}  ({report.elapsed_s:.3f} s)"
+        f"({report.elapsed_s:.3f} s)"
     )
     return 0
 
@@ -333,8 +355,11 @@ def _cmd_serve(args: argparse.Namespace) -> int:
 
     from .service import AcceptanceService
 
+    store = _open_store(args, "serve")
+    if store is None:
+        return 2
     service = AcceptanceService(
-        args.store,
+        store,
         host=args.host,
         port=args.port,
         workers=args.workers,
@@ -602,8 +627,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--backend",
         default="batched",
         type=_backend_arg,
-        help="execution backend (sequential | batched | multiprocess; "
-        "the retired names sharedmem and gpu run as batched)",
+        help="execution backend (sequential | batched; the retired "
+        "names multiprocess, sharedmem and gpu run as batched)",
     )
     samp.add_argument(
         "--memory-budget",
@@ -823,7 +848,9 @@ def build_parser() -> argparse.ArgumentParser:
     report.set_defaults(func=_cmd_lab_report)
 
     compact = labsub.add_parser(
-        "compact", help="evict per policy, compact shards, rebuild indexes"
+        "compact",
+        help="migrate a flat store, evict per policy, compact shards, "
+        "rebuild indexes",
     )
     compact.add_argument("--store", default=store_default,
                          help="store directory (env REPRO_LAB_STORE)")

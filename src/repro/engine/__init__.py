@@ -1,15 +1,15 @@
 """Batched execution engine for acceptance-probability experiments.
 
 See :mod:`repro.engine.api` for the contract.  Importing this package
-registers the three stock backends:
+registers the two stock backends:
 
 * ``sequential`` — per-trial streaming passes (reference semantics);
 * ``batched``    — one A3 state walk per word + one Horner sweep,
   optionally tiled under a ``max_batch_bytes`` memory budget, with the
-  dense sweeps in any array namespace via ``xp=`` (see :mod:`repro.xp`);
-* ``multiprocess`` — word-level fan-out over a process pool.
+  dense sweeps in any array namespace via ``xp=`` (see :mod:`repro.xp`).
 
-The retired names ``sharedmem`` and ``gpu`` resolve to ``batched``.
+The retired names ``multiprocess``, ``sharedmem`` and ``gpu`` resolve
+to ``batched``.
 
 Orthogonal to the backend axis, every backend samples any of the stock
 recognizers (``recognizer="quantum" | "classical-blockwise" |
@@ -34,7 +34,6 @@ from .api import (
 )
 from .sequential import SequentialBackend
 from .batched import BatchedDenseBackend
-from .multiprocess import MultiprocessBackend
 
 __all__ = [
     "AcceptanceEstimate",
@@ -49,5 +48,4 @@ __all__ = [
     "validate_recognizer",
     "SequentialBackend",
     "BatchedDenseBackend",
-    "MultiprocessBackend",
 ]

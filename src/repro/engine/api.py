@@ -1,4 +1,4 @@
-"""The batched execution engine: one API, three trial backends.
+"""The batched execution engine: one API, two trial backends.
 
 The experiments' hot path is always the same shape — estimate the
 recognizer's acceptance probability on each word of a list by running
@@ -9,20 +9,17 @@ the *how* vary per backend:
   per-trial semantics (:mod:`repro.engine.sequential`);
 * ``batched`` — all trials of a word advance together: one A3 state
   walk for every iteration count and one modular-Horner sweep
-  (:mod:`repro.engine.batched`);
-* ``multiprocess`` — the word list fans out over a process pool, each
-  worker running ``batched`` on its word
-  (:mod:`repro.engine.multiprocess`).
+  (:mod:`repro.engine.batched`).
 
-The retired names ``sharedmem`` and ``gpu`` resolve to ``batched``
-(:data:`RETIRED_BACKENDS`), so stored specs and scripts naming them
-keep working with unchanged counts.
+The retired names ``multiprocess``, ``sharedmem`` and ``gpu`` resolve
+to ``batched`` (:data:`RETIRED_BACKENDS`), so stored specs and scripts
+naming them keep working with unchanged counts.
 
 Seeding is part of the API contract: ``run_many`` derives one child
 seed per word with :func:`repro.rng.spawn_seeds`, in word order, and
 every backend replicates the per-trial draw order of the sequential
 path — so for a fixed seed all backends return *identical* acceptance
-counts, and the batched/multiprocess backends are pure speedups.
+counts, and the batched backend is a pure speedup.
 """
 
 from __future__ import annotations
@@ -125,8 +122,7 @@ class AcceptanceEstimate:
     measured time for a single :meth:`ExecutionEngine.estimate_acceptance`
     call, or the batch total amortized evenly across words for
     :meth:`ExecutionEngine.run_many` (so summing ``elapsed_s`` over a
-    sweep recovers its wall-clock, including under the multiprocess
-    backend, where per-word time is not individually observable).
+    sweep recovers its wall-clock).
     """
 
     word_length: int
@@ -171,7 +167,7 @@ class ExecutionBackend(ABC):
     Subclasses implement :meth:`count_accepted` (one word, many trials)
     and :meth:`count_accepted_from_seeds` (one word, explicit trial
     seeds), and may override :meth:`count_accepted_many` when they can
-    do better than a word loop (the multiprocess backend fans it out).
+    do better than a word loop.
     """
 
     #: Registry key; subclasses set it and register via register_backend.
@@ -248,7 +244,11 @@ def available_backends() -> List[str]:
 #: Retired backend names -> the backend that now serves them.  Stored
 #: specs, service requests and ``--backend`` scripts still name them;
 #: ``backend`` is provenance, not identity, so counts do not move.
-RETIRED_BACKENDS: Dict[str, str] = {"sharedmem": "batched", "gpu": "batched"}
+RETIRED_BACKENDS: Dict[str, str] = {
+    "multiprocess": "batched",
+    "sharedmem": "batched",
+    "gpu": "batched",
+}
 
 _warned_retired: set = set()
 
@@ -257,7 +257,7 @@ def backend_availability() -> Dict[str, bool]:
     """``{name: usable}`` for every name :func:`get_backend` accepts.
 
     Registered backends and retired aliases alike run at full speed on
-    any host (the pool degrades inline), so every value is ``True``;
+    any host, so every value is ``True``;
     the service's ``stats.backends`` field reports this mapping.
     """
     return {name: True for name in sorted([*_BACKENDS, *RETIRED_BACKENDS])}
@@ -300,12 +300,11 @@ class ExecutionEngine:
     """Front door: estimate acceptance probabilities through a backend.
 
     Args:
-        backend: a registry name (``"sequential"``, ``"batched"``,
-            ``"multiprocess"``) or a configured
-            :class:`ExecutionBackend` instance.  ``**options`` go to
-            the named backend's constructor (e.g.
-            ``max_batch_bytes=``, ``processes=``) and are rejected
-            alongside an instance.
+        backend: a registry name (``"sequential"``, ``"batched"``) or
+            a configured :class:`ExecutionBackend` instance.
+            ``**options`` go to the named backend's constructor (e.g.
+            ``max_batch_bytes=``) and are rejected alongside an
+            instance.
 
     Seeding semantics: the ``rng`` passed to each call is the *parent*
     of the per-trial (and, for :meth:`run_many`, per-word) child
@@ -317,9 +316,7 @@ class ExecutionEngine:
     ``spawn(rng, trials)`` would advance it.
 
     Failure modes: unknown backend or recognizer names raise
-    ``ValueError`` at construction / call time; the process-pool
-    backend degrades *inline* (same counts, no parallelism) when pools
-    are unavailable rather than raising.
+    ``ValueError`` at construction / call time.
 
     >>> from repro.core import member
     >>> import numpy as np

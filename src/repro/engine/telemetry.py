@@ -1,19 +1,13 @@
 """Engine-layer instrumentation: one helper, every backend.
 
-:func:`observe_backend_call` is the single pattern all three backends
-wrap their counting entry points in — a static-named span (so traces
+:func:`observe_backend_call` is the single pattern every backend wraps
+its counting entry points in — a static-named span (so traces
 show which backend decided which trials), per-``(backend, recognizer)``
 call/trial counters, and a latency histogram observed only on success
 (a raised call records the attempt, not a bogus duration).  Keeping it
 in one place keeps the metric catalog coherent: every backend emits
 the *same* names with the *same* labels, so dashboards and the bench
 harness can sweep ``backend=`` values without special cases.
-
-:func:`count_degradation` records the silent-slow-path event — the
-multiprocess pool falling back inline — as a monotonic counter an
-operator can alert on (surfaced by the service's ``stats``/``metrics``
-ops).  The degradation path itself is count-preserving by
-construction; the counter only makes it visible.
 
 Telemetry never changes counts: nothing here consults randomness, and
 the hypothesis tests in ``tests/obs`` pin instrumented runs
@@ -58,15 +52,3 @@ def observe_backend_call(
     registry.histogram(
         "engine.backend.seconds", backend=backend, recognizer=recognizer
     ).observe(clock.perf_counter() - start)
-
-
-def count_degradation(backend: str, to: str) -> None:
-    """Record one degradation event: *backend* ran on its *to* fallback."""
-    get_registry().counter("engine.degradations", backend=backend, to=to).inc()
-
-
-def count_shards(backend: str, shards: int) -> None:
-    """Record a fan-out's word-task count (sum over calls; calls are
-    counted separately, so the mean fan-out is recoverable)."""
-    if shards > 0:
-        get_registry().counter("engine.backend.shards", backend=backend).inc(shards)

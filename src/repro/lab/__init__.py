@@ -21,13 +21,15 @@ Layers:
   index (pure logic shared by store, tests, and tools);
 * :mod:`repro.lab.store` — :class:`ResultStore`, the durable sharded
   checkpoint log (atomic appends, corruption-tolerant reads, schema
-  versioning, verified indexes, tombstone eviction, leases);
+  versioning, verified indexes, tombstone eviction).  A root still in
+  the flat pre-shard layout raises :class:`UnmigratedStoreError` until
+  ``python -m repro lab compact`` migrates it;
 * :mod:`repro.lab.orchestrator` — :class:`Orchestrator`, the
   cache / deepen / fresh decision.
 
 Entry points: ``Orchestrator(store).run(spec)`` from code,
 ``repro.analysis.acceptance_sweep(..., store=...)`` for sweeps, and
-``python -m repro lab run|status|report`` from the shell.
+``python -m repro lab run|status|report|compact`` from the shell.
 """
 
 from .spec import ExperimentSpec, WORD_FAMILIES
@@ -39,6 +41,7 @@ from .store import (
     SCHEMA_VERSION,
     StoreScan,
     StoreStatus,
+    UnmigratedStoreError,
 )
 from .orchestrator import (
     LabRunResult,
@@ -57,6 +60,7 @@ __all__ = [
     "ShardIndex",
     "StoreScan",
     "StoreStatus",
+    "UnmigratedStoreError",
     "shard_prefix",
     "LabRunResult",
     "MaintenanceReport",

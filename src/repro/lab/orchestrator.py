@@ -86,7 +86,6 @@ class MaintenanceReport:
     indexed_shards: int  # shards whose sidecar index is fresh (== shards after a pass)
     experiments: int
     checkpoints: int
-    active_leases: int
     elapsed_s: float
 
     def to_document(self) -> dict:
@@ -330,12 +329,10 @@ class Orchestrator:
     ) -> MaintenanceReport:
         """One background maintenance pass: evict, compact, summarize.
 
-        Eviction appends TTL/LRU tombstones (a key holding an active
-        lease is never touched); compaction reclaims the bytes and
-        rebuilds every shard's sidecar index, absorbing any legacy
-        flat file on the way.  Each shard compacts under its own
-        lock, so concurrent :meth:`run` appends are never blocked —
-        this is the op the service exposes for live fleets.
+        Eviction appends TTL/LRU tombstones; compaction reclaims the
+        bytes and rebuilds every shard's sidecar index.  Each shard
+        compacts under its own lock, so concurrent :meth:`run` appends
+        are never blocked — this is the op the service exposes.
         """
         start = time.perf_counter()
         with span("lab.maintain"):
@@ -351,7 +348,6 @@ class Orchestrator:
             indexed_shards=status.indexed_shards,
             experiments=status.experiments,
             checkpoints=status.checkpoints,
-            active_leases=status.active_leases,
             elapsed_s=elapsed,
         )
 

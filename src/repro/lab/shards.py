@@ -13,8 +13,8 @@ pieces the store and its tests must agree on exactly:
   keys still spread uniformly;
 * :class:`ShardIndex` — the sidecar ``index.json`` a compaction writes
   next to a shard's data file: for every key, the byte offset and
-  length of its *deepest* checkpoint line, plus the shard's active
-  lease records and summary counts.  The index is a pure accelerator:
+  length of its *deepest* checkpoint line, plus the shard's summary
+  counts.  The index is a pure accelerator:
   readers must verify it against the data file (``indexed_bytes``
   bound, seek-and-reparse of any served entry) and fall back to a scan
   when it disagrees — a stale index may cost a re-scan, never a wrong
@@ -115,18 +115,14 @@ class ShardIndex:
     compaction, which readers scan and merge on top.  A data file
     *shorter* than ``indexed_bytes`` can only mean the index is stale
     (truncation, replacement by older code): the whole document is
-    discarded.
-
-    ``leases`` snapshots the claim records that were active at build
-    time — they are also rewritten into the data file, so the snapshot
-    is an accelerator for ``status()``, not the source of truth.
+    discarded.  Keys this build does not write (the ``leases`` snapshot
+    of older builds) are ignored on read.
     """
 
     indexed_bytes: int
     lines: int
     built_stamp: float
     entries: Dict[str, IndexEntry] = field(default_factory=dict)
-    leases: Dict[str, Dict[str, Any]] = field(default_factory=dict)
     version: int = INDEX_VERSION
 
     def stored_trials(self) -> int:
@@ -142,7 +138,6 @@ class ShardIndex:
             "entries": {
                 key: entry.to_document() for key, entry in self.entries.items()
             },
-            "leases": self.leases,
         }
 
     @classmethod
@@ -156,12 +151,11 @@ class ShardIndex:
             lines = int(data["lines"])
             built_stamp = float(data["built_stamp"])
             raw_entries = data["entries"]
-            raw_leases = data.get("leases", {})
         except (KeyError, TypeError, ValueError):
             return None
         if version > INDEX_VERSION or indexed_bytes < 0 or lines < 0:
             return None
-        if not isinstance(raw_entries, dict) or not isinstance(raw_leases, dict):
+        if not isinstance(raw_entries, dict):
             return None
         entries: Dict[str, IndexEntry] = {}
         for key, raw in raw_entries.items():
@@ -169,17 +163,11 @@ class ShardIndex:
             if entry is None:
                 return None  # one bad entry poisons the document
             entries[str(key)] = entry
-        leases = {
-            str(key): dict(raw)
-            for key, raw in raw_leases.items()
-            if isinstance(raw, dict)
-        }
         return cls(
             indexed_bytes=indexed_bytes,
             lines=lines,
             built_stamp=built_stamp,
             entries=entries,
-            leases=leases,
         )
 
 

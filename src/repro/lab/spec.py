@@ -17,7 +17,7 @@ recognizer and the seed.  Deliberately excluded:
   deeper run are exactly the continuation of a shallower one);
 * ``backend`` — the how, not the what.  Counts are backend-invariant,
   so a result computed by the batched backend is a valid cache hit for
-  a multiprocess request (and vice versa);
+  a sequential request (and vice versa);
 * the family parameters themselves — two specs that resolve to the
   same word string are the same experiment, whether the word arrived
   explicitly or via ``(family, k, t, word_seed)``.

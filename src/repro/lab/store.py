@@ -2,22 +2,22 @@
 
 One :class:`ResultStore` owns a directory.  Keys route to
 ``shards/<prefix>/results.jsonl`` by the stable prefix function
-:func:`repro.lab.shards.shard_prefix`; a legacy flat ``results.jsonl``
-at the root (the pre-shard layout) is still read transparently and is
-absorbed into the shards by the first :meth:`ResultStore.compact`.
-Every data line is one of:
+:func:`repro.lab.shards.shard_prefix`.  A root that still holds a flat
+``results.jsonl`` (the pre-shard layout) is refused with
+:class:`UnmigratedStoreError` until ``repro lab compact`` (or
+:meth:`ResultStore.migrate`) moves it into the shards.  Every data line
+is one of:
 
 * a :class:`LabRecord` — a *cumulative checkpoint*: "after ``trials``
   trials of the run keyed ``key``, ``accepted`` of them accepted".
   Checkpoints form a per-key deepening ladder (1 000, 10 000, ...) and
   any rung can later serve — or seed the continuation of — a request
   at that depth;
-* a :class:`ControlRecord` — an append-only policy record carrying a
-  ``control`` kind: ``tombstone`` (eviction: masks every earlier
-  checkpoint of its key until compaction removes both), ``claim`` (a
-  lease: ``owner`` holds ``key`` for ``ttl_s`` seconds) or ``release``.
-  Readers that predate control records skip them as unreadable lines —
-  eviction and leasing compose with corruption tolerance by design.
+* a :class:`ControlRecord` — an eviction ``tombstone``: it masks every
+  earlier checkpoint of its key until compaction removes both.  Readers
+  that predate control records skip them as unreadable lines, and so
+  does this one for control kinds it does not know (the ``claim`` /
+  ``release`` lease lines older builds wrote) — compaction drops them.
 
 Durability properties:
 
@@ -42,17 +42,18 @@ Durability properties:
 
 Locking contract (enforced by the ``lock-discipline`` project rule):
 every mutation of a data file — the ``os.write`` appends (checkpoints,
-tombstones, leases), the compaction's ``os.replace`` publishes of the
-data file and its index — executes under that file's sidecar
-:class:`_StoreLock`.  Lock order is always legacy-before-shard, and no
-path takes two shard locks at once, so there is no deadlock cycle.
+tombstones), the compaction's ``os.replace`` publishes of the data file
+and its index — executes under that file's sidecar
+:class:`_StoreLock`.  No path takes two shard locks at once; only the
+migration nests one (flat file, then each shard in turn), so there is
+no deadlock cycle.
 """
 
 from __future__ import annotations
 
 import json
 import os
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Any, Dict, Iterable, List, Optional, Tuple, Union
 
@@ -72,14 +73,8 @@ SCHEMA_VERSION = 1
 #: Fields a line must carry to be a readable checkpoint record.
 _REQUIRED = ("schema", "key", "spec", "trials", "accepted", "backend")
 
-#: Data file name, shared by the legacy flat layout and every shard.
+#: Data file name, shared by every shard and the pre-shard flat layout.
 DATA_NAME = "results.jsonl"
-
-#: Control-record kinds this build understands.
-CONTROL_KINDS = ("tombstone", "claim", "release")
-
-#: Default lease duration for :meth:`ResultStore.claim`.
-DEFAULT_LEASE_TTL_S = 300.0
 
 #: Sentinel for "the index could not answer" (distinct from "the index
 #: answered: no record stored").
@@ -144,29 +139,39 @@ class LabRecord:
         return record
 
 
-@dataclass(frozen=True)
-class ControlRecord:
-    """One append-only policy record: tombstone, lease claim, or release.
+class UnmigratedStoreError(ValueError):
+    """The store root still holds a flat pre-shard ``results.jsonl``.
 
-    Control lines share the data files with checkpoints but carry a
-    ``control`` kind instead of counts.  ``stamp`` is a wall-clock
-    export timestamp (the eviction policy ages against it); it never
-    feeds seeds, keys, or counts.
+    Raised by :class:`ResultStore` construction, before any read or
+    write, so an unmigrated store is never half-served or written
+    around.  ``repro lab compact`` migrates it.
     """
 
-    control: str  # one of CONTROL_KINDS
+    def __init__(self, root: Path) -> None:
+        super().__init__(
+            f"store {root} holds an unmigrated flat {DATA_NAME} (the "
+            f"pre-shard layout); run `python -m repro lab compact "
+            f"--store {root}` to migrate it into shards"
+        )
+
+
+@dataclass(frozen=True)
+class ControlRecord:
+    """One append-only eviction tombstone.
+
+    Control lines share the data files with checkpoints but carry a
+    ``control`` kind (always ``"tombstone"``) instead of counts.
+    ``stamp`` is a wall-clock export timestamp; it never feeds seeds,
+    keys, or counts.
+    """
+
+    control: str
     key: str
     stamp: float
-    owner: str = ""
-    ttl_s: float = 0.0
     schema: int = SCHEMA_VERSION
 
     def to_line(self) -> str:
         return json.dumps(asdict(self), sort_keys=True, allow_nan=False) + "\n"
-
-    def active_at(self, now: float) -> bool:
-        """Is this claim still unexpired at *now*?  (claims only)"""
-        return self.control == "claim" and self.stamp + self.ttl_s > now
 
     @classmethod
     def from_data(cls, data: Dict[str, Any]) -> Optional["ControlRecord"]:
@@ -179,19 +184,11 @@ class ControlRecord:
                 control=str(data["control"]),
                 key=str(data["key"]),
                 stamp=float(data["stamp"]),
-                owner=str(data.get("owner", "")),
-                ttl_s=float(data.get("ttl_s", 0.0)),
                 schema=schema,
             )
         except (KeyError, TypeError, ValueError):
             return None
-        if record.control not in CONTROL_KINDS or not record.key:
-            return None
-        if record.stamp < 0.0 or record.ttl_s < 0.0:
-            return None
-        if record.control == "claim" and (not record.owner or record.ttl_s <= 0):
-            return None
-        if record.control == "release" and not record.owner:
+        if record.control != "tombstone" or not record.key or record.stamp < 0.0:
             return None
         return record
 
@@ -213,47 +210,49 @@ def _parse_line(line: str) -> Optional[StoreEvent]:
     return LabRecord.from_data(data)
 
 
-def _apply_controls(
-    events: Iterable[StoreEvent],
-) -> Tuple[List[LabRecord], List[ControlRecord], int]:
-    """Fold control records over an event stream, in order.
+def _apply_controls(events: Iterable[StoreEvent]) -> Tuple[List[LabRecord], int]:
+    """Fold tombstones over an event stream, in order.
 
     A tombstone masks every *earlier* checkpoint of its key (later
     re-computed checkpoints serve again — eviction forgets, it does
-    not ban).  Returns ``(visible records, controls, masked count)``.
+    not ban).  Returns ``(visible records, masked count)``.
     """
     records: List[LabRecord] = []
-    controls: List[ControlRecord] = []
     masked = 0
     for event in events:
         if isinstance(event, LabRecord):
             records.append(event)
             continue
-        controls.append(event)
-        if event.control == "tombstone":
-            kept = [r for r in records if r.key != event.key]
-            masked += len(records) - len(kept)
-            records = kept
-    return records, controls, masked
+        kept = [r for r in records if r.key != event.key]
+        masked += len(records) - len(kept)
+        records = kept
+    return records, masked
 
 
-def _active_leases(
-    controls: Iterable[ControlRecord], now: float
-) -> Dict[str, ControlRecord]:
-    """The claims still held at *now*: claimed, unreleased, unexpired.
+def _read_events(path: Path, start: int = 0) -> Tuple[List[StoreEvent], int]:
+    """Parse a data file (or its tail from byte *start*).
 
-    Replayed in append order: a later claim renews (or re-owns) a
-    key; a release by the holding owner clears it.
+    Unreadable lines are counted, never raised: every failure mode
+    down to a vanished file reads as "no events".
     """
-    held: Dict[str, ControlRecord] = {}
-    for record in controls:
-        if record.control == "claim":
-            held[record.key] = record
-        elif record.control == "release":
-            current = held.get(record.key)
-            if current is not None and current.owner == record.owner:
-                del held[record.key]
-    return {key: rec for key, rec in held.items() if rec.active_at(now)}
+    try:
+        with open(path, "rb") as fh:
+            if start:
+                fh.seek(start)
+            raw = fh.read()
+    except OSError:
+        return [], 0
+    events: List[StoreEvent] = []
+    corrupt = 0
+    for line in raw.decode("utf-8", errors="replace").splitlines():
+        if not line.strip():
+            continue
+        event = _parse_line(line)
+        if event is None:
+            corrupt += 1
+        else:
+            events.append(event)
+    return events, corrupt
 
 
 def _flock(fd: int, lock: bool) -> None:
@@ -313,7 +312,7 @@ class _Shard:
         The data file is opened *inside* the store lock so an append
         can never land on an inode a compaction is about to retire;
         one ``os.write`` keeps multi-line payloads (bulk imports,
-        tombstone batches) contiguous.
+        tombstone batches, migrated records) contiguous.
         """
         with _StoreLock(self.path):
             fd = os.open(self.path, os.O_WRONLY | os.O_CREAT | os.O_APPEND, 0o644)
@@ -330,14 +329,12 @@ class StoreScan:
 
     Returned by :meth:`ResultStore.scan` so corruption reporting is
     per-call state: a caller's count can never be clobbered by a later
-    query's internal re-scan.  ``controls`` carries the policy records
-    the read saw (in order); ``masked_records`` counts checkpoints
+    query's internal re-scan.  ``masked_records`` counts checkpoints
     hidden by tombstones.
     """
 
     records: List[LabRecord]
     corrupt_lines: int
-    controls: List[ControlRecord] = field(default_factory=list)
     masked_records: int = 0
 
 
@@ -356,8 +353,6 @@ class StoreStatus:
     stored_trials: int
     shards: int
     indexed_shards: int
-    active_leases: int
-    legacy_records: int
     source: str
 
     def to_document(self) -> Dict[str, Any]:
@@ -368,31 +363,23 @@ class StoreStatus:
 class ResultStore:
     """Sharded JSON-lines store of :class:`LabRecord` checkpoints.
 
-    Construct with a directory path (created on demand).  Writes
-    always go to ``shards/<prefix>/results.jsonl``; a legacy flat
-    ``results.jsonl`` at the root is read-merged transparently (legacy
-    lines order before shard lines) and absorbed into the shards by
-    the first :meth:`compact`.  Keyed reads (:meth:`deepest`) serve
-    from the per-shard index when one is fresh — one lookup + one
-    verified seek — and fall back to scanning one shard otherwise.
+    Construct with a directory path (created on demand by the first
+    write).  Every read and write goes to ``shards/<prefix>/results.jsonl``;
+    a root still holding a flat pre-shard ``results.jsonl`` raises
+    :class:`UnmigratedStoreError` (see :meth:`migrate`).  Keyed reads
+    (:meth:`deepest`) serve from the per-shard index when one is fresh
+    — one lookup + one verified seek — and fall back to scanning one
+    shard otherwise.
     """
 
     root: Union[str, Path]
-    #: Corruption count from the most recent *explicit* :meth:`load`
-    #: call only.  Internal scans (``checkpoints``, ``deepest``,
-    #: ``latest_by_key``, ``compact``) never touch it — use
-    #: :meth:`scan` when you need records and stats together.
-    corrupt_lines: int = field(default=0, init=False)
 
     def __post_init__(self) -> None:
         self.root = Path(self.root)
+        if (self.root / DATA_NAME).exists():
+            raise UnmigratedStoreError(self.root)
 
     # -- layout --------------------------------------------------------
-
-    @property
-    def path(self) -> Path:
-        """The legacy flat data file (pre-shard layout), read-merged."""
-        return Path(self.root) / DATA_NAME
 
     @property
     def shards_root(self) -> Path:
@@ -415,8 +402,8 @@ class ResultStore:
         return sorted(p for p in self.shards_root.iterdir() if p.is_dir())
 
     def _data_files(self) -> List[Path]:
-        """Every data file, legacy first then shards in prefix order."""
-        files = [self.path] if self.path.exists() else []
+        """Every shard's data file, in prefix order."""
+        files = []
         for shard_dir in self._shard_dirs():
             data = shard_dir / DATA_NAME
             if data.exists():
@@ -424,33 +411,6 @@ class ResultStore:
         return files
 
     # -- reading -------------------------------------------------------
-
-    def _read_events(
-        self, path: Path, start: int = 0
-    ) -> Tuple[List[StoreEvent], int]:
-        """Parse a data file (or its tail from byte *start*).
-
-        Unreadable lines are counted, never raised: every failure mode
-        down to a vanished file reads as "no events".
-        """
-        try:
-            with open(path, "rb") as fh:
-                if start:
-                    fh.seek(start)
-                raw = fh.read()
-        except OSError:
-            return [], 0
-        events: List[StoreEvent] = []
-        corrupt = 0
-        for line in raw.decode("utf-8", errors="replace").splitlines():
-            if not line.strip():
-                continue
-            event = _parse_line(line)
-            if event is None:
-                corrupt += 1
-            else:
-                events.append(event)
-        return events, corrupt
 
     def _scan_file(self, path: Path) -> Tuple[List[StoreEvent], int]:
         """One *full* read of one data file — the scan choke point.
@@ -461,16 +421,15 @@ class ResultStore:
         """
         if not path.exists():
             return [], 0
-        label = "legacy" if path == self.path else path.parent.name
-        get_registry().counter("lab.store.file_scans", shard=label).inc()
-        return self._read_events(path)
+        get_registry().counter("lab.store.file_scans", shard=path.parent.name).inc()
+        return _read_events(path)
 
     def scan(self) -> StoreScan:
         """One full read: visible checkpoints plus this scan's stats.
 
-        Merges the legacy flat file (first) with every shard (prefix
-        order); within a file, append order is preserved — and a key's
-        checkpoints all live in one shard, so per-key order is total.
+        Reads every shard in prefix order; within a file, append order
+        is preserved — and a key's checkpoints all live in one shard,
+        so per-key order is total.
         Unreadable lines (torn writes, foreign schemas, hand damage)
         are skipped and counted in the returned
         :attr:`StoreScan.corrupt_lines` — per-call state, immune to
@@ -482,25 +441,8 @@ class ResultStore:
             found, bad = self._scan_file(data)
             events.extend(found)
             corrupt += bad
-        records, controls, masked = _apply_controls(events)
-        return StoreScan(
-            records=records,
-            corrupt_lines=corrupt,
-            controls=controls,
-            masked_records=masked,
-        )
-
-    def load(self) -> List[LabRecord]:
-        """All visible checkpoints, in merged append order.
-
-        Also mirrors the scan's corruption count into
-        :attr:`corrupt_lines` for callers of the historical attribute
-        API; prefer :meth:`scan` for stats that must survive subsequent
-        queries.
-        """
-        result = self.scan()
-        self.corrupt_lines = result.corrupt_lines
-        return result.records
+        records, masked = _apply_controls(events)
+        return StoreScan(records=records, corrupt_lines=corrupt, masked_records=masked)
 
     def checkpoints(
         self, key: str, records: Optional[List[LabRecord]] = None
@@ -510,8 +452,8 @@ class ResultStore:
         When the log holds several records at the same depth (a
         re-computed checkpoint), the latest append wins.  Pass
         *records* (e.g. from a :meth:`scan`) to reuse a read; without
-        them only the key's own shard (plus any legacy file) is
-        scanned — never the whole store.
+        them only the key's own shard is scanned — never the whole
+        store.
         """
         if records is None:
             records = self._key_records(key)
@@ -522,16 +464,9 @@ class ResultStore:
         return [by_trials[t] for t in sorted(by_trials)]
 
     def _key_records(self, key: str) -> List[LabRecord]:
-        """Visible records for one key: legacy file + its shard only."""
-        events: List[StoreEvent] = []
-        if self.path.exists():
-            found, _ = self._scan_file(self.path)
-            events.extend(found)
-        shard_data = self.shard_path(key)
-        if shard_data.exists():
-            found, _ = self._scan_file(shard_data)
-            events.extend(found)
-        records, _, _ = _apply_controls(events)
+        """Visible records for one key: a scan of its shard only."""
+        events, _ = self._scan_file(self.shard_path(key))
+        records, _ = _apply_controls(events)
         return [r for r in records if r.key == key]
 
     def deepest(self, key: str) -> Optional[LabRecord]:
@@ -552,11 +487,6 @@ class ResultStore:
     def _indexed_deepest(self, key: str):
         """Index fast path: a record / ``None`` answer, or ``_INDEX_MISS``."""
         registry = get_registry()
-        if self.path.exists():
-            # Unmigrated legacy data could hold deeper rungs the index
-            # has never seen; only a scan is authoritative.
-            registry.counter("lab.store.index.misses").inc()
-            return _INDEX_MISS
         shard_dir = self.shards_root / shard_prefix(key)
         data = shard_dir / DATA_NAME
         doc = load_index(shard_dir)
@@ -584,13 +514,12 @@ class ResultStore:
         if size > doc.indexed_bytes:
             # Post-compaction tail: scan only the appended bytes and
             # fold this key's events on top of the indexed answer.
-            tail_events, _ = self._read_events(data, start=doc.indexed_bytes)
+            tail_events, _ = _read_events(data, start=doc.indexed_bytes)
             for event in tail_events:
                 if event.key != key:
                     continue
                 if isinstance(event, ControlRecord):
-                    if event.control == "tombstone":
-                        current = None
+                    current = None  # a tombstone
                 elif current is None or event.trials >= current.trials:
                     current = event
         registry.counter("lab.store.index.hits").inc()
@@ -629,39 +558,19 @@ class ResultStore:
                 deepest[record.key] = record
         return deepest
 
-    def status(self, *, now: Optional[float] = None) -> StoreStatus:
+    def status(self) -> StoreStatus:
         """Store-wide summary, served from shard indexes where fresh.
 
         A shard whose index covers exactly the data file's bytes is
         summarized from the index alone (no file scan); dirty shards
-        and any legacy flat file are scanned.  On a fully compacted
-        store this is pure index reads — the ``lab status``
-        sub-second-at-10^5-keys path.
+        are scanned.  On a fully compacted store this is pure index
+        reads — the ``lab status`` sub-second-at-10^5-keys path.
         """
-        now = wall_time() if now is None else float(now)
         deepest: Dict[str, int] = {}
         checkpoints = 0
         corrupt = 0
-        leased: set = set()
-        legacy_records = 0
         indexed = 0
         scanned = 0
-
-        def absorb_scan(path: Path) -> int:
-            nonlocal checkpoints, corrupt
-            events, bad = self._scan_file(path)
-            records, controls, _ = _apply_controls(events)
-            corrupt += bad
-            checkpoints += len(records)
-            for record in records:
-                if record.trials >= deepest.get(record.key, 0):
-                    deepest[record.key] = record.trials
-            leased.update(_active_leases(controls, now))
-            return len(records)
-
-        if self.path.exists():
-            scanned += 1
-            legacy_records = absorb_scan(self.path)
         for shard_dir in self._shard_dirs():
             data = shard_dir / DATA_NAME
             doc = load_index(shard_dir)
@@ -673,18 +582,16 @@ class ResultStore:
                 indexed += 1
                 checkpoints += doc.lines
                 for key, entry in doc.entries.items():
-                    if entry.trials >= deepest.get(key, 0):
-                        deepest[key] = entry.trials
-                for key, lease in doc.leases.items():
-                    try:
-                        active = float(lease["stamp"]) + float(lease["ttl_s"]) > now
-                    except (KeyError, TypeError, ValueError):
-                        active = False
-                    if active:
-                        leased.add(key)
+                    deepest[key] = entry.trials
             elif data.exists():
                 scanned += 1
-                absorb_scan(data)
+                events, bad = self._scan_file(data)
+                records, _ = _apply_controls(events)
+                corrupt += bad
+                checkpoints += len(records)
+                for record in records:
+                    if record.trials >= deepest.get(record.key, 0):
+                        deepest[record.key] = record.trials
         if indexed and scanned:
             source = "mixed"
         elif indexed:
@@ -698,8 +605,6 @@ class ResultStore:
             stored_trials=sum(deepest.values()),
             shards=len(self._shard_dirs()),
             indexed_shards=indexed,
-            active_leases=len(leased),
-            legacy_records=legacy_records,
             source=source,
         )
 
@@ -737,77 +642,6 @@ class ResultStore:
             )
         return count
 
-    # -- leases --------------------------------------------------------
-
-    def claim(
-        self,
-        key: str,
-        owner: str,
-        *,
-        ttl_s: float = DEFAULT_LEASE_TTL_S,
-        now: Optional[float] = None,
-    ) -> bool:
-        """Atomically claim a lease on *key* for *owner*.
-
-        The check-and-append runs under the shard's :class:`_StoreLock`,
-        so two processes racing for one key serialize on the same
-        ``flock`` — exactly one sees ``True``.  A holder re-claiming
-        renews its lease.  This is the cross-interpreter coalescing
-        primitive: N workers claim before running, and only the winner
-        executes trials for the key.
-        """
-        if not owner:
-            raise ValueError("claim needs a non-empty owner")
-        if ttl_s <= 0:
-            raise ValueError("ttl_s must be positive")
-        now = wall_time() if now is None else float(now)
-        shard = self._shard(key)
-        registry = get_registry()
-        with _StoreLock(shard.path):
-            events, _ = self._read_events(shard.path)
-            _, controls, _ = _apply_controls(events)
-            held = _active_leases(controls, now).get(key)
-            if held is not None and held.owner != owner:
-                registry.counter("lab.store.leases", action="denied").inc()
-                return False
-            payload = ControlRecord(
-                control="claim", key=key, stamp=now, owner=owner,
-                ttl_s=float(ttl_s),
-            ).to_line().encode("utf-8")
-            fd = os.open(shard.path, os.O_WRONLY | os.O_CREAT | os.O_APPEND, 0o644)
-            try:
-                os.write(fd, payload)
-                os.fsync(fd)
-            finally:
-                os.close(fd)
-        registry.counter("lab.store.leases", action="claimed").inc()
-        return True
-
-    def release(self, key: str, owner: str, *, now: Optional[float] = None) -> None:
-        """Release *owner*'s lease on *key* (append-only, idempotent)."""
-        if not owner:
-            raise ValueError("release needs a non-empty owner")
-        now = wall_time() if now is None else float(now)
-        record = ControlRecord(control="release", key=key, stamp=now, owner=owner)
-        self._shard(key).append_payload(record.to_line().encode("utf-8"))
-        get_registry().counter("lab.store.leases", action="released").inc()
-
-    def lease_for(
-        self, key: str, *, now: Optional[float] = None
-    ) -> Optional[ControlRecord]:
-        """The active lease on *key*, or ``None``."""
-        now = wall_time() if now is None else float(now)
-        events, _ = self._read_events(self.shard_path(key))
-        _, controls, _ = _apply_controls(events)
-        return _active_leases(controls, now).get(key)
-
-    def active_leases(
-        self, *, now: Optional[float] = None
-    ) -> Dict[str, ControlRecord]:
-        """Every active lease in the store (full read — maintenance use)."""
-        now = wall_time() if now is None else float(now)
-        return _active_leases(self.scan().controls, now)
-
     # -- eviction ------------------------------------------------------
 
     def evict(
@@ -821,13 +655,9 @@ class ResultStore:
 
         Only *indexed* keys are candidates — a key's age is its index
         stamp (when its deepest rung last changed), so nothing is
-        evictable before a compaction has seen it — and three classes
-        are always protected: keys with an active lease, keys with
-        post-compaction tail activity, and (for LRU) the newest keys
-        up to *max_keys*.  Tombstones are appended under the shard
-        lock **after re-checking leases under that same lock**, so a
-        claim racing an eviction serializes: eviction never removes a
-        key holding an active lease.
+        evictable before a compaction has seen it — and two classes are
+        always protected: keys with post-compaction tail checkpoints,
+        and (for LRU) the newest keys up to *max_keys*.
 
         Returns the evicted keys.  Eviction is append-only — the bytes
         are reclaimed by the next :meth:`compact`.
@@ -845,12 +675,9 @@ class ResultStore:
         for shard_dir in self._shard_dirs():
             data = shard_dir / DATA_NAME
             events, _ = self._scan_file(data)
-            records, controls, _ = _apply_controls(events)
-            live = {}
-            for record in records:
-                live[record.key] = record
+            records, _ = _apply_controls(events)
+            live = {record.key for record in records}
             total_keys += len(live)
-            leases = _active_leases(controls, now)
             doc = load_index(shard_dir)
             if doc is None:
                 continue
@@ -860,22 +687,18 @@ class ResultStore:
                 continue
             if size < doc.indexed_bytes:
                 continue  # stale index: no trustworthy ages in this shard
-            tail_events, _ = self._read_events(data, start=doc.indexed_bytes)
+            tail_events, _ = _read_events(data, start=doc.indexed_bytes)
             # Post-compaction checkpoints make a key "newest" (no index
-            # stamp yet → not evictable); control records are not data
-            # activity — lease protection is the lease check's job.
+            # stamp yet → not evictable).
             tail_keys = {
                 event.key
                 for event in tail_events
                 if isinstance(event, LabRecord)
             }
-            for key in live:
-                if key in leases or key in tail_keys:
-                    continue
+            for key in live - tail_keys:
                 entry = doc.entries.get(key)
-                if entry is None:
-                    continue
-                candidates.append((entry.stamp, key, shard_dir.name))
+                if entry is not None:
+                    candidates.append((entry.stamp, key, shard_dir.name))
         chosen: Dict[str, str] = {}
         if ttl_seconds is not None:
             for stamp, key, prefix in candidates:
@@ -890,45 +713,22 @@ class ResultStore:
         by_prefix: Dict[str, List[str]] = {}
         for key, prefix in chosen.items():
             by_prefix.setdefault(prefix, []).append(key)
-        evicted: List[str] = []
         registry = get_registry()
         for prefix in sorted(by_prefix):
-            written = self._append_tombstones(prefix, sorted(by_prefix[prefix]), now)
-            evicted.extend(written)
-            if written:
-                registry.counter("lab.store.evictions", shard=prefix).inc(
-                    len(written)
+            keys = sorted(by_prefix[prefix])
+            self._shard_for_prefix(prefix).append_payload(
+                b"".join(
+                    ControlRecord(control="tombstone", key=key, stamp=now)
+                    .to_line()
+                    .encode("utf-8")
+                    for key in keys
                 )
+            )
+            registry.counter("lab.store.evictions", shard=prefix).inc(len(keys))
         registry.histogram("lab.store.evict.seconds").observe(
             perf_counter() - start
         )
-        return sorted(evicted)
-
-    def _append_tombstones(
-        self, prefix: str, keys: List[str], now: float
-    ) -> List[str]:
-        """Tombstone *keys* in one shard, re-checking leases under lock."""
-        shard = self._shard_for_prefix(prefix)
-        with _StoreLock(shard.path):
-            events, _ = self._read_events(shard.path)
-            _, controls, _ = _apply_controls(events)
-            leases = _active_leases(controls, now)
-            safe = [key for key in keys if key not in leases]
-            if not safe:
-                return []
-            payload = b"".join(
-                ControlRecord(control="tombstone", key=key, stamp=now)
-                .to_line()
-                .encode("utf-8")
-                for key in safe
-            )
-            fd = os.open(shard.path, os.O_WRONLY | os.O_CREAT | os.O_APPEND, 0o644)
-            try:
-                os.write(fd, payload)
-                os.fsync(fd)
-            finally:
-                os.close(fd)
-        return safe
+        return sorted(chosen)
 
     # -- compaction and migration --------------------------------------
 
@@ -941,67 +741,38 @@ class ResultStore:
         masked checkpoints and the tombstones themselves are physically
         removed), collapses duplicate depths to the latest append —
         the (key, trials) deepening ladder itself is load-bearing and
-        kept — re-writes still-active lease claims, and publishes a
-        fresh sidecar index via temp file + ``os.replace``.  With
-        *prefix* only that shard is compacted (the live background
-        maintenance op — appends to other shards are never blocked);
-        without it, any legacy flat file is first absorbed into the
-        shards, then every shard is compacted.
+        kept — and publishes a fresh sidecar index via temp file +
+        ``os.replace``.  With *prefix* only that shard is compacted
+        (the live background maintenance op — appends to other shards
+        are never blocked); without it, every shard is compacted.
 
         Returns the number of lines removed.  A crash at any point
         leaves either the old or the new inode — never a torn file.
         """
         now = wall_time() if now is None else float(now)
-        removed = 0
         if prefix is None:
-            legacy_lines, moved = self._absorb_legacy()
-            removed += legacy_lines - moved
             shard_dirs = self._shard_dirs()
         else:
             shard_dir = self.shards_root / prefix
             shard_dirs = [shard_dir] if shard_dir.is_dir() else []
-        for shard_dir in shard_dirs:
-            removed += self._compact_shard(shard_dir, now)
-        return removed
+        return sum(self._compact_shard(shard_dir, now) for shard_dir in shard_dirs)
 
-    def migrate(self) -> int:
-        """Absorb a legacy flat store into shards and compact them all.
+    @classmethod
+    def migrate(cls, root: Union[str, Path]) -> int:
+        """Absorb a flat pre-shard store into shards and compact them all.
 
-        Idempotent and crash-safe (a crash mid-move leaves duplicate
-        ``(key, trials)`` lines, which the read path dedupes and the
-        next compaction removes).  Returns the number of records moved
-        out of the legacy file.  Every key's deepest checkpoint is
-        preserved *byte-identically*: records are re-emitted via
-        :meth:`LabRecord.to_line`, the same canonical serialization
-        that wrote them.
+        The one path that reads a flat ``results.jsonl`` (``repro lab
+        compact`` runs it on a refused root).  Idempotent and
+        crash-safe: a crash mid-move leaves duplicate ``(key, trials)``
+        lines, which the read path dedupes and the compaction removes.
+        Returns the number of records moved out of the flat file.
+        Every key's deepest checkpoint is preserved *byte-identically*:
+        records are re-emitted via :meth:`LabRecord.to_line`, the same
+        canonical serialization that wrote them.
         """
-        _, moved = self._absorb_legacy()
-        self.compact()
+        moved = _absorb_legacy(Path(root))
+        cls(root).compact()
         return moved
-
-    def _absorb_legacy(self) -> Tuple[int, int]:
-        """Move the legacy flat file's events into their shards.
-
-        Returns ``(legacy nonblank lines, events moved)``; the
-        difference is the corruption dropped by the move.  Shard
-        appends happen *before* the legacy file is removed, so a crash
-        between the two duplicates records instead of losing them.
-        """
-        if not self.path.exists():
-            return 0, 0
-        with _StoreLock(self.path):
-            events, corrupt = self._scan_file(self.path)
-            by_prefix: Dict[str, List[bytes]] = {}
-            for event in events:
-                by_prefix.setdefault(shard_prefix(event.key), []).append(
-                    event.to_line().encode("utf-8")
-                )
-            for prefix in sorted(by_prefix):
-                self._shard_for_prefix(prefix).append_payload(
-                    b"".join(by_prefix[prefix])
-                )
-            os.remove(self.path)
-        return len(events) + corrupt, len(events)
 
     def _compact_shard(self, shard_dir: Path, now: float) -> int:
         """Compact one shard and publish its index, under its lock."""
@@ -1012,12 +783,11 @@ class ResultStore:
         with _StoreLock(data):
             events, corrupt = self._scan_file(data)
             before = len(events) + corrupt
-            records, controls, _ = _apply_controls(events)
+            records, _ = _apply_controls(events)
             kept: Dict[Tuple[str, int], LabRecord] = {}
             for record in records:
                 kept[(record.key, record.trials)] = record
             ordered = sorted(kept.values(), key=lambda r: (r.key, r.trials))
-            leases = _active_leases(controls, now)
             old_doc = load_index(shard_dir)
             entries: Dict[str, IndexEntry] = {}
             offset = 0
@@ -1047,10 +817,6 @@ class ResultStore:
                     )
                     fh.write(line)
                     offset += length
-                lease_lines = [leases[key].to_line() for key in sorted(leases)]
-                for line in lease_lines:
-                    fh.write(line)
-                    offset += len(line.encode("utf-8"))
                 fh.flush()
                 os.fsync(fh.fileno())
             os.replace(tmp, data)
@@ -1059,14 +825,6 @@ class ResultStore:
                 lines=len(ordered),
                 built_stamp=now,
                 entries=entries,
-                leases={
-                    key: {
-                        "owner": lease.owner,
-                        "stamp": lease.stamp,
-                        "ttl_s": lease.ttl_s,
-                    }
-                    for key, lease in leases.items()
-                },
             )
             index_tmp = index_path(shard_dir).with_suffix(".json.tmp")
             with open(index_tmp, "w", encoding="utf-8") as fh:
@@ -1074,10 +832,36 @@ class ResultStore:
                 fh.flush()
                 os.fsync(fh.fileno())
             os.replace(index_tmp, index_path(shard_dir))
-            after = len(ordered) + len(lease_lines)
         registry = get_registry()
         registry.counter("lab.store.compactions", shard=shard_dir.name).inc()
         registry.histogram("lab.store.compact.seconds").observe(
             perf_counter() - start
         )
-        return before - after
+        return before - len(ordered)
+
+
+def _absorb_legacy(root: Path) -> int:
+    """Move a flat pre-shard file's events into their shards.
+
+    Returns the number of events moved (unreadable lines are dropped).
+    Shard appends happen *before* the flat file is removed, so a crash
+    between the two duplicates records instead of losing them.  The
+    flat file's lock is held throughout — the one place a shard lock
+    nests inside another lock.
+    """
+    legacy = root / DATA_NAME
+    if not legacy.exists():
+        return 0
+    with _StoreLock(legacy):
+        events, _ = _read_events(legacy)
+        by_prefix: Dict[str, List[bytes]] = {}
+        for event in events:
+            by_prefix.setdefault(shard_prefix(event.key), []).append(
+                event.to_line().encode("utf-8")
+            )
+        for prefix in sorted(by_prefix):
+            _Shard(root / "shards" / prefix / DATA_NAME).append_payload(
+                b"".join(by_prefix[prefix])
+            )
+        os.remove(legacy)
+    return len(events)

@@ -2,8 +2,7 @@
 
 The service's concurrency story (``docs/ARCHITECTURE.md``) is exactly
 one thread running the event loop plus a bounded worker pool: engine
-runs and store I/O are blocking (NumPy, process pools, ``flock``-ed
-appends), so they execute via ``loop.run_in_executor`` while the loop
+runs and store I/O are blocking (NumPy, ``flock``-ed appends), so they execute via ``loop.run_in_executor`` while the loop
 keeps answering pings, coalescing joiners and accepting connections.
 One synchronous ``orchestrator.run(spec)`` — or a ``store.scan()``
 three frames down — stalls *every* connected client for the duration
@@ -65,8 +64,8 @@ DEFAULT_BLOCKING_ATTRS: Sequence[str] = (
 )
 
 #: Functions that are blocking *by contract*, whatever their bodies
-#: look like to the analysis: engine runs (NumPy compute, process
-#: pools) and the store/orchestrator surface.  Matched as whole dotted
+#: look like to the analysis: engine runs (NumPy compute) and the
+#: store/orchestrator surface.  Matched as whole dotted
 #: qualname segments.
 DEFAULT_BLOCKING_ROOTS: Sequence[str] = (
     "ExecutionEngine.estimate_acceptance",
@@ -75,17 +74,12 @@ DEFAULT_BLOCKING_ROOTS: Sequence[str] = (
     "Orchestrator.run_to_precision",
     "Orchestrator.maintain",
     "ResultStore.scan",
-    "ResultStore.load",
     "ResultStore.append",
     "ResultStore.append_many",
     "ResultStore.compact",
     "ResultStore.migrate",
     "ResultStore.status",
     "ResultStore.evict",
-    "ResultStore.claim",
-    "ResultStore.release",
-    "ResultStore.lease_for",
-    "ResultStore.active_leases",
 )
 
 #: Where the checked coroutines live.

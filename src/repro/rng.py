@@ -102,8 +102,7 @@ def spawn_seeds(rng: RngLike, n: int) -> list[int]:
     backing *rng* (anything :func:`ensure_rng` accepts), collapsed to
     one 128-bit integer each (the child's generated state words), so a
     child is fully described by a plain ``int``.  Exposed separately so
-    work can be farmed out to other processes (the execution engine's
-    multiprocess backend ships seeds, not generators) while remaining
+    work can be farmed out to other processes while remaining
     draw-for-draw identical to an in-process ``spawn(rng, n)``.
     """
     if n < 0:

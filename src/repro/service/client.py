@@ -200,7 +200,7 @@ class ServiceClient:
         ``{"version", "exported_unix", "counters", "gauges",
         "histograms"}`` — but read from the *service process*, so it
         covers every query the daemon has served (engine spans, store
-        timings, per-op latency histograms, degradation counters).
+        timings, per-op latency histograms).
         """
         return self._request({"op": "metrics"})
 

@@ -13,8 +13,8 @@ mechanics matter:
   entering while a shallower one runs waits for its checkpoint and
   then extends the same seed-plan suffix — trials are never run twice
   and counts stay byte-identical to a solo run;
-* **bounded worker pool** — engine calls are blocking (NumPy, process
-  pools), so they run on a ``ThreadPoolExecutor`` of ``workers``
+* **bounded worker pool** — engine calls are blocking (NumPy), so
+  they run on a ``ThreadPoolExecutor`` of ``workers``
   threads via ``run_in_executor``; the event loop stays responsive and
   at most ``workers`` engine runs execute at once, the rest queue;
 * **precision mode** — a query with ``target_halfwidth`` runs
@@ -317,9 +317,6 @@ class AcceptanceService:
                 result["uptime_seconds"] = self.uptime_seconds()
                 result["array_namespace"] = self._array_namespace
                 result["backends"] = backend_availability()
-                result["degradations"] = get_registry().counters_with_prefix(
-                    "engine.degradations"
-                )
                 return ok_response(request_id, result), False, op_label
             if op == "metrics":
                 return (

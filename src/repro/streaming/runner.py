@@ -3,7 +3,7 @@
 Single passes go through :func:`run_online`; repeated-trial experiments
 go through :func:`estimate_acceptance` / :func:`run_many`, which hand
 the loop to the execution engine (:mod:`repro.engine`) so the backend —
-sequential, batched dense, multiprocess — is a caller's choice rather
+sequential or batched dense — is a caller's choice rather
 than a hard-coded Python loop.
 """
 
@@ -81,8 +81,7 @@ def run_many(
     """Sample every word of a list; one spawned child seed per word.
 
     Returns one :class:`repro.engine.AcceptanceEstimate` per word, in
-    order.  ``backend="multiprocess"`` keeps the same counts while
-    fanning words out over a process pool.
+    order; every backend returns the same counts.
     """
     from ..engine import ExecutionEngine
 

@@ -9,6 +9,8 @@ rng and explicit trial seeds).  The deterministic full-storage sampler
 has nothing to tile; the engine's budgeted runs still cover it.
 """
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -157,12 +159,14 @@ class TestBackendBudgetThreading:
         ).estimate_acceptance(word, 25, rng=4)
         assert a.accepted == b.accepted
 
-    def test_multiprocess_threads_budget_to_workers(self, words):
+    def test_retired_multiprocess_takes_the_budget(self, words):
         word_list = list(words.values())
         plain = ExecutionEngine("batched").run_many(word_list, 60, rng=8)
-        budgeted = ExecutionEngine(
-            "multiprocess", processes=2, max_batch_bytes=4096
-        ).run_many(word_list, 60, rng=8)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", DeprecationWarning)
+            budgeted = ExecutionEngine(
+                "multiprocess", max_batch_bytes=4096
+            ).run_many(word_list, 60, rng=8)
         assert [e.accepted for e in budgeted] == [e.accepted for e in plain]
 
     @pytest.mark.parametrize("recognizer", sorted(SAMPLERS))

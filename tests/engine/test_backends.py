@@ -1,11 +1,12 @@
 """Backend parity: every engine backend returns identical statistics.
 
 The engine's seeding contract says switching backend is purely a
-throughput decision — for a fixed seed, the sequential, batched-dense
-and multiprocess backends must produce the *same acceptance counts*,
+throughput decision — for a fixed seed, the sequential and
+batched-dense backends must produce the *same acceptance counts*,
 because the batched path replicates the sequential path's random draws
-generator for generator.  The retired names ``sharedmem`` and ``gpu``
-resolve to ``batched`` and must keep those counts too.
+generator for generator.  The retired names ``multiprocess``,
+``sharedmem`` and ``gpu`` resolve to ``batched`` and must keep those
+counts too.
 """
 
 import warnings
@@ -81,7 +82,7 @@ class TestSequentialBatchedParity:
 
 class TestEngineApi:
     def test_available_backends(self):
-        assert {"sequential", "batched", "multiprocess"} <= set(available_backends())
+        assert {"sequential", "batched"} <= set(available_backends())
 
     def test_unknown_backend_rejected(self):
         with pytest.raises(ValueError, match="unknown backend"):
@@ -125,28 +126,8 @@ class TestEngineApi:
         assert together == alone
 
 
-class TestMultiprocessBackend:
-    def test_counts_match_sequential(self):
-        words = [
-            member(1, np.random.default_rng(1)),
-            intersecting_nonmember(1, 2, np.random.default_rng(2)),
-        ]
-        mp = ExecutionEngine("multiprocess", processes=2)
-        seq = ExecutionEngine("sequential")
-        assert [e.accepted for e in mp.run_many(words, 90, rng=5)] == [
-            e.accepted for e in seq.run_many(words, 90, rng=5)
-        ]
-
-    def test_inline_fallback_matches(self):
-        words = [member(1, np.random.default_rng(1))]
-        inline = ExecutionEngine("multiprocess", processes=1)
-        pooled = ExecutionEngine("multiprocess", processes=2)
-        assert [e.accepted for e in inline.run_many(words, 40, rng=3)] == [
-            e.accepted for e in pooled.run_many(words, 40, rng=3)
-        ]
-
-
 RECOGNIZER_NAMES = ["quantum", "classical-blockwise", "classical-full"]
+RETIRED = ["multiprocess", "sharedmem", "gpu"]
 
 
 class TestExplicitSeeds:
@@ -222,7 +203,7 @@ def fresh_retired_warnings(monkeypatch):
 
 
 class TestRetiredNames:
-    @pytest.mark.parametrize("name", ["sharedmem", "gpu"])
+    @pytest.mark.parametrize("name", RETIRED)
     def test_resolves_to_batched_and_warns_once(self, name, fresh_retired_warnings):
         with pytest.warns(DeprecationWarning, match=name) as record:
             first = get_backend(name)
@@ -236,10 +217,29 @@ class TestRetiredNames:
         with pytest.warns(DeprecationWarning) as record:
             get_backend("sharedmem")
             get_backend("gpu")
+            get_backend("multiprocess")
             get_backend("sharedmem")
-        assert len(record) == 2
+        assert len(record) == 3
 
-    @pytest.mark.parametrize("name", ["sharedmem", "gpu"])
+    @pytest.mark.parametrize("name", RETIRED)
+    @pytest.mark.parametrize("recognizer", RECOGNIZER_NAMES)
+    def test_word_fanout_matches_sequential(self, name, recognizer):
+        """The word list ``multiprocess`` used to fan out over a pool
+        keeps its counts under every retired name."""
+        words = [
+            member(1, np.random.default_rng(1)),
+            intersecting_nonmember(1, 2, np.random.default_rng(2)),
+            member(1, np.random.default_rng(3)),
+        ]
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", DeprecationWarning)
+            retired = ExecutionEngine(name)
+        seq = ExecutionEngine("sequential")
+        got = retired.run_many(words, 90, rng=5, recognizer=recognizer)
+        want = seq.run_many(words, 90, rng=5, recognizer=recognizer)
+        assert [e.accepted for e in got] == [e.accepted for e in want]
+
+    @pytest.mark.parametrize("name", RETIRED)
     @pytest.mark.parametrize("recognizer", RECOGNIZER_NAMES)
     def test_counts_match_batched(self, name, recognizer):
         word = intersecting_nonmember(1, 2, np.random.default_rng(4))
@@ -257,12 +257,12 @@ class TestRetiredNames:
             assert {e.backend for e in got} == {"batched"}
 
     def test_not_listed_as_backends_but_reported_usable(self):
-        assert set(available_backends()) == {"sequential", "batched", "multiprocess"}
+        assert set(available_backends()) == {"sequential", "batched"}
         availability = backend_availability()
-        assert set(availability) == {*available_backends(), "sharedmem", "gpu"}
+        assert set(availability) == {*available_backends(), *RETIRED}
         assert all(ok is True for ok in availability.values())
 
-    @pytest.mark.parametrize("name", ["sharedmem", "gpu"])
+    @pytest.mark.parametrize("name", RETIRED)
     def test_options_reach_the_batched_backend(self, name):
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", DeprecationWarning)
@@ -270,7 +270,7 @@ class TestRetiredNames:
         assert isinstance(backend, BatchedDenseBackend)
         assert (backend.max_batch_bytes, backend.chunk_trials) == (4096, 7)
 
-    @pytest.mark.parametrize("name", ["sharedmem", "gpu"])
+    @pytest.mark.parametrize("name", RETIRED)
     def test_metrics_are_labelled_batched(self, name):
         from repro.obs import get_registry
 

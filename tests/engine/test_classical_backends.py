@@ -2,12 +2,14 @@
 recognizers.
 
 The engine's seeding contract now covers three recognizers: for a fixed
-seed, every backend — sequential, batched-dense, multiprocess (word
-fan-out) — must return the same acceptance counts for
+seed, every backend — sequential and batched-dense, plus the retired
+``multiprocess`` name — must return the same acceptance counts for
 ``recognizer="classical-blockwise"`` and ``"classical-full"`` just as it
 does for the quantum machine, because the batched classical paths
 replicate the streamed machines' random draws generator for generator.
 """
+
+import warnings
 
 import numpy as np
 import pytest
@@ -63,12 +65,14 @@ class TestClassicalBackendParity:
             assert a.accepted == b.accepted, f"{label}: {a.accepted} != {b.accepted}"
 
     @pytest.mark.parametrize("recognizer", CLASSICAL)
-    def test_multiprocess_matches_sequential(self, recognizer):
+    def test_retired_multiprocess_matches_sequential(self, recognizer):
         words = [
             member(1, np.random.default_rng(1)),
             intersecting_nonmember(1, 2, np.random.default_rng(2)),
         ]
-        mp = ExecutionEngine("multiprocess", processes=2)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", DeprecationWarning)
+            mp = ExecutionEngine("multiprocess")
         seq = ExecutionEngine("sequential")
         assert [
             e.accepted for e in mp.run_many(words, 60, rng=5, recognizer=recognizer)
@@ -222,11 +226,7 @@ class TestRecognizerApi:
         w1 = member(1, np.random.default_rng(0))
         w2 = intersecting_nonmember(1, 1, np.random.default_rng(1))
         follow_up = []
-        engines = [
-            ExecutionEngine("sequential"),
-            ExecutionEngine("batched"),
-            ExecutionEngine("multiprocess", processes=2),
-        ]
+        engines = [ExecutionEngine("sequential"), ExecutionEngine("batched")]
         for engine in engines:
             gen = np.random.default_rng(42)
             engine.estimate_acceptance(w1, 20, rng=gen, recognizer="classical-full")

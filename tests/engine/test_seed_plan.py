@@ -86,59 +86,27 @@ class TestSharedGenerator:
         assert outcomes[0][1] == 140
 
 
-class TestMultiprocessFromSeeds:
-    def test_matches_inner_backend(self, word):
-        plan = trial_seed_plan(9, 60)
-        mp = get_backend("multiprocess", processes=2)
-        inline = get_backend("batched").count_accepted_from_seeds(
-            word, plan, "quantum"
-        )
-        assert mp.count_accepted_from_seeds(word, plan, "quantum") == inline
+class TestRetiredMultiprocessFromSeeds:
+    """``multiprocess`` resolves to ``batched``: seed slices under the
+    retired name count exactly what ``batched`` counts."""
 
-    def test_single_worker_runs_inline(self, word):
-        plan = trial_seed_plan(9, 40)
-        mp = get_backend("multiprocess", processes=1)
-        inline = get_backend("batched").count_accepted_from_seeds(
-            word, plan, "quantum"
-        )
-        assert mp.count_accepted_from_seeds(word, plan, "quantum") == inline
-
-    def test_deterministic_recognizer_skips_the_pool(self, word, monkeypatch):
-        import repro.engine.multiprocess as mp_mod
-
-        def no_pool(*a, **kw):  # pragma: no cover - must not be reached
-            raise AssertionError("deterministic recognizer reached the pool")
-
-        monkeypatch.setattr(
-            "concurrent.futures.ProcessPoolExecutor", no_pool
-        )
-        mp = get_backend("multiprocess", processes=4)
-        plan = trial_seed_plan(9, 40)
-        count = mp.count_accepted_from_seeds(word, plan, "classical-full")
-        assert count in (0, 40)
+    @staticmethod
+    def _retired():
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", DeprecationWarning)
+            return get_backend("multiprocess")
 
     @pytest.mark.parametrize(
         "recognizer", ["quantum", "classical-blockwise", "classical-full"]
     )
-    def test_seed_slices_never_reach_the_pool(self, word, recognizer, monkeypatch):
-        """A seed slice is one word: nothing to fan out, so it runs
-        ``batched`` inline however many processes are configured."""
-
-        def no_pool(*a, **kw):  # pragma: no cover - must not be reached
-            raise AssertionError("a seed slice reached the pool")
-
-        monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", no_pool)
-        mp = get_backend("multiprocess", processes=4)
+    def test_seed_slices_match_batched(self, word, recognizer):
         plan = trial_seed_plan(9, 50)
         inline = get_backend("batched").count_accepted_from_seeds(
             word, plan[10:], recognizer
         )
-        assert mp.count_accepted_from_seeds(word, plan[10:], recognizer) == inline
+        assert self._retired().count_accepted_from_seeds(
+            word, plan[10:], recognizer
+        ) == inline
 
-    def test_empty_slice_never_reaches_the_pool(self, word, monkeypatch):
-        def no_pool(*a, **kw):  # pragma: no cover - must not be reached
-            raise AssertionError("an empty slice reached the pool")
-
-        monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", no_pool)
-        mp = get_backend("multiprocess", processes=4)
-        assert mp.count_accepted_from_seeds(word, [], "quantum") == 0
+    def test_empty_slice_counts_zero(self, word):
+        assert self._retired().count_accepted_from_seeds(word, [], "quantum") == 0

@@ -21,7 +21,7 @@ def test_estimate_acceptance_backends_agree():
     assert a.accepted == b.accepted
 
 
-@pytest.mark.parametrize("retired", ["sharedmem", "gpu"])
+@pytest.mark.parametrize("retired", ["multiprocess", "sharedmem", "gpu"])
 def test_entry_points_accept_retired_backend_names(retired):
     """Scripts that name a retired backend keep their counts."""
     words = [

@@ -125,12 +125,12 @@ class TestSweepThroughStore:
     def test_store_sweep_rejects_backend_instances(self, tmp_path):
         """A configured instance can't be serialized into a spec, so the
         sweep refuses rather than silently dropping its options."""
-        from repro.engine import MultiprocessBackend
+        from repro.engine import BatchedDenseBackend
 
         with pytest.raises(ValueError, match="registry name"):
             acceptance_sweep(
                 [("m", "1#")], 10,
-                backend=MultiprocessBackend(processes=2), store=tmp_path,
+                backend=BatchedDenseBackend(max_batch_bytes=4096), store=tmp_path,
             )
 
     def test_second_sweep_is_pure_cache(self, tmp_path, monkeypatch):

@@ -20,16 +20,17 @@ def _record(key="k1", trials=100, accepted=None, backend="batched"):
 
 
 class TestRoundTrip:
-    def test_append_load(self, tmp_path):
+    def test_append_scan(self, tmp_path):
         store = ResultStore(tmp_path / "store")
         store.append(_record())
-        (loaded,) = store.load()
+        snapshot = store.scan()
+        (loaded,) = snapshot.records
         assert loaded == _record()
-        assert store.corrupt_lines == 0
+        assert snapshot.corrupt_lines == 0
 
-    def test_empty_store_loads_empty(self, tmp_path):
+    def test_empty_store_scans_empty(self, tmp_path):
         store = ResultStore(tmp_path / "missing")
-        assert store.load() == []
+        assert store.scan().records == []
 
     def test_checkpoints_sorted_and_deduped(self, tmp_path):
         store = ResultStore(tmp_path)
@@ -63,21 +64,21 @@ class TestCorruption:
     def test_garbage_lines_are_skipped_and_counted(self, tmp_path):
         store = ResultStore(tmp_path)
         store.append(_record(trials=100))
-        with open(store.path, "a") as fh:
+        with open(store.shard_path("k1"), "a") as fh:
             fh.write("not json at all\n")
             fh.write('{"schema": 1, "key": "k1"}\n')  # missing fields
             fh.write('{"truncat\n')  # torn write
         store.append(_record(trials=200))
-        records = store.load()
-        assert [r.trials for r in records] == [100, 200]
-        assert store.corrupt_lines == 3
+        snapshot = store.scan()
+        assert [r.trials for r in snapshot.records] == [100, 200]
+        assert snapshot.corrupt_lines == 3
 
     def test_impossible_counts_are_corruption(self, tmp_path):
         """Parseable lines with trials <= 0 or accepted outside
         [0, trials] must never reach consumers (intervals, deepening)."""
         store = ResultStore(tmp_path)
         store.append(_record(trials=100))
-        with open(store.path, "a") as fh:
+        with open(store.shard_path("k1"), "a") as fh:
             for bad in (
                 {"trials": 0, "accepted": 0},
                 {"trials": -5, "accepted": 0},
@@ -87,40 +88,40 @@ class TestCorruption:
                 line = json.loads(_record().to_line())
                 line.update(bad)
                 fh.write(json.dumps(line) + "\n")
-        assert [r.trials for r in store.load()] == [100]
-        assert store.corrupt_lines == 4
+        snapshot = store.scan()
+        assert [r.trials for r in snapshot.records] == [100]
+        assert snapshot.corrupt_lines == 4
 
     def test_newer_schema_lines_are_skipped_not_misparsed(self, tmp_path):
         store = ResultStore(tmp_path)
         future = json.loads(_record().to_line())
         future["schema"] = SCHEMA_VERSION + 1
         future["layout"] = "from-the-future"
-        with open(store.path.parent / "results.jsonl", "w") as fh:
-            pass
         store.append(_record(trials=100))
-        with open(store.path, "a") as fh:
+        with open(store.shard_path("k1"), "a") as fh:
             fh.write(json.dumps(future) + "\n")
-        assert [r.trials for r in store.load()] == [100]
-        assert store.corrupt_lines == 1
+        snapshot = store.scan()
+        assert [r.trials for r in snapshot.records] == [100]
+        assert snapshot.corrupt_lines == 1
 
     def test_compact_drops_corruption_keeps_ladder(self, tmp_path):
         store = ResultStore(tmp_path)
         store.append(_record(trials=100))
         store.append(_record(trials=500))
         store.append(_record(trials=100, accepted=41))
-        with open(store.path, "a") as fh:
+        with open(store.shard_path("k1"), "a") as fh:
             fh.write("garbage\n")
         removed = store.compact()
         assert removed == 2  # the duplicate depth and the garbage line
         ladder = store.checkpoints("k1")
         assert [r.trials for r in ladder] == [100, 500]
         assert ladder[0].accepted == 41
-        assert store.corrupt_lines == 0
+        assert store.scan().corrupt_lines == 0
 
     def test_compact_empty_store(self, tmp_path):
         store = ResultStore(tmp_path / "fresh")
         assert store.compact() == 0
-        assert store.load() == []
+        assert store.scan().records == []
 
 
 class TestConcurrency:
@@ -135,9 +136,9 @@ class TestConcurrency:
 
         with ThreadPoolExecutor(max_workers=writers) as pool:
             list(pool.map(write, range(writers)))
-        records = store.load()
-        assert store.corrupt_lines == 0
-        assert len(records) == writers * per_writer
+        snapshot = store.scan()
+        assert snapshot.corrupt_lines == 0
+        assert len(snapshot.records) == writers * per_writer
         for w in range(writers):
             ladder = store.checkpoints(f"w{w}")
             assert [r.trials for r in ladder] == list(range(1, per_writer + 1))
@@ -173,7 +174,7 @@ class TestStoreLock:
 
 class TestPerCallScanStats:
     def _corrupt(self, store, lines=2):
-        with open(store.path, "a") as fh:
+        with open(store.shard_path("k1"), "a") as fh:
             for _ in range(lines):
                 fh.write("garbage\n")
 
@@ -187,19 +188,19 @@ class TestPerCallScanStats:
 
     def test_internal_queries_do_not_clobber_a_read_count(self, tmp_path):
         """The regression: checkpoints()/deepest()/latest_by_key()/
-        compact() used to reset ``corrupt_lines`` right after a caller
-        read it."""
+        compact() used to reset a store-wide corruption count right
+        after a caller read it; a scan's count is the caller's own."""
         store = ResultStore(tmp_path)
         store.append(_record(trials=100))
         self._corrupt(store, 3)
-        assert store.load() is not None
-        assert store.corrupt_lines == 3
+        snapshot = store.scan()
+        assert snapshot.corrupt_lines == 3
         store.checkpoints("k1")
         store.deepest("k1")
         store.latest_by_key()
-        assert store.corrupt_lines == 3  # survives every internal scan
+        assert store.scan().corrupt_lines == 3  # internal scans write nothing
         store.compact()  # rewrites the log, dropping the garbage
-        assert store.corrupt_lines == 3  # the caller's count still stands
+        assert snapshot.corrupt_lines == 3  # the caller's count still stands
         assert store.scan().corrupt_lines == 0  # fresh scan: clean file
 
     def test_queries_accept_a_prior_scan(self, tmp_path):

@@ -1,11 +1,14 @@
-"""The sharded store's new surface: routing, index, leases, eviction.
+"""The sharded store's surface: routing, index, eviction, migration.
 
 Unit-level companions to the torture suite — each test pins one piece
-of the fleet-scale contract: key routing, the verified sidecar index
-and its O(1)-scans read path, tombstone masking, the eviction-vs-lease
-rule, live per-shard compaction, legacy flat-store transparency, and
+of the store contract: key routing, the verified sidecar index and its
+O(1)-scans read path, tombstone masking, eviction, live per-shard
+compaction, the refusal and migration of flat pre-shard stores, the
+files older builds wrote (lease lines, lease-carrying indexes), and
 the reads-never-write guarantee.
 """
+
+import json
 
 import pytest
 
@@ -15,8 +18,10 @@ from repro.lab import (
     MaintenanceReport,
     Orchestrator,
     ResultStore,
+    UnmigratedStoreError,
     shard_prefix,
 )
+from repro.lab.shards import index_path, load_index
 from repro.lab.store import DATA_NAME, LabRecord
 
 from torture import colliding_keys, make_record, seed_store
@@ -43,7 +48,7 @@ class TestRouting:
         expected = tmp_path / "shards" / shard_prefix("some-key") / DATA_NAME
         assert expected.exists()
         assert store.shard_path("some-key") == expected
-        assert not store.path.exists()  # appends never touch the legacy file
+        assert not (tmp_path / DATA_NAME).exists()  # no flat file, ever
 
     def test_spec_shard_matches_store_routing(self, tmp_path):
         spec = ExperimentSpec(family="member", k=1, trials=50, seed=3)
@@ -54,8 +59,19 @@ class TestRouting:
         store = ResultStore(tmp_path)
         records = [make_record(f"bulk-{i}", 100) for i in range(50)]
         assert store.append_many(records) == 50
-        assert len(store.load()) == 50
-        assert {r.key for r in store.load()} == {f"bulk-{i}" for i in range(50)}
+        loaded = store.scan().records
+        assert len(loaded) == 50
+        assert {r.key for r in loaded} == {f"bulk-{i}" for i in range(50)}
+
+    def test_reads_never_create_files(self, tmp_path):
+        root = tmp_path / "absent"
+        store = ResultStore(root)
+        assert store.scan().records == []
+        assert store.deepest("anything") is None
+        assert store.status().experiments == 0
+        assert store.evict(ttl_seconds=0.0) == []
+        assert store.compact() == 0
+        assert not root.exists()
 
 
 class TestIndexReadPath:
@@ -129,18 +145,6 @@ class TestTombstonesAndEviction:
         survivors = {r.key for r in store.scan().records}
         assert survivors == {"lru-4", "lru-5"}
 
-    def test_eviction_never_removes_leased_keys(self, tmp_path):
-        seed_store(tmp_path, ["leased", "free"], rungs=(100,))
-        store = ResultStore(tmp_path)
-        store.compact(now=1000.0)
-        assert store.claim("leased", "worker-1", ttl_s=500.0, now=1000.0)
-        evicted = store.evict(ttl_seconds=0.0, now=1200.0)
-        assert evicted == ["free"]
-        assert store.deepest("leased") == make_record("leased", 100)
-        # Once the lease expires, the key becomes evictable again.
-        evicted = store.evict(ttl_seconds=0.0, now=2000.0)
-        assert evicted == ["leased"]
-
     def test_uncompacted_keys_are_never_evicted(self, tmp_path):
         store = ResultStore(tmp_path)
         store.append(make_record("fresh", 100))  # no index entry yet
@@ -148,8 +152,6 @@ class TestTombstonesAndEviction:
         assert store.deepest("fresh") == make_record("fresh", 100)
 
     def test_stamp_carries_over_while_rung_unchanged(self, tmp_path):
-        from repro.lab.shards import load_index
-
         seed_store(tmp_path, ["stamp-key"], rungs=(100,))
         store = ResultStore(tmp_path)
         store.compact(now=1000.0)
@@ -158,90 +160,100 @@ class TestTombstonesAndEviction:
         assert load_index(shard_dir).entries["stamp-key"].stamp == 1000.0
 
 
-class TestLeases:
-    def test_claim_release_cycle(self, tmp_path):
-        store = ResultStore(tmp_path)
-        assert store.claim("job", "alpha", ttl_s=100.0, now=0.0)
-        assert not store.claim("job", "beta", ttl_s=100.0, now=50.0)
-        lease = store.lease_for("job", now=50.0)
-        assert isinstance(lease, ControlRecord) and lease.owner == "alpha"
-        store.release("job", "alpha", now=60.0)
-        assert store.lease_for("job", now=61.0) is None
-        assert store.claim("job", "beta", ttl_s=100.0, now=62.0)
+#: Lease lines as older builds wrote them (``claim`` / ``release``).
+OLD_CLAIM_LINE = json.dumps(
+    {"control": "claim", "key": "k", "owner": "o", "schema": 1,
+     "stamp": 1.0, "ttl_s": 5.0},
+    sort_keys=True,
+) + "\n"
+OLD_RELEASE_LINE = json.dumps(
+    {"control": "release", "key": "k", "owner": "o", "schema": 1,
+     "stamp": 2.0, "ttl_s": 0.0},
+    sort_keys=True,
+) + "\n"
 
-    def test_expired_lease_is_reclaimable(self, tmp_path):
-        store = ResultStore(tmp_path)
-        assert store.claim("job", "alpha", ttl_s=10.0, now=0.0)
-        assert store.claim("job", "beta", ttl_s=10.0, now=20.0)
 
-    def test_foreign_release_does_not_clear(self, tmp_path):
-        store = ResultStore(tmp_path)
-        assert store.claim("job", "alpha", ttl_s=100.0, now=0.0)
-        store.release("job", "intruder", now=1.0)
-        assert store.lease_for("job", now=2.0).owner == "alpha"
-
-    def test_claims_validate_inputs(self, tmp_path):
-        store = ResultStore(tmp_path)
-        with pytest.raises(ValueError):
-            store.claim("job", "")
-        with pytest.raises(ValueError):
-            store.claim("job", "alpha", ttl_s=0.0)
-
-    def test_leases_survive_compaction(self, tmp_path):
-        seed_store(tmp_path, ["held"], rungs=(100,))
-        store = ResultStore(tmp_path)
-        assert store.claim("held", "alpha", ttl_s=10_000.0, now=1000.0)
-        store.compact(now=2000.0)
-        assert store.lease_for("held", now=3000.0).owner == "alpha"
-
-    def test_control_lines_read_as_corrupt_by_old_readers(self, tmp_path):
+class TestOlderBuildFiles:
+    @pytest.mark.parametrize(
+        "line, visible, corrupt, removed",
+        [
+            # A tombstone masks the record; compaction drops both.
+            (ControlRecord(control="tombstone", key="k", stamp=1.0).to_line(),
+             0, 0, 2),
+            (OLD_CLAIM_LINE, 1, 1, 1),
+            (OLD_RELEASE_LINE, 1, 1, 1),
+        ],
+        ids=["tombstone", "old-claim", "old-release"],
+    )
+    def test_control_lines_read_as_corrupt_by_old_readers(
+        self, tmp_path, line, visible, corrupt, removed
+    ):
         # Graceful degradation: a control line misses the checkpoint
-        # fields, so a pre-lease reader skips it instead of misparsing.
-        line = ControlRecord(control="claim", key="k", stamp=1.0,
-                             owner="o", ttl_s=5.0).to_line()
+        # fields, so a reader that predates it skips it instead of
+        # misparsing.  This build reads the lease lines older builds
+        # wrote the same way, and compaction drops them.
         assert LabRecord.from_line(line) is None
+        store = ResultStore(tmp_path)
+        store.append(make_record("k", 100))
+        with open(store.shard_path("k"), "a", encoding="utf-8") as fh:
+            fh.write(line)
+        snapshot = store.scan()
+        assert (len(snapshot.records), snapshot.corrupt_lines) == (visible, corrupt)
+        assert store.compact() == removed
+        assert line not in store.shard_path("k").read_text(encoding="utf-8")
+        assert store.scan().corrupt_lines == 0
+
+    def test_lease_carrying_index_serves_zero_scan_reads(
+        self, tmp_path, monkeypatch
+    ):
+        # The shard layout older builds compacted to: records, then the
+        # active lease lines, with the index covering both and carrying
+        # a ``leases`` snapshot.
+        seed_store(tmp_path, ["held", "free"], rungs=(100, 200))
+        store = ResultStore(tmp_path)
+        store.compact(now=1000.0)
+        data = store.shard_path("held")
+        with open(data, "a", encoding="utf-8") as fh:
+            fh.write(OLD_CLAIM_LINE.replace('"k"', '"held"'))
+        shard_dir = data.parent
+        doc = json.loads(index_path(shard_dir).read_text(encoding="utf-8"))
+        doc["indexed_bytes"] = data.stat().st_size
+        doc["leases"] = {"held": {"owner": "o", "stamp": 1.0, "ttl_s": 5.0}}
+        index_path(shard_dir).write_text(json.dumps(doc), encoding="utf-8")
+        assert load_index(shard_dir) is not None
+        calls = count_scans(monkeypatch)
+        assert store.deepest("held") == make_record("held", 200)
+        assert store.deepest("free") == make_record("free", 200)
+        status = store.status()
+        assert calls == []
+        assert status.source == "index" and status.experiments == 2
 
 
-class TestLegacyTransparency:
-    def test_flat_store_reads_through_new_code_path(self, tmp_path):
+class TestUnmigratedFlatStore:
+    def _flat(self, root, *lines):
+        root.mkdir(parents=True, exist_ok=True)
+        (root / DATA_NAME).write_text("".join(lines), encoding="utf-8")
+
+    def test_flat_store_is_refused_and_creates_no_files(self, tmp_path):
+        root = tmp_path / "flat"
+        self._flat(root, make_record("flat-key", 100).to_line())
+        before = sorted(p.name for p in root.iterdir())
+        for open_store in (ResultStore, Orchestrator):
+            with pytest.raises(UnmigratedStoreError, match="repro lab compact"):
+                open_store(root)
+        assert issubclass(UnmigratedStoreError, ValueError)
+        assert sorted(p.name for p in root.iterdir()) == before == [DATA_NAME]
+
+    def test_migrate_absorbs_the_flat_file(self, tmp_path):
         flat = [make_record(f"flat-{i}", 100 * (i + 1)) for i in range(4)]
-        (tmp_path / DATA_NAME).write_text(
-            "".join(r.to_line() for r in flat), encoding="utf-8"
-        )
+        self._flat(tmp_path, *(r.to_line() for r in flat), "garbage\n")
+        assert ResultStore.migrate(tmp_path) == 4  # the garbage line is dropped
+        assert not (tmp_path / DATA_NAME).exists()
         store = ResultStore(tmp_path)
-        assert len(store.load()) == 4
         assert store.deepest("flat-2") == flat[2]
-        assert store.status().legacy_records == 4
-
-    def test_reads_never_create_files(self, tmp_path):
-        root = tmp_path / "absent"
-        store = ResultStore(root)
-        assert store.scan().records == []
-        assert store.deepest("anything") is None
-        assert store.status().experiments == 0
-        assert store.evict(ttl_seconds=0.0) == []
-        assert store.compact() == 0
-        assert not root.exists()
-
-    def test_legacy_and_shard_records_merge_per_key(self, tmp_path):
-        (tmp_path / DATA_NAME).write_text(
-            make_record("merge-key", 100).to_line(), encoding="utf-8"
-        )
-        store = ResultStore(tmp_path)
-        store.append(make_record("merge-key", 300))
-        ladder = store.checkpoints("merge-key")
-        assert [r.trials for r in ladder] == [100, 300]
-        assert store.deepest("merge-key").trials == 300
-
-    def test_full_compact_absorbs_legacy(self, tmp_path):
-        (tmp_path / DATA_NAME).write_text(
-            make_record("abs-key", 100).to_line() + "garbage\n", encoding="utf-8"
-        )
-        store = ResultStore(tmp_path)
-        removed = store.compact()
-        assert removed == 1  # the garbage line
-        assert not store.path.exists()
-        assert store.deepest("abs-key") == make_record("abs-key", 100)
+        status = store.status()
+        assert status.source == "index" and status.experiments == 4
+        assert status.corrupt_lines == 0
 
 
 class TestMaintainOp:

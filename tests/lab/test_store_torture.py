@@ -8,11 +8,11 @@ Three fronts, per the fleet-scale store contract:
   never raises, ``corrupt_lines`` is exact, and no read ever serves a
   rung whose line is not fully contained in the surviving bytes;
 * **multi-process storms** — concurrent appenders on one shard racing
-  a live compactor and a TTL-0 evictor (every key leased): zero lost
-  records, zero interleaved bytes, index-vs-rescan agreement, and
-  exactly one winner per claim race;
+  a live compactor and a TTL evictor that may only take the shard's
+  aged keys: zero lost records, zero interleaved bytes, every aged key
+  evicted exactly once, and index-vs-rescan agreement;
 * **hypothesis properties** — shard routing is a pure, process-stable
-  function of the key; legacy flat stores migrate with every key's
+  function of the key; flat pre-shard stores migrate with every key's
   deepest checkpoint preserved byte-identically; arbitrary
   append/compact interleavings keep the index consistent with a full
   rescan.
@@ -30,16 +30,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.lab.shards import load_index, shard_prefix
-from repro.lab.store import DATA_NAME, ResultStore
+from repro.lab.store import DATA_NAME, ControlRecord, ResultStore
 
 from torture import (
-    STORM_OWNER,
     colliding_keys,
     index_matches_rescan,
     make_record,
     seed_store,
     storm_append,
-    storm_claim,
     storm_compact,
     storm_evict,
     truncation_oracle,
@@ -50,7 +48,7 @@ def build_fuzz_shard(tmp_path):
     """One shard with ladders, an indexed region, and a live tail.
 
     Layout after this: compacted records (covered by the sidecar
-    index), then a tail of one lease claim and one tombstone — so
+    index), then a tail of one deeper checkpoint and one tombstone — so
     truncation cuts land in every structural region.
     """
     root = tmp_path / "seed-store"
@@ -58,8 +56,9 @@ def build_fuzz_shard(tmp_path):
     seed_store(root, keys, rungs=(100, 200, 300))
     store = ResultStore(root)
     store.compact(now=1000.0)
-    assert store.claim(keys[0], "fuzz-owner", ttl_s=10_000.0, now=1000.0)
-    assert store._append_tombstones(shard_prefix(keys[0]), [keys[2]], 1000.0)
+    store.append(make_record(keys[0], 400))
+    tombstone = ControlRecord(control="tombstone", key=keys[2], stamp=1000.0)
+    store._shard(keys[2]).append_payload(tombstone.to_line().encode("utf-8"))
     shard_dir = store.shards_root / shard_prefix(keys[0])
     data = (shard_dir / DATA_NAME).read_bytes()
     index = (shard_dir / "index.json").read_bytes()
@@ -159,23 +158,30 @@ class TestCrashConsistencyFuzz:
 class TestConcurrentStorm:
     def test_appenders_vs_compactor_vs_evictor(self, tmp_path):
         root = tmp_path / "storm-store"
-        keys = colliding_keys(8)
+        keys = colliding_keys(12)
+        keys, aged = keys[:8], keys[8:]
         prefix = shard_prefix(keys[0])
         rungs_per_worker = [
             (100, 500), (200, 600), (300, 700), (400, 800),
         ]
+        # Aged keys carry a 1970 index stamp; the storm's keys are
+        # stamped by live compactions against the wall clock, so an
+        # hour-long TTL may take only the aged ones.
+        seed_store(root, aged, rungs=(100,))
         store = ResultStore(root)
-        for key in keys:  # leased keys: TTL-0 eviction must spare all
-            assert store.claim(key, STORM_OWNER, ttl_s=3600.0)
+        store.compact(now=1000.0)
         with ProcessPoolExecutor(max_workers=6) as pool:
             futures = [
                 pool.submit(storm_append, str(root), keys, rungs)
                 for rungs in rungs_per_worker
             ]
             futures.append(pool.submit(storm_compact, str(root), prefix, 15))
-            futures.append(pool.submit(storm_evict, str(root), 15))
+            futures.append(pool.submit(storm_evict, str(root), 15, 3600.0))
             results = [f.result(timeout=120) for f in futures]
-        assert results[-1] == []  # the evictor never touched a leased key
+        evicted = results[-1] + store.evict(ttl_seconds=3600.0)
+        assert sorted(evicted) == sorted(aged)  # each aged key once, no other
+        for key in aged:
+            assert store.deepest(key) is None
         result = store.scan()
         assert result.corrupt_lines == 0  # no interleaved bytes, ever
         for key in keys:  # zero lost records: every rung of every ladder
@@ -190,19 +196,6 @@ class TestConcurrentStorm:
         assert ok, detail
         for key in keys:
             assert store.deepest(key) == make_record(key, 800)
-
-    def test_claim_race_has_exactly_one_winner(self, tmp_path):
-        root = tmp_path / "race-store"
-        seed_store(root, ["contested"], rungs=(100,))
-        with ProcessPoolExecutor(max_workers=6) as pool:
-            futures = [
-                pool.submit(storm_claim, str(root), "contested", f"owner-{i}")
-                for i in range(6)
-            ]
-            wins = [f.result(timeout=60) for f in futures]
-        assert sum(wins) == 1
-        holder = ResultStore(root).lease_for("contested")
-        assert holder is not None and holder.owner.startswith("owner-")
 
 
 KEY_IDS = st.integers(min_value=0, max_value=40)
@@ -240,21 +233,19 @@ class TestHypothesisProperties:
         root = tmp_path_factory.mktemp("migrate")
         flat_lines = []
         deepest_lines = {}
+        flat_counts = {}
         for kid, rungs in experiments.items():
             key = f"legacy-{kid}"
             for trials in sorted(rungs):
                 record = make_record(key, trials)
                 flat_lines.append(record.to_line())
                 deepest_lines[key] = record.to_line()
-        (root / "results.jsonl").write_text("".join(flat_lines), encoding="utf-8")
-        store = ResultStore(root)
-        flat_counts = {
-            key: (rec.trials, rec.accepted)
-            for key, rec in store.latest_by_key().items()
-        }
-        moved = store.migrate()
+                flat_counts[key] = (record.trials, record.accepted)
+        (root / DATA_NAME).write_text("".join(flat_lines), encoding="utf-8")
+        moved = ResultStore.migrate(root)
         assert moved == len(flat_lines)
-        assert not store.path.exists()
+        assert not (root / DATA_NAME).exists()
+        store = ResultStore(root)
         for key, line in deepest_lines.items():
             served = store.deepest(key)
             assert served is not None

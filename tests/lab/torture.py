@@ -16,10 +16,7 @@ from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.lab.shards import shard_prefix
-from repro.lab.store import LabRecord, ResultStore
-
-#: Lease owner used by the storm helpers.
-STORM_OWNER = "torture-storm"
+from repro.lab.store import LabRecord, ResultStore, _read_events
 
 
 def make_record(
@@ -122,18 +119,13 @@ def storm_compact(root: str, prefix: Optional[str], rounds: int) -> int:
     return removed
 
 
-def storm_evict(root: str, rounds: int) -> List[str]:
-    """Evictor process: aggressive TTL-0 eviction every round."""
+def storm_evict(root: str, rounds: int, ttl_seconds: float) -> List[str]:
+    """Evictor process: TTL eviction against the wall clock every round."""
     store = ResultStore(root)
     evicted: List[str] = []
     for _ in range(rounds):
-        evicted.extend(store.evict(ttl_seconds=0.0))
+        evicted.extend(store.evict(ttl_seconds=ttl_seconds))
     return evicted
-
-
-def storm_claim(root: str, key: str, owner: str) -> bool:
-    """Claim-race process: one attempt to take the key's lease."""
-    return ResultStore(root).claim(key, owner, ttl_s=3600.0)
 
 
 def index_matches_rescan(store: ResultStore) -> Tuple[bool, str]:
@@ -158,7 +150,7 @@ def index_matches_rescan(store: ResultStore) -> Tuple[bool, str]:
                 continue  # tail present: index is allowed to lag
         except OSError:
             continue
-        events, _ = store._read_events(data)
+        events, _ = _read_events(data)
         live: Dict[str, LabRecord] = {}
         for event in events:
             if isinstance(event, LabRecord) and (

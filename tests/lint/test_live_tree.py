@@ -128,15 +128,15 @@ class TestMutationsAreCaught:
         )
         assert any(f.rule == "wallclock-hygiene" for f in findings)
 
-    def test_unprotected_segment_in_multiprocess_is_caught(self):
-        module = PACKAGE_DIR / "engine" / "multiprocess.py"
+    def test_unprotected_descriptor_in_store_is_caught(self):
+        module = PACKAGE_DIR / "lab" / "store.py"
         source = module.read_text(encoding="utf-8")
         injected = source.replace(
-            "def _pool_errors(",
-            "def _rogue_segment():\n"
-            "    shm = shared_memory.SharedMemory(create=True, size=8)\n"
-            "    return shm.name\n"
-            "def _pool_errors(",
+            "def _flock(",
+            "def _rogue_descriptor(path):\n"
+            "    fd = os.open(path, os.O_RDONLY)\n"
+            "    return os.read(fd, 1)\n"
+            "def _flock(",
             1,
         )
         assert injected != source

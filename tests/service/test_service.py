@@ -185,7 +185,7 @@ def test_per_query_memory_budget_does_not_change_counts(client):
     assert tiny_budget.accepted == unbudgeted.accepted
 
 
-@pytest.mark.parametrize("retired", ["sharedmem", "gpu"])
+@pytest.mark.parametrize("retired", ["multiprocess", "sharedmem", "gpu"])
 def test_query_naming_a_retired_backend_runs_batched(client, retired):
     """Requests still naming a retired backend are served, counts unchanged."""
     result = client.query(trials=250, backend=retired, **SPEC_KWARGS)

@@ -44,19 +44,6 @@ class TestExtendedStats:
             "gpu",
         }
         assert all(isinstance(ok, bool) for ok in stats["backends"].values())
-        assert stats["degradations"] == {}
-
-    def test_degradation_counters_surface_in_stats(self, service):
-        # Degradations live in the process-global registry; a counted
-        # multiprocess->inline fallback must appear in the stats view.
-        from repro.engine.telemetry import count_degradation
-
-        count_degradation("multiprocess", "inline")
-        with ServiceClient(port=service.port) as client:
-            stats = client.stats()
-        assert stats["degradations"] == {
-            "engine.degradations{backend=multiprocess,to=inline}": 1
-        }
 
     def test_existing_counters_unchanged(self, service):
         _query(service)

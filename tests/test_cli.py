@@ -29,7 +29,7 @@ class TestCommands:
         """The engine surface is discoverable from the CLI."""
         assert main(["info"]) == 0
         out = capsys.readouterr().out
-        for backend in ("sequential", "batched", "multiprocess"):
+        for backend in ("sequential", "batched"):
             assert backend in out
         for recognizer in ("quantum", "classical-blockwise", "classical-full"):
             assert recognizer in out
@@ -104,7 +104,7 @@ class TestCommands:
         a, b = outputs
         assert a.split("accepted=")[1].split()[0] == b.split("accepted=")[1].split()[0]
 
-    @pytest.mark.parametrize("retired", ["gpu", "sharedmem"])
+    @pytest.mark.parametrize("retired", ["gpu", "sharedmem", "multiprocess"])
     def test_sample_retired_backend_prints_batched_count(self, capsys, retired):
         args = ["sample", "--k", "1", "--kind", "intersecting", "--trials", "80"]
         assert main(args + ["--backend", "batched"]) == 0
@@ -136,7 +136,7 @@ class TestCommands:
         with pytest.raises(SystemExit):
             main(["sample", "--k", "1", "--backend", "tpu"])
         err = capsys.readouterr().err
-        assert "unknown backend 'tpu'" in err and "multiprocess" in err
+        assert "unknown backend 'tpu'" in err and "sequential" in err
 
     def test_sample_reports_uncertainty(self, capsys):
         assert main(["sample", "--k", "1", "--trials", "50"]) == 0
@@ -229,25 +229,43 @@ class TestLabCommands:
         assert main(["lab", "report", "--store", str(tmp_path / "store")]) == 0
         assert len(calls) == len(set(calls)) == 1  # one pass per data file
 
-    def test_legacy_flat_store_reads_transparently(self, tmp_path, capsys):
-        # A pre-shard layout (flat results.jsonl) must serve read-only
-        # through the new code path without being touched or migrated.
+    def _flat_store(self, tmp_path):
         from repro.lab.store import LabRecord
 
-        root = tmp_path / "legacy"
+        root = tmp_path / "flat"
         root.mkdir()
         record = LabRecord(
-            key="legacy-key", spec={"recognizer": "quantum"}, trials=100,
+            key="flat-key", spec={"recognizer": "quantum"}, trials=100,
             accepted=42, backend="batched",
         )
         (root / "results.jsonl").write_text(record.to_line(), encoding="utf-8")
+        return root
+
+    def test_unmigrated_flat_store_is_refused(self, tmp_path, capsys):
+        # A pre-shard layout (flat results.jsonl) is never read or
+        # written around: every command but compact refuses it.
+        root = self._flat_store(tmp_path)
+        for argv in (
+            ["lab", "status", "--store", str(root)],
+            ["lab", "report", "--store", str(root)],
+            ["lab", "run", "--k", "1", "--trials", "20", "--store", str(root)],
+        ):
+            assert main(argv) == 2
+            captured = capsys.readouterr()
+            assert "repro lab compact" in captured.err and captured.out == ""
+        assert sorted(p.name for p in root.iterdir()) == ["results.jsonl"]
+
+    def test_compact_migrates_flat_store(self, tmp_path, capsys):
+        root = self._flat_store(tmp_path)
+        assert main(["lab", "compact", "--store", str(root)]) == 0
+        out = capsys.readouterr().out
+        assert "migrated 1 record(s)" in out and "experiments: 1" in out
+        assert not (root / "results.jsonl").exists()
         assert main(["lab", "status", "--store", str(root)]) == 0
         out = capsys.readouterr().out
-        assert "experiments: 1" in out and "checkpoints: 1" in out
-        assert "legacy records: 1" in out
+        assert "experiments: 1" in out and "source: index" in out
         assert main(["lab", "report", "--store", str(root)]) == 0
         assert "100" in capsys.readouterr().out
-        assert not (root / "shards").exists()  # reads never migrate
 
     def test_run_rejects_bad_arguments_gracefully(self, tmp_path, capsys):
         assert (
