@@ -33,7 +33,6 @@ import numpy as np
 
 from ..mathx.primes import fingerprint_prime
 from ..rng import bulk_draws, ensure_rng, resolve_trial_seeds, spawn
-from ..xp import to_numpy
 from ..streaming.algorithm import OnlineAlgorithm
 from ..streaming.combinators import ParallelComposition
 from .a1_format import A1FormatCheck
@@ -241,18 +240,16 @@ def full_storage_accepts(word: str) -> bool:
 
 
 def _decide_blockwise_tile(
-    k: int, blocks: Sequence[str], p: int, plan: np.ndarray, xp=None
+    k: int, blocks: Sequence[str], p: int, plan: np.ndarray
 ) -> np.ndarray:
     """A2 verdicts for one tile of trials, from their ``(T, 4)`` plan words.
 
     Each trial's one child (the streamed machine's
     ``spawn(default_rng(seed), 1)``) comes from
-    :func:`repro.rng.spawn_bulk` and draws A2's ``t``.  The draws stay
-    on the host; *xp* only moves the exact-int64 Horner sweep, so the
-    verdicts are identical on every namespace.
+    :func:`repro.rng.spawn_bulk` and draws A2's ``t``.
     """
     (ts,) = bulk_draws(plan, 1, lambda a2_rng: (a2_rng.integers(p),))
-    return to_numpy(a2_passes_at_points(k, list(blocks), ts, p=p, xp=xp))
+    return a2_passes_at_points(k, list(blocks), ts, p=p)
 
 
 def sample_blockwise_acceptance_batch(
@@ -262,7 +259,6 @@ def sample_blockwise_acceptance_batch(
     trial_seeds: Optional[Sequence[int]] = None,
     max_batch_bytes: Optional[int] = None,
     chunk_trials: Optional[int] = None,
-    xp=None,
 ) -> np.ndarray:
     """Per-trial accept decisions of Proposition 3.7's machine, batched.
 
@@ -278,11 +274,8 @@ def sample_blockwise_acceptance_batch(
     run's plan decides exactly those trials.
     *max_batch_bytes* / *chunk_trials* tile the trials into contiguous
     chunks decided sequentially with byte-identical counts
-    (:func:`repro.core.tiling.decide_in_tiles`).  *xp* (numpy when
-    omitted) is the array namespace the Horner sweep runs in (see
-    :mod:`repro.xp`); counts are namespace-invariant because the sweep
-    is exact integer arithmetic.  Returns a boolean array of length
-    *trials*.
+    (:func:`repro.core.tiling.decide_in_tiles`).  Returns a boolean
+    array of length *trials*.
     """
     plan = resolve_trial_seeds(trials, rng, trial_seeds)
     if trials == 0:
@@ -302,7 +295,7 @@ def sample_blockwise_acceptance_batch(
     per_trial = 24 + 8 * len(set(blocks))
     tile = resolve_chunk_trials(trials, max_batch_bytes, chunk_trials, per_trial)
     return decide_in_tiles(
-        plan, tile, lambda rows: _decide_blockwise_tile(k, blocks, p, rows, xp=xp)
+        plan, tile, lambda rows: _decide_blockwise_tile(k, blocks, p, rows)
     )
 
 
@@ -322,8 +315,7 @@ def sample_full_storage_acceptance_batch(
     parent's spawn counter is left untouched.  Explicit *trial_seeds*
     are still validated, so a plan slice is accepted like everywhere
     else.  The broadcast output array is the whole working set and the
-    decision is one host reduction, so there is nothing to tile or to
-    move to another array namespace.
+    decision is one reduction, so there is nothing to tile.
     """
     if trial_seeds is not None:
         resolve_trial_seeds(trials, rng, trial_seeds)

@@ -34,7 +34,6 @@ from ..quantum.operators import (
 )
 from ..quantum.registers import A3Registers
 from ..rng import bulk_draws, ensure_rng, resolve_trial_seeds, spawn
-from ..xp import to_numpy
 from ..streaming.combinators import ParallelComposition
 from ..mathx.primes import fingerprint_prime
 from .a1_format import A1FormatCheck
@@ -139,7 +138,7 @@ def exact_a2_pass_probability(word: str, max_k: int = 3) -> float:
 # ---------------------------------------------------------------------------
 
 
-def batched_a3_detection(k: int, blocks: list[str], js, xp=None) -> np.ndarray:
+def batched_a3_detection(k: int, blocks: list[str], js) -> np.ndarray:
     """Exact Pr[b = 1] of A3's final measurement for each j in *js*.
 
     The batched counterpart of :func:`exact_a3_detection_for_blocks`.
@@ -155,13 +154,7 @@ def batched_a3_detection(k: int, blocks: list[str], js, xp=None) -> np.ndarray:
     operator acts on rows independently), so the returned probabilities
     are bit-identical to the per-trial path.  Operators are built once
     per distinct block string.
-
-    *xp* (numpy when omitted) is the array namespace the trajectory
-    lives in — ``BatchedDenseBackend(xp=...)`` passes a device namespace
-    so the whole evolution runs on the device; the returned
-    probabilities stay host-side numpy either way.
     """
-    host = xp is None or xp is np
     regs = A3Registers(k)
     js = np.asarray(js, dtype=np.int64)
     if js.ndim != 1 or js.size == 0:
@@ -171,17 +164,15 @@ def batched_a3_detection(k: int, blocks: list[str], js, xp=None) -> np.ndarray:
     wanted = np.zeros(1 << k, dtype=bool)
     wanted[js] = True
     last = int(js.max())
-    phi = initial_phi(regs)[None, :]
-    state = phi if host else xp.asarray(phi)
-    op_xp = None if host else xp
-    uk = UkOperator(regs, xp=op_xp)
-    sk = SkOperator(regs, xp=op_xp)
+    state = initial_phi(regs)[None, :]
+    uk = UkOperator(regs)
+    sk = SkOperator(regs)
     ops: dict[tuple[type, str], object] = {}
     detection = np.zeros(1 << k)
 
     def op(cls, s: str):
         key = (cls, s)
-        return ops.get(key) or ops.setdefault(key, cls(regs, s, xp=op_xp))
+        return ops.get(key) or ops.setdefault(key, cls(regs, s))
 
     for b, s in enumerate(blocks[: 3 * (last + 1)]):
         r, typ = b // 3, b % 3
@@ -193,7 +184,7 @@ def batched_a3_detection(k: int, blocks: list[str], js, xp=None) -> np.ndarray:
             # trajectory is untouched); W_y continues the iteration.
             if wanted[r]:
                 branch = op(RxOperator, s).apply(state)
-                detection[r] = marked_probabilities(branch, regs, xp=op_xp)[0]
+                detection[r] = marked_probabilities(branch, regs)[0]
             if r < last:
                 state = op(WxOperator, s).apply(state)
         elif r < last:
@@ -204,7 +195,7 @@ def batched_a3_detection(k: int, blocks: list[str], js, xp=None) -> np.ndarray:
     if unclosed[last]:
         # The blocks ran out before the largest j reached its y block:
         # every j still iterating then shares the final state.
-        detection[unclosed] = marked_probabilities(state, regs, xp=op_xp)[0]
+        detection[unclosed] = marked_probabilities(state, regs)[0]
     return detection[js]
 
 
@@ -215,7 +206,6 @@ def _decide_quantum_tile(
     m: int,
     plan: np.ndarray,
     detection: np.ndarray,
-    xp=None,
 ) -> np.ndarray:
     """Accept decisions for one tile of trials, from their plan words.
 
@@ -227,19 +217,13 @@ def _decide_quantum_tile(
     *detection* is A3's detection probability for every iteration count
     ``j`` in ``[0, m)``, evolved once per word by the caller; a trial's
     is ``detection[j]``.
-
-    Trial draws and the per-trial accept decisions always stay on the
-    host; *xp* only moves the A2 Horner sweep into another namespace, so
-    counts are namespace-invariant whenever the namespace's float
-    arithmetic is (and exactly bit-stable on any CPU namespace, where
-    the operation sequence is identical).
     """
     ts, js, coins = bulk_draws(
         plan, 2, lambda a2_rng, a3_rng: (
             a2_rng.integers(p), a3_rng.integers(m), a3_rng.random()
         )
     )
-    a2_ok = to_numpy(a2_passes_at_points(k, blocks, ts, p=p, xp=xp))
+    a2_ok = a2_passes_at_points(k, blocks, ts, p=p)
     a3_ok = ~(coins < detection[js])  # b = 1 (intersection seen) rejects
     return a2_ok & a3_ok
 
@@ -251,7 +235,6 @@ def sample_acceptance_batch(
     trial_seeds=None,
     max_batch_bytes: Optional[int] = None,
     chunk_trials: Optional[int] = None,
-    xp=None,
 ) -> np.ndarray:
     """Per-trial accept decisions of the recognizer, computed batched.
 
@@ -275,10 +258,6 @@ def sample_acceptance_batch(
     concatenated decisions are byte-identical to the untiled run while
     the working set stays within the budget.  Returns a boolean array
     of length *trials*.
-
-    *xp* (numpy when omitted) is the array namespace the dense sweeps
-    run in (see :mod:`repro.xp`); trial randomness and the decisions
-    stay on the host, so counts match numpy's on every namespace.
     """
     plan = resolve_trial_seeds(trials, rng, trial_seeds)
     if trials == 0:
@@ -300,11 +279,11 @@ def sample_acceptance_batch(
     tile = resolve_chunk_trials(
         trials, max_batch_bytes, chunk_trials, per_trial, 2 * state_row
     )
-    detection = batched_a3_detection(k, blocks, np.arange(m), xp=xp)
+    detection = batched_a3_detection(k, blocks, np.arange(m))
     return decide_in_tiles(
         plan,
         tile,
-        lambda rows: _decide_quantum_tile(k, blocks, p, m, rows, detection, xp=xp),
+        lambda rows: _decide_quantum_tile(k, blocks, p, m, rows, detection),
     )
 
 

@@ -5,8 +5,7 @@ registers the two stock backends:
 
 * ``sequential`` — per-trial streaming passes (reference semantics);
 * ``batched``    — one A3 state walk per word + one Horner sweep,
-  optionally tiled under a ``max_batch_bytes`` memory budget, with the
-  dense sweeps in any array namespace via ``xp=`` (see :mod:`repro.xp`).
+  optionally tiled under a ``max_batch_bytes`` memory budget.
 
 The retired names ``multiprocess``, ``sharedmem`` and ``gpu`` resolve
 to ``batched``.

@@ -70,15 +70,10 @@ class BatchedDenseBackend(ExecutionBackend):
         self,
         max_batch_bytes: Optional[int] = None,
         chunk_trials: Optional[int] = None,
-        xp: Any = None,
     ) -> None:
         validate_tile_knobs(max_batch_bytes, chunk_trials)
         self.max_batch_bytes = max_batch_bytes
         self.chunk_trials = chunk_trials
-        #: Array namespace the dense sweeps run in (see :mod:`repro.xp`);
-        #: None means numpy.  The seeding contract is namespace-blind:
-        #: trial randomness stays on the host, so counts match numpy's.
-        self.xp = xp
 
     def count_accepted(
         self,
@@ -108,12 +103,11 @@ class BatchedDenseBackend(ExecutionBackend):
         """One sampler call; *seeding* is ``rng=`` or ``trial_seeds=``."""
         sampler = _batch_sampler(recognizer)
         if recognizer not in DETERMINISTIC_RECOGNIZERS:
-            # The full-storage decision is one host reduction broadcast
-            # across trials: nothing to tile or move to a device.
+            # The full-storage decision is one reduction broadcast
+            # across trials: nothing to tile.
             seeding.update(
                 max_batch_bytes=self.max_batch_bytes,
                 chunk_trials=self.chunk_trials,
-                xp=self.xp,
             )
         with observe_backend_call(
             self.name,

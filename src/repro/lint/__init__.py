@@ -1,8 +1,8 @@
 """``repro.lint`` — AST-based invariant checker for this repository.
 
 The contracts this reproduction stands on — same seed ⇒ byte-identical
-counts on every backend, host-numpy RNG with ``xp``-parameterized
-device kernels, paired acquisition/release of the lab store's file
+counts on every backend, per-row float reductions wherever coins
+compare exact floats, paired acquisition/release of the lab store's file
 locks and any ``SharedMemory`` segment — cannot be exhaustively
 enforced by tests: one stray ``np.random.default_rng()`` in a kernel or
 one unpaired close breaks them silently.  This package makes them

@@ -3,7 +3,7 @@
 ``repro.lint`` is a purpose-built static-analysis pass over this
 repository's own source: every rule encodes one of the invariants in
 ``docs/ARCHITECTURE.md`` that no test can exhaustively enforce (seed
-parity, the host/device ``xp`` split, resource pairing).  The framework
+parity, float determinism, resource pairing).  The framework
 is deliberately small — stdlib ``ast`` + ``tokenize``, no third-party
 dependencies — so it runs everywhere the library runs, including CI.
 

@@ -130,12 +130,6 @@ def walsh_hadamard_in_place(block) -> None:
     """Fast Walsh-Hadamard transform along axis -1, normalized by 1/sqrt(2)
     per stage — i.e. H^{(x)tensor m} applied to each row of ``block`` whose
     last axis has length 2^m.  Runs in O(N log N), fully vectorized.
-
-    *block* may live in any array namespace (numpy, cupy, a torch
-    tensor): only reshape views, slice assignment and elementwise
-    arithmetic are used — the butterfly materializes its two summand
-    temporaries instead of calling a namespace-specific ``copy``, with
-    float-identical results.
     """
     n = block.shape[-1]
     if n & (n - 1):

@@ -42,7 +42,6 @@ from typing import Any, Dict, List, Optional, Tuple, Union
 from ..engine.api import backend_availability
 from ..lab import ExperimentSpec, LabRunResult, Orchestrator, PrecisionRunResult, ResultStore
 from ..obs import COUNT_BUCKETS, clock, get_registry
-from ..xp import namespace_name, resolve_namespace
 from .protocol import (
     DEFAULT_PORT,
     MAX_LINE_BYTES,
@@ -141,7 +140,6 @@ class AcceptanceService:
         self._stop_task: Optional[asyncio.Task] = None
         self._connections: set = set()  # open StreamWriters, for stop()
         self._started_perf: Optional[float] = None
-        self._array_namespace: Optional[str] = None
         #: joiner counts per in-flight identity, drained into the
         #: ``service.coalesce.depth`` histogram when the run completes.
         self._coalesce_depth: Dict[CoalesceKey, int] = {}
@@ -164,9 +162,6 @@ class AcceptanceService:
         )
         self.port = self._server.sockets[0].getsockname()[1]
         self._started_perf = clock.perf_counter()
-        # Resolve the array namespace once at startup so ``stats`` can
-        # report the identity engine runs will actually execute on.
-        self._array_namespace = namespace_name(resolve_namespace()[0])
         return self.host, self.port
 
     def uptime_seconds(self) -> float:
@@ -315,7 +310,6 @@ class AcceptanceService:
                 result["inflight"] = len(self._inflight)
                 result["inflight_keys"] = len(self._key_locks)
                 result["uptime_seconds"] = self.uptime_seconds()
-                result["array_namespace"] = self._array_namespace
                 result["backends"] = backend_availability()
                 return ok_response(request_id, result), False, op_label
             if op == "metrics":

@@ -188,7 +188,7 @@ class TestBackendBudgetThreading:
     def test_full_storage_sampler_takes_no_tile_knobs(self, words):
         """Its one decision is broadcast across trials: nothing to tile,
         so the knobs are not part of its signature."""
-        for knob in ("max_batch_bytes", "chunk_trials", "xp"):
+        for knob in ("max_batch_bytes", "chunk_trials"):
             with pytest.raises(TypeError, match=knob):
                 sample_full_storage_acceptance_batch(
                     words["member"], 5, 0, **{knob: None}

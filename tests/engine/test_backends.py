@@ -70,6 +70,18 @@ class TestSequentialBatchedParity:
             result = run_online(QuantumOnlineRecognizer(rng=child), word)
             assert bool(batched[i]) == result.accepted, f"trial {i} diverged"
 
+    @pytest.mark.parametrize(
+        "flavour", ["member", "intersect_t1", "intersect_big", "x_drift", "truncated"]
+    )
+    @pytest.mark.parametrize("k", [1, 2])
+    def test_per_trial_decisions_match_on_every_word_flavour(self, k, flavour):
+        word = _words(k)[flavour]
+        trials = 40
+        batched = sample_acceptance_batch(word, trials, rng=77)
+        for i, child in enumerate(spawn(np.random.default_rng(77), trials)):
+            result = run_online(QuantumOnlineRecognizer(rng=child), word)
+            assert bool(batched[i]) == result.accepted, f"{flavour}: trial {i}"
+
     def test_member_words_always_accepted(self):
         word = member(1, np.random.default_rng(0))
         accepted = sample_acceptance_batch(word, 50, rng=0)
@@ -146,54 +158,6 @@ class TestExplicitSeeds:
         plan = trial_seed_plan(9, 8)
         assert b.count_accepted_from_seeds(word, plan[8:], recognizer) == 0
         assert b.count_accepted_from_seeds(word, [], recognizer) == 0
-
-
-class NumpyShim:
-    """A foreign namespace object wrapping numpy: drives the non-host
-    ``xp`` code paths of the batched backend on a machine with no device."""
-
-    name = "shim"
-
-    def __getattr__(self, item):
-        return getattr(np, item)
-
-
-class TestArrayNamespaceOption:
-    @pytest.mark.parametrize("recognizer", RECOGNIZER_NAMES)
-    def test_shim_namespace_counts_match(self, recognizer):
-        shim = BatchedDenseBackend(xp=NumpyShim())
-        plain = BatchedDenseBackend()
-        for word in _words(1).values():
-            expected = plain.count_accepted(
-                word, 60, np.random.default_rng(3), recognizer=recognizer
-            )
-            got = shim.count_accepted(
-                word, 60, np.random.default_rng(3), recognizer=recognizer
-            )
-            assert got == expected
-
-    @pytest.mark.parametrize("recognizer", RECOGNIZER_NAMES)
-    def test_shim_namespace_seed_slices_match(self, recognizer):
-        """The lab's deepening path (explicit seed slices) on the shim."""
-        word = intersecting_nonmember(1, 2, np.random.default_rng(6))
-        plan = trial_seed_plan(5, 60)
-        whole = BatchedDenseBackend().count_accepted_from_seeds(
-            word, plan, recognizer
-        )
-        shim = BatchedDenseBackend(xp=NumpyShim())
-        split = sum(
-            shim.count_accepted_from_seeds(word, plan[lo:hi], recognizer)
-            for lo, hi in [(0, 21), (21, 45), (45, 60)]
-        )
-        assert split == whole
-
-    def test_shim_namespace_tiles_match_untiled(self):
-        word = intersecting_nonmember(1, 2, np.random.default_rng(4))
-        plain = BatchedDenseBackend(xp=NumpyShim())
-        tiled = BatchedDenseBackend(xp=NumpyShim(), max_batch_bytes=2048)
-        assert tiled.count_accepted(
-            word, 70, np.random.default_rng(4)
-        ) == plain.count_accepted(word, 70, np.random.default_rng(4))
 
 
 @pytest.fixture

@@ -78,70 +78,6 @@ class TestRngDiscipline:
         assert run(src, KERNEL, "rng-discipline") == []
 
 
-class TestXpNamespace:
-    def test_hardcoded_np_op_in_xp_function_fires(self):
-        src = """
-            import numpy as np
-            def kernel(batch, xp):
-                return np.sum(batch)
-        """
-        (finding,) = run(src, KERNEL, "xp-namespace")
-        assert "np.sum" in finding.message and "xp.sum" in finding.message
-
-    def test_function_without_xp_is_out_of_scope(self):
-        src = """
-            import numpy as np
-            def host_only(batch):
-                return np.sum(batch)
-        """
-        assert run(src, KERNEL, "xp-namespace") == []
-
-    def test_in_namespace_boundary_is_silent(self):
-        src = """
-            import numpy as np
-            def build(table, xp):
-                return _in_namespace(np.where(table, 1.0, 0.0), xp)
-        """
-        assert run(src, KERNEL, "xp-namespace") == []
-
-    def test_xp_asarray_wrapping_is_silent(self):
-        src = """
-            import numpy as np
-            def place(xp):
-                return xp.asarray(np.concatenate([np.zeros_like(x) for x in ()]))
-        """
-        assert run(src, KERNEL, "xp-namespace") == []
-
-    def test_host_guard_branch_is_silent_but_device_branch_fires(self):
-        src = """
-            import numpy as np
-            def reduce(batch, xp):
-                if xp is None or xp is np:
-                    return np.sum(batch)
-                return np.sum(xp.asarray(batch))
-        """
-        (finding,) = run(src, KERNEL, "xp-namespace")
-        assert finding.line == 6  # only the post-guard np.sum
-
-    def test_to_numpy_gather_is_silent(self):
-        src = """
-            import numpy as np
-            def gather(probs, batch, xp):
-                return np.sum(to_numpy(xp.sum(probs)))
-        """
-        assert run(src, KERNEL, "xp-namespace") == []
-
-    def test_host_constructors_are_not_flagged(self):
-        src = """
-            import numpy as np
-            def bookkeeping(trials, xp):
-                mask = np.zeros(trials, dtype=bool)
-                seeds = np.empty(trials, dtype=object)
-                return mask, seeds
-        """
-        assert run(src, KERNEL, "xp-namespace") == []
-
-
 class TestFloatDeterminism:
     def test_axis_reduction_in_core_path_fires(self):
         src = """
