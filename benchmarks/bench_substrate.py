@@ -338,24 +338,30 @@ def test_engine_backend_throughput():
         "batched_speedup_over_sequential"
     ]
 
-    # Chunked (memory-bounded) vs unchunked batched execution.  Gates:
-    # byte-identical counts (always) and bounded tiling overhead (full
-    # runs only).
-    budget = 64 * 1024
+    # Tiled vs untiled batched execution.  Gates: byte-identical counts
+    # (always) and bounded tiling overhead (full runs only).  The tiled
+    # side shrinks the fixed tile to 992 trials, the tile the earlier
+    # records' 64 KiB budget gave this k = 2 word (two 2^6-amplitude
+    # complex128 state rows as a fixed floor, then 64 B per trial).
+    import repro.core.tiling as tiling
+
+    tile_trials = 992
     start = time.perf_counter()
     unchunked = ExecutionEngine("batched").estimate_acceptance(
         words[0], trials, rng=2006
     )
     unchunked_s = time.perf_counter() - start
-    start = time.perf_counter()
-    chunked = ExecutionEngine(
-        "batched", max_batch_bytes=budget
-    ).estimate_acceptance(words[0], trials, rng=2006)
-    chunked_s = time.perf_counter() - start
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(tiling, "TILE_TRIALS", tile_trials)
+        start = time.perf_counter()
+        chunked = ExecutionEngine("batched").estimate_acceptance(
+            words[0], trials, rng=2006
+        )
+        chunked_s = time.perf_counter() - start
     assert chunked.accepted == unchunked.accepted, "chunked counts drifted"
     slowdown = chunked_s / unchunked_s
     record["chunked"] = {
-        "max_batch_bytes": budget,
+        "tile_trials": tile_trials,
         "trials": trials,
         "seconds": round(chunked_s, 4),
         "unchunked_seconds": round(unchunked_s, 4),

@@ -45,7 +45,6 @@ def acceptance_sweep(
     backend: Any = "batched",
     recognizer: str = "quantum",
     store: Any = None,
-    max_batch_bytes: Any = None,
 ) -> List[Tuple[Any, Any]]:
     """Sampled acceptance probability for each ``(label, word)`` pair.
 
@@ -64,20 +63,13 @@ def acceptance_sweep(
     would have spawned for it — so adding ``store=`` never changes a
     sweep's statistics, only how much of it re-executes.
 
-    *max_batch_bytes* bounds the dense working set of every run (see
-    :mod:`repro.core.tiling`); tiled counts are byte-identical, so it
-    too never changes a sweep's statistics.  It only applies when
-    *backend* is a registry name — a configured backend instance
-    already carries its own budget.
-
     Seeding semantics: word *i* samples under the *i*-th spawned child
     of ``rng`` — fixed by word order, not by backend or store, so any
     two calls with the same seed and word list agree count-for-count.
 
     Failure modes: ``ValueError`` for unknown backend/recognizer names,
-    non-positive trials, or a configured backend instance combined
-    with ``store=`` / ``max_batch_bytes=`` (specs and budgets need a
-    name, not an instance).
+    non-positive trials, or a backend instance combined with
+    ``store=`` (specs record a name, not an instance).
 
     >>> from repro.core import member
     >>> import numpy as np
@@ -94,25 +86,18 @@ def acceptance_sweep(
     from ..engine import ExecutionEngine
 
     pairs = list(labelled_words)
-    if max_batch_bytes is not None and not isinstance(backend, str):
-        raise ValueError(
-            "max_batch_bytes= requires backend to be a registry name (a "
-            "configured backend instance already carries its own budget)"
-        )
     if store is not None:
         from ..lab import ExperimentSpec, Orchestrator
         from ..rng import ensure_rng, spawn_seeds
 
         if not isinstance(backend, str):
-            # A configured instance cannot be serialized into a spec,
-            # and silently rebuilding a default-options instance would
-            # not be the execution the caller asked for.
+            # An instance cannot be serialized into a spec.
             raise ValueError(
                 "store= requires backend to be a registry name (specs "
-                "record names, not configured backend instances)"
+                "record names, not backend instances)"
             )
         backend_name = backend
-        orchestrator = Orchestrator(store, max_batch_bytes=max_batch_bytes)
+        orchestrator = Orchestrator(store)
         word_seeds = spawn_seeds(ensure_rng(rng), len(pairs))
         results = []
         for (label, word), seed in zip(pairs, word_seeds):
@@ -127,8 +112,7 @@ def acceptance_sweep(
             )
             results.append((label, run.estimate))
         return results
-    options = {} if max_batch_bytes is None else {"max_batch_bytes": max_batch_bytes}
-    estimates = ExecutionEngine(backend, **options).run_many(
+    estimates = ExecutionEngine(backend).run_many(
         [word for _, word in pairs], trials, rng=rng, recognizer=recognizer
     )
     return [(label, est) for (label, _), est in zip(pairs, estimates)]

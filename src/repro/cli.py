@@ -56,8 +56,6 @@ def _cmd_info(args: argparse.Namespace) -> int:
         f"Engine backends (--backend): {', '.join(available_backends())}\n"
         f"  retired names, run as batched: {', '.join(sorted(RETIRED_BACKENDS))}\n"
         f"Recognizers (--recognizer):  {', '.join(RECOGNIZERS)}\n"
-        "Memory budget (--memory-budget): tile dense trial batches to a\n"
-        "  byte cap (e.g. 256M); counts are identical to unbudgeted runs\n"
         "Service: `repro serve` shares one store/engine across concurrent\n"
         "  clients (request coalescing, precision mode); `repro query`\n"
         "  talks to it; Python: repro.service.{AcceptanceService,\n"
@@ -121,38 +119,12 @@ def _make_word(args: argparse.Namespace) -> str:
     return malformed_nonmember(args.k, args.kind, np.random.default_rng(args.seed))
 
 
-def _parse_memory_budget(text: Optional[str]) -> Optional[int]:
-    """``--memory-budget`` values: plain bytes or K/M/G-suffixed sizes.
-
-    Accepts e.g. ``65536``, ``64K``, ``256M``, ``2G`` (suffixes are
-    binary multiples; an optional trailing ``B``/``iB`` is tolerated).
-    Returns bytes, or ``None`` when *text* is ``None``.
-    """
-    if text is None:
-        return None
-    raw = text.strip()
-    cleaned = raw.upper().removesuffix("IB").removesuffix("B")
-    scale = 1
-    if cleaned and cleaned[-1] in "KMG":
-        scale = 1 << {"K": 10, "M": 20, "G": 30}[cleaned[-1]]
-        cleaned = cleaned[:-1]
-    try:
-        budget = int(cleaned) * scale
-    except ValueError:
-        raise argparse.ArgumentTypeError(
-            f"invalid memory budget {raw!r}; use bytes or K/M/G sizes "
-            "like 64M"
-        ) from None
-    if budget <= 0:
-        raise argparse.ArgumentTypeError("memory budget must be positive")
-    return budget
-
-
 def _backend_arg(text: str) -> str:
     """``--backend`` values: a registered engine backend or retired name.
 
     Validated against the live registry (not a frozen ``choices=``
-    list); a retired name (``sharedmem``, ``gpu``) runs as ``batched``.
+    list); a retired name (``multiprocess``, ``sharedmem``, ``gpu``)
+    runs as ``batched``.
     """
     from .engine import available_backends, backend_availability
 
@@ -183,10 +155,7 @@ def _cmd_sample(args: argparse.Namespace) -> int:
         print("sample: --trials must be positive", file=sys.stderr)
         return 2
     word = _make_word(args)
-    options = {}
-    if args.memory_budget is not None:
-        options["max_batch_bytes"] = args.memory_budget
-    engine = ExecutionEngine(args.backend, **options)
+    engine = ExecutionEngine(args.backend)
     est = engine.estimate_acceptance(
         word, args.trials, rng=args.seed, recognizer=args.recognizer
     )
@@ -245,7 +214,7 @@ def _cmd_lab_run(args: argparse.Namespace) -> int:
     store = _open_store(args, "lab run")
     if store is None:
         return 2
-    result = Orchestrator(store, max_batch_bytes=args.memory_budget).run(spec)
+    result = Orchestrator(store).run(spec)
     print(f"key={result.key[:16]}  {spec.describe()}  store={args.store}")
     print(
         f"source={result.source}  trials_executed={result.trials_executed}  "
@@ -359,11 +328,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     if store is None:
         return 2
     service = AcceptanceService(
-        store,
-        host=args.host,
-        port=args.port,
-        workers=args.workers,
-        max_batch_bytes=args.memory_budget,
+        store, host=args.host, port=args.port, workers=args.workers
     )
 
     async def _serve() -> None:
@@ -407,11 +372,7 @@ def _cmd_query(args: argparse.Namespace) -> int:
             except ValueError as exc:
                 print(f"query: {exc}", file=sys.stderr)
                 return 2
-            result = client.query(
-                spec,
-                target_halfwidth=args.target_halfwidth,
-                max_batch_bytes=args.memory_budget,
-            )
+            result = client.query(spec, target_halfwidth=args.target_halfwidth)
     except ServiceError as exc:
         print(f"query: service error ({exc.kind}): {exc}", file=sys.stderr)
         return 1
@@ -631,14 +592,6 @@ def build_parser() -> argparse.ArgumentParser:
         "names multiprocess, sharedmem and gpu run as batched)",
     )
     samp.add_argument(
-        "--memory-budget",
-        type=_parse_memory_budget,
-        default=None,
-        metavar="BYTES",
-        help="tile dense trial batches to this working-set cap "
-        "(e.g. 64M, 2G); counts are identical to unbudgeted runs",
-    )
-    samp.add_argument(
         "--recognizer",
         default="quantum",
         choices=["quantum", "classical-blockwise", "classical-full"],
@@ -730,14 +683,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="execution backend (does not affect counts or cache keys)",
     )
     run.add_argument(
-        "--memory-budget",
-        type=_parse_memory_budget,
-        default=None,
-        metavar="BYTES",
-        help="tile dense trial batches to this working-set cap "
-        "(e.g. 64M, 2G); neither counts nor cache keys change",
-    )
-    run.add_argument(
         "--recognizer",
         default="quantum",
         choices=["quantum", "classical-blockwise", "classical-full"],
@@ -764,14 +709,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="store directory (env REPRO_LAB_STORE)")
     serve.add_argument("--workers", type=int, default=2,
                        help="engine worker pool size (concurrent engine runs)")
-    serve.add_argument(
-        "--memory-budget",
-        type=_parse_memory_budget,
-        default=None,
-        metavar="BYTES",
-        help="default working-set cap for engine runs (per-query "
-        "max_batch_bytes overrides it)",
-    )
     serve.set_defaults(func=_cmd_serve)
 
     query = sub.add_parser(
@@ -802,13 +739,6 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="H",
         help="precision mode: deepen seed-exactly until the Wilson 95%% "
         "half-width is at most H",
-    )
-    query.add_argument(
-        "--memory-budget",
-        type=_parse_memory_budget,
-        default=None,
-        metavar="BYTES",
-        help="per-query working-set cap (counts unchanged)",
     )
     query.add_argument("--stats", action="store_true",
                        help="print the service's counters and exit")

@@ -39,7 +39,7 @@ from .a1_format import A1FormatCheck
 from .a2_fingerprint import A2FingerprintCheck, a2_passes_at_points
 from .language import parse_condition_i
 from .structure import BlockStreamParser, block_type, round_index
-from .tiling import decide_in_tiles, resolve_chunk_trials
+from .tiling import decide_in_tiles
 
 
 class _BlockwiseCore(OnlineAlgorithm):
@@ -257,8 +257,6 @@ def sample_blockwise_acceptance_batch(
     trials: int,
     rng=None,
     trial_seeds: Optional[Sequence[int]] = None,
-    max_batch_bytes: Optional[int] = None,
-    chunk_trials: Optional[int] = None,
 ) -> np.ndarray:
     """Per-trial accept decisions of Proposition 3.7's machine, batched.
 
@@ -271,9 +269,8 @@ def sample_blockwise_acceptance_batch(
     computed once and broadcast.  *trial_seeds* (one child seed per
     trial, as :func:`repro.rng.spawn_seeds` would produce, or their
     ``(trials, 4)`` plan words) overrides the spawn, so a slice of a
-    run's plan decides exactly those trials.
-    *max_batch_bytes* / *chunk_trials* tile the trials into contiguous
-    chunks decided sequentially with byte-identical counts
+    run's plan decides exactly those trials.  Deep runs are decided in
+    fixed-size tiles with byte-identical counts
     (:func:`repro.core.tiling.decide_in_tiles`).  Returns a boolean
     array of length *trials*.
     """
@@ -290,12 +287,8 @@ def sample_blockwise_acceptance_batch(
         # can never flip the (all-False) outcome — skip drawing them.
         return np.zeros(trials, dtype=bool)
     p = fingerprint_prime(k)
-    # Working set per trial: the ts array plus A2's per-distinct-block
-    # fingerprint sweeps and verdict masks.
-    per_trial = 24 + 8 * len(set(blocks))
-    tile = resolve_chunk_trials(trials, max_batch_bytes, chunk_trials, per_trial)
     return decide_in_tiles(
-        plan, tile, lambda rows: _decide_blockwise_tile(k, blocks, p, rows)
+        plan, lambda rows: _decide_blockwise_tile(k, blocks, p, rows)
     )
 
 

@@ -40,7 +40,7 @@ from .a1_format import A1FormatCheck
 from .a2_fingerprint import A2FingerprintCheck, a2_passes_at_points
 from .a3_grover import A3GroverProcedure
 from .language import parse_condition_i
-from .tiling import decide_in_tiles, resolve_chunk_trials
+from .tiling import decide_in_tiles
 
 
 class QuantumOnlineRecognizer(ParallelComposition):
@@ -233,8 +233,6 @@ def sample_acceptance_batch(
     trials: int,
     rng=None,
     trial_seeds=None,
-    max_batch_bytes: Optional[int] = None,
-    chunk_trials: Optional[int] = None,
 ) -> np.ndarray:
     """Per-trial accept decisions of the recognizer, computed batched.
 
@@ -252,12 +250,11 @@ def sample_acceptance_batch(
     run's plan — e.g. the continuation ``repro.lab`` deepens with —
     decides exactly those trials.
 
-    *max_batch_bytes* / *chunk_trials* tile the trials into contiguous
-    chunks decided sequentially (:func:`repro.core.tiling.decide_in_tiles`):
-    each trial's decision depends only on its own plan row, so the
-    concatenated decisions are byte-identical to the untiled run while
-    the working set stays within the budget.  Returns a boolean array
-    of length *trials*.
+    Deep runs are decided in fixed-size tiles
+    (:func:`repro.core.tiling.decide_in_tiles`): each trial's decision
+    depends only on its own plan row, so the concatenated decisions are
+    byte-identical to the untiled run.  Returns a boolean array of
+    length *trials*.
     """
     plan = resolve_trial_seeds(trials, rng, trial_seeds)
     if trials == 0:
@@ -270,20 +267,9 @@ def sample_acceptance_batch(
     k, blocks = parsed
     p = fingerprint_prime(k)
     m = 1 << k
-    # Working-set model: ts/js/coins plus A2's per-distinct-block
-    # fingerprint sweeps scale with the tile; A3's walk holds two
-    # complex128 state rows (the trajectory and one R_y branch)
-    # whatever the tile, a fixed floor.
-    state_row = 16 << (2 * k + 2)
-    per_trial = 48 + 8 * len(set(blocks))
-    tile = resolve_chunk_trials(
-        trials, max_batch_bytes, chunk_trials, per_trial, 2 * state_row
-    )
     detection = batched_a3_detection(k, blocks, np.arange(m))
     return decide_in_tiles(
-        plan,
-        tile,
-        lambda rows: _decide_quantum_tile(k, blocks, p, m, rows, detection),
+        plan, lambda rows: _decide_quantum_tile(k, blocks, p, m, rows, detection)
     )
 
 

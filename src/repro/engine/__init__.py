@@ -5,7 +5,7 @@ registers the two stock backends:
 
 * ``sequential`` — per-trial streaming passes (reference semantics);
 * ``batched``    — one A3 state walk per word + one Horner sweep,
-  optionally tiled under a ``max_batch_bytes`` memory budget.
+  deep runs decided in fixed-size tiles (:mod:`repro.core.tiling`).
 
 The retired names ``multiprocess``, ``sharedmem`` and ``gpu`` resolve
 to ``batched``.

@@ -266,15 +266,13 @@ def backend_availability() -> Dict[str, bool]:
 BackendSpec = Union[str, ExecutionBackend]
 
 
-def get_backend(spec: BackendSpec = "batched", **options: Any) -> ExecutionBackend:
+def get_backend(spec: BackendSpec = "batched") -> ExecutionBackend:
     """Resolve a backend name (or pass an instance through).
 
     A retired name (:data:`RETIRED_BACKENDS`) resolves to its successor
     with one ``DeprecationWarning`` per name per process.
     """
     if isinstance(spec, ExecutionBackend):
-        if options:
-            raise ValueError("options only apply when resolving by name")
         return spec
     if spec in RETIRED_BACKENDS:
         if spec not in _warned_retired:
@@ -293,7 +291,7 @@ def get_backend(spec: BackendSpec = "batched", **options: Any) -> ExecutionBacke
             f"unknown backend {spec!r}; registered backends: "
             f"{', '.join(available_backends())}"
         ) from None
-    return cls(**options)
+    return cls()
 
 
 class ExecutionEngine:
@@ -301,10 +299,7 @@ class ExecutionEngine:
 
     Args:
         backend: a registry name (``"sequential"``, ``"batched"``) or
-            a configured :class:`ExecutionBackend` instance.
-            ``**options`` go to the named backend's constructor (e.g.
-            ``max_batch_bytes=``) and are rejected alongside an
-            instance.
+            an :class:`ExecutionBackend` instance.
 
     Seeding semantics: the ``rng`` passed to each call is the *parent*
     of the per-trial (and, for :meth:`run_many`, per-word) child
@@ -329,8 +324,8 @@ class ExecutionEngine:
     True
     """
 
-    def __init__(self, backend: BackendSpec = "batched", **options: Any) -> None:
-        self.backend = get_backend(backend, **options)
+    def __init__(self, backend: BackendSpec = "batched") -> None:
+        self.backend = get_backend(backend)
 
     @property
     def backend_name(self) -> str:

@@ -28,13 +28,7 @@ from typing import Any, Callable, Optional, Sequence
 
 import numpy as np
 
-from ..core.tiling import validate_tile_knobs
-from .api import (
-    DETERMINISTIC_RECOGNIZERS,
-    ExecutionBackend,
-    register_backend,
-    validate_recognizer,
-)
+from .api import ExecutionBackend, register_backend, validate_recognizer
 from .telemetry import observe_backend_call
 
 
@@ -57,23 +51,12 @@ def _batch_sampler(recognizer: str) -> Callable[..., np.ndarray]:
 class BatchedDenseBackend(ExecutionBackend):
     """Vectorized trials for the stock recognizers.
 
-    *max_batch_bytes* / *chunk_trials* bound the dense working set: the
-    samplers split the trial batch into contiguous tiles decided
-    sequentially (see :mod:`repro.core.tiling`), with counts
-    byte-identical to the untiled run — a fixed memory budget serves
-    any depth.  Both are validated here, once.
+    The randomized samplers decide deep runs in fixed-size tiles (see
+    :mod:`repro.core.tiling`), with counts byte-identical to the
+    untiled run.
     """
 
     name = "batched"
-
-    def __init__(
-        self,
-        max_batch_bytes: Optional[int] = None,
-        chunk_trials: Optional[int] = None,
-    ) -> None:
-        validate_tile_knobs(max_batch_bytes, chunk_trials)
-        self.max_batch_bytes = max_batch_bytes
-        self.chunk_trials = chunk_trials
 
     def count_accepted(
         self,
@@ -89,7 +72,9 @@ class BatchedDenseBackend(ExecutionBackend):
                 "themselves and cannot run a custom factory; use backend="
                 "'sequential' for arbitrary algorithms"
             )
-        return self._count(word, trials, recognizer, rng=rng)
+        sampler = _batch_sampler(recognizer)
+        with observe_backend_call(self.name, recognizer, trials):
+            return int(np.count_nonzero(sampler(word, trials, rng)))
 
     def count_accepted_from_seeds(
         self,
@@ -97,23 +82,8 @@ class BatchedDenseBackend(ExecutionBackend):
         seeds: Sequence[int],
         recognizer: str = "quantum",
     ) -> int:
-        return self._count(word, len(seeds), recognizer, trial_seeds=seeds)
-
-    def _count(self, word: str, trials: int, recognizer: str, **seeding: Any) -> int:
-        """One sampler call; *seeding* is ``rng=`` or ``trial_seeds=``."""
         sampler = _batch_sampler(recognizer)
-        if recognizer not in DETERMINISTIC_RECOGNIZERS:
-            # The full-storage decision is one reduction broadcast
-            # across trials: nothing to tile.
-            seeding.update(
-                max_batch_bytes=self.max_batch_bytes,
-                chunk_trials=self.chunk_trials,
+        with observe_backend_call(self.name, recognizer, len(seeds)):
+            return int(
+                np.count_nonzero(sampler(word, len(seeds), trial_seeds=seeds))
             )
-        with observe_backend_call(
-            self.name,
-            recognizer,
-            trials,
-            max_batch_bytes=self.max_batch_bytes,
-            chunk_trials=self.chunk_trials,
-        ):
-            return int(np.count_nonzero(sampler(word, trials, **seeding)))

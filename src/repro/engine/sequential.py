@@ -76,16 +76,11 @@ def resolve_factory(
 class SequentialBackend(ExecutionBackend):
     """Per-trial scalar simulation (the pre-engine semantics).
 
-    Accepts the engine-wide *max_batch_bytes* knob for uniform option
-    threading (every stock backend takes it), but never consults it:
-    one streaming pass holds one trial's state, so the working set is
-    already O(1) in the trial count.
+    One streaming pass holds one trial's state, so the working set is
+    O(1) in the trial count.
     """
 
     name = "sequential"
-
-    def __init__(self, max_batch_bytes: Optional[int] = None) -> None:
-        self.max_batch_bytes = max_batch_bytes
 
     def count_accepted(
         self,

@@ -17,20 +17,17 @@ byte-identical to uninstrumented ones on every backend.
 from __future__ import annotations
 
 from contextlib import contextmanager
-from typing import Any, Iterator
+from typing import Iterator
 
 from ..obs import clock, get_registry, span
 
 
 @contextmanager
-def observe_backend_call(
-    backend: str, recognizer: str, trials: int, **attrs: Any
-) -> Iterator[None]:
+def observe_backend_call(backend: str, recognizer: str, trials: int) -> Iterator[None]:
     """Wrap one backend counting call in spans + counters + latency.
 
     *trials* is the number of engine trials the call will decide
-    (``len(seeds)`` on the explicit-seeds path); extra ``**attrs`` ride
-    on the span in full-trace mode (word counts, byte budgets).
+    (``len(seeds)`` on the explicit-seeds path).
     """
     registry = get_registry()
     registry.counter(
@@ -46,7 +43,6 @@ def observe_backend_call(
         backend=backend,
         recognizer=recognizer,
         trials=trials,
-        **attrs,
     ):
         yield
     registry.histogram(

@@ -99,28 +99,10 @@ class Orchestrator:
     happens per run from ``spec.backend`` — the store is backend-blind
     (the seeding contract makes counts backend-invariant), so one store
     serves requests from every backend interchangeably.
-
-    *max_batch_bytes* is an execution detail like the backend itself:
-    it bounds the dense working set of every run this orchestrator
-    issues (deepening continuations included) without entering the
-    spec's identity — tiled counts are byte-identical to untiled ones.
     """
 
-    def __init__(
-        self,
-        store: Union[ResultStore, str, Path],
-        max_batch_bytes: Optional[int] = None,
-    ) -> None:
+    def __init__(self, store: Union[ResultStore, str, Path]) -> None:
         self.store = store if isinstance(store, ResultStore) else ResultStore(store)
-        self.max_batch_bytes = max_batch_bytes
-
-    def _backend(self, spec: ExperimentSpec):
-        options = (
-            {"max_batch_bytes": self.max_batch_bytes}
-            if self.max_batch_bytes is not None
-            else {}
-        )
-        return get_backend(spec.backend, **options)
 
     def run(self, spec: ExperimentSpec) -> LabRunResult:
         """Satisfy *spec* from the store, deepening or running as needed.
@@ -210,7 +192,7 @@ class Orchestrator:
         # The continuation seeds: exactly what the fresh run
         # would draw for trials done..trials, addressed directly.
         seeds = trial_seed_plan(spec.seed, spec.trials, start=done)
-        backend = self._backend(spec)
+        backend = get_backend(spec.backend)
         start = time.perf_counter()
         accepted_new = backend.count_accepted_from_seeds(
             spec.resolve_word(), seeds, spec.recognizer

@@ -112,7 +112,7 @@ def fingerprint_prime(k: int) -> int:
     every m > 1, so the window ``(2^{4k}, 2^{4k+1})`` always contains one.
     Cached per ``k``: the prime search is a Miller-Rabin walk over the
     window, and the batched samplers would otherwise re-pay it on every
-    chunk tile of a memory-bounded run.
+    tile of a deep run.
     """
     if k < 1:
         raise ValueError("k must be >= 1")

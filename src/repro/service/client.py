@@ -213,7 +213,6 @@ class ServiceClient:
         spec: Optional[Union[ExperimentSpec, Dict[str, Any]]] = None,
         *,
         target_halfwidth: Optional[float] = None,
-        max_batch_bytes: Optional[int] = None,
         **spec_fields: Any,
     ) -> QueryResult:
         """Run (or join, or fetch) one acceptance experiment.
@@ -222,8 +221,7 @@ class ServiceClient:
         fields as keywords — ``query(family="member", k=2,
         trials=1000, seed=7)``.  With ``target_halfwidth`` the service
         deepens seed-exactly until the Wilson 95% half-width meets the
-        target; ``max_batch_bytes`` bounds that run's dense working set
-        without affecting its counts.
+        target.
         """
         if spec is None:
             spec = ExperimentSpec(**spec_fields)
@@ -240,6 +238,4 @@ class ServiceClient:
         message: Dict[str, Any] = {"op": "query", "spec": spec_data}
         if target_halfwidth is not None:
             message["target_halfwidth"] = target_halfwidth
-        if max_batch_bytes is not None:
-            message["max_batch_bytes"] = max_batch_bytes
         return QueryResult.from_payload(self._request(message))

@@ -8,10 +8,14 @@ yields exactly one response line, in order, per connection.
 Requests::
 
     {"v": 1, "id": 7, "op": "query", "spec": {...ExperimentSpec...},
-     "target_halfwidth": 0.01, "max_batch_bytes": 268435456}
+     "target_halfwidth": 0.01}
     {"v": 1, "id": 8, "op": "ping" | "stats" | "metrics" | "shutdown"}
     {"v": 1, "id": 9, "op": "maintain", "ttl_seconds": 604800.0,
      "max_keys": 100000}
+
+v1 queries that still carry the retired ``max_batch_bytes`` field are
+served and the field is ignored, like any field the server does not
+read.
 
 The ``maintain`` op runs one store-maintenance pass (TTL/LRU eviction
 tombstones, then per-shard compaction and index rebuild) off the event
@@ -143,17 +147,6 @@ def validate_target_halfwidth(value: Any) -> Optional[float]:
     if not 0.0 < target < 1.0:
         raise ValueError("target_halfwidth must lie in (0, 1)")
     return target
-
-
-def validate_max_batch_bytes(value: Any) -> Optional[int]:
-    """Coerce a request's ``max_batch_bytes`` field (None passes through)."""
-    if value is None:
-        return None
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ValueError(f"max_batch_bytes must be an integer, got {value!r}")
-    if value <= 0:
-        raise ValueError("max_batch_bytes must be positive")
-    return value
 
 
 def validate_ttl_seconds(value: Any) -> Optional[float]:

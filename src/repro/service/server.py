@@ -51,16 +51,13 @@ from .protocol import (
     encode_message,
     error_response,
     ok_response,
-    validate_max_batch_bytes,
     validate_max_keys,
     validate_target_halfwidth,
     validate_ttl_seconds,
 )
 
 #: In-flight identity: same key + same depth + same precision target
-#: share one execution.  ``max_batch_bytes`` is deliberately excluded —
-#: it is an execution detail that cannot change counts, so a joiner
-#: with a different budget still gets the identical result.
+#: share one execution.
 CoalesceKey = Tuple[str, int, Optional[float]]
 
 
@@ -106,8 +103,6 @@ class AcceptanceService:
             port (read :attr:`port` after :meth:`start`).
         workers: size of the engine worker pool (concurrent engine
             runs; further requests queue).
-        max_batch_bytes: default memory budget for engine runs;
-            individual requests may override it per query.
 
     Lifecycle: ``await start()``, then either ``await wait_stopped()``
     (the CLI does) or keep the loop running; ``await stop()`` — or a
@@ -121,7 +116,6 @@ class AcceptanceService:
         host: str = "127.0.0.1",
         port: int = DEFAULT_PORT,
         workers: int = 2,
-        max_batch_bytes: Optional[int] = None,
     ) -> None:
         if workers < 1:
             raise ValueError("workers must be at least 1")
@@ -129,7 +123,6 @@ class AcceptanceService:
         self.host = host
         self.port = port
         self.workers = workers
-        self.max_batch_bytes = max_batch_bytes
         self.stats = ServiceStats()
         self._server: Optional[asyncio.AbstractServer] = None
         self._pool: Optional[ThreadPoolExecutor] = None
@@ -365,9 +358,8 @@ class AcceptanceService:
             raise ValueError("query requests need a 'spec' object")
         spec = ExperimentSpec.from_dict(spec_data)
         target = validate_target_halfwidth(request.get("target_halfwidth"))
-        budget = validate_max_batch_bytes(request.get("max_batch_bytes"))
         self.stats.queries += 1
-        result, coalesced = await self._run_query(spec, target, budget)
+        result, coalesced = await self._run_query(spec, target)
         payload = dict(result)
         payload["coalesced"] = coalesced
         return ok_response(request_id, payload)
@@ -387,7 +379,7 @@ class AcceptanceService:
             raise ProtocolError("service is shutting down")
         ttl_seconds = validate_ttl_seconds(request.get("ttl_seconds"))
         max_keys = validate_max_keys(request.get("max_keys"))
-        orchestrator = Orchestrator(self.store, max_batch_bytes=self.max_batch_bytes)
+        orchestrator = Orchestrator(self.store)
         loop = asyncio.get_running_loop()
         report = await loop.run_in_executor(
             self._pool,
@@ -397,10 +389,7 @@ class AcceptanceService:
         return ok_response(request_id, self._last_maintenance)
 
     async def _run_query(
-        self,
-        spec: ExperimentSpec,
-        target: Optional[float],
-        budget: Optional[int],
+        self, spec: ExperimentSpec, target: Optional[float]
     ) -> Tuple[Dict[str, Any], bool]:
         """Coalescing front: identical concurrent queries share one task."""
         registry = get_registry()
@@ -409,7 +398,7 @@ class AcceptanceService:
         if task is None:
             coalesced = False
             task = asyncio.get_running_loop().create_task(
-                self._execute(spec, target, budget)
+                self._execute(spec, target)
             )
             self._inflight[ident] = task
             self._coalesce_depth[ident] = 1
@@ -438,10 +427,7 @@ class AcceptanceService:
             task.exception()  # consume, so no "never retrieved" warning
 
     async def _execute(
-        self,
-        spec: ExperimentSpec,
-        target: Optional[float],
-        budget: Optional[int],
+        self, spec: ExperimentSpec, target: Optional[float]
     ) -> Dict[str, Any]:
         """Run one (de-duplicated) query on the worker pool.
 
@@ -454,12 +440,7 @@ class AcceptanceService:
         try:
             async with entry.lock:
                 loop = asyncio.get_running_loop()
-                orchestrator = Orchestrator(
-                    self.store,
-                    max_batch_bytes=(
-                        budget if budget is not None else self.max_batch_bytes
-                    ),
-                )
+                orchestrator = Orchestrator(self.store)
                 if target is None:
                     run = await loop.run_in_executor(
                         self._pool, orchestrator.run, spec

@@ -4,8 +4,7 @@ Three contracts under test:
 
 * **per-call caching** — ``fingerprint_prime`` and the per-size index
   tables are derived once per ``sample_acceptance_batch`` call however
-  many tiles it splits into, the quantum sampler resolves its tile once
-  against A3's two-row floor, and A3's detection table is evolved once
+  many tiles it splits into, and A3's detection table is evolved once
   per call, so no j is evolved twice;
 * **the A3 kernel** — :func:`batched_a3_detection` is byte-equal to the
   per-j reference, its work is pinned (one shared trajectory, so linear,
@@ -26,6 +25,7 @@ from hypothesis import strategies as st
 import repro.core.a2_fingerprint as a2_mod
 import repro.core.classical_recognizer as classical_mod
 import repro.core.quantum_recognizer as quantum_mod
+import repro.core.tiling as tiling_mod
 from repro.core import intersecting_nonmember, member
 from repro.core.classical_recognizer import sample_blockwise_acceptance_batch
 from repro.core.language import parse_condition_i
@@ -123,17 +123,17 @@ class TestPerCallCaching:
 
     def test_quantum_prime_derived_once_across_tiles(self, words, monkeypatch):
         calls = self._counting_prime(monkeypatch)
-        sample_acceptance_batch(
-            words["intersecting"], 40, np.random.default_rng(0), chunk_trials=3
-        )
-        assert calls == [1]  # one call for ~14 tiles
+        monkeypatch.setattr(tiling_mod, "TILE_TRIALS", 3)
+        sample_acceptance_batch(words["intersecting"], 40, np.random.default_rng(0))
+        assert calls == [1]  # one call for 14 tiles
 
     def test_blockwise_prime_derived_once_across_tiles(self, words, monkeypatch):
         calls = self._counting_prime(monkeypatch)
+        monkeypatch.setattr(tiling_mod, "TILE_TRIALS", 3)
         # a member word: the intersecting one is rejected by the chunk
         # matcher before any per-trial randomness (or prime) is needed.
         sample_blockwise_acceptance_batch(
-            words["member"], 40, np.random.default_rng(0), chunk_trials=3
+            words["member"], 40, np.random.default_rng(0)
         )
         assert calls == [1]
 
@@ -158,42 +158,12 @@ class TestPerCallCaching:
         monkeypatch.setattr(quantum_mod, "batched_a3_detection", recording)
         base = sample_acceptance_batch(words["member2"], 50, np.random.default_rng(9))
         seen.clear()
+        monkeypatch.setattr(tiling_mod, "TILE_TRIALS", 4)
         tiled = sample_acceptance_batch(
-            words["member2"], 50, np.random.default_rng(9), chunk_trials=4
+            words["member2"], 50, np.random.default_rng(9)
         )
         np.testing.assert_array_equal(base, tiled)
         assert seen  # the wrapper really intercepted the tiled run
-
-    def test_tile_resolves_once_against_two_state_rows(self, words, monkeypatch):
-        """A3's walk holds two state rows whatever the tile, so the
-        sampler resolves its tile exactly once, with those two rows as
-        the fixed floor and only the per-trial arrays scaling."""
-        from repro.core.tiling import resolve_chunk_trials
-
-        calls = []
-
-        def recording(trials, max_batch_bytes=None, chunk_trials=None,
-                      bytes_per_trial=1, floor_bytes=0):
-            calls.append(
-                {"bytes_per_trial": bytes_per_trial, "floor_bytes": floor_bytes}
-            )
-            return resolve_chunk_trials(
-                trials, max_batch_bytes, chunk_trials, bytes_per_trial, floor_bytes
-            )
-
-        monkeypatch.setattr(quantum_mod, "resolve_chunk_trials", recording)
-        word = words["intersecting"]  # k = 1: state_row = 256
-        state_row = 16 << (2 * 1 + 2)
-        base = sample_acceptance_batch(word, 40, np.random.default_rng(2))
-        for budget in (1, 1000):
-            calls.clear()
-            tiled = sample_acceptance_batch(
-                word, 40, np.random.default_rng(2), max_batch_bytes=budget
-            )
-            np.testing.assert_array_equal(base, tiled)
-            assert len(calls) == 1
-            assert calls[0]["floor_bytes"] == 2 * state_row
-            assert calls[0]["bytes_per_trial"] < state_row  # per-trial only
 
 
 class TestA3Kernel:

@@ -1,28 +1,38 @@
-"""Tiling parity: chunked sampler runs are byte-identical to untiled.
+"""Tiling parity: tiled sampler runs are byte-identical to untiled.
 
-The memory-bounded tiling axis (``max_batch_bytes`` / ``chunk_trials``)
-splits a trial batch into contiguous tiles decided sequentially.  Each
-trial's decision depends only on its own child seed, so the
-concatenated decisions must equal the untiled run exactly — for every
-chunk size, both randomized recognizers, and both seeding modes (parent
-rng and explicit trial seeds).  The deterministic full-storage sampler
-has nothing to tile; the engine's budgeted runs still cover it.
+The randomized samplers decide a trial batch in contiguous tiles of
+:data:`repro.core.tiling.TILE_TRIALS` rows.  Each trial's decision
+depends only on its own child seed, so the concatenated decisions must
+equal the untiled run exactly — for every tile size, both randomized
+recognizers, and both seeding modes (parent rng and explicit trial
+seeds).  The tests shrink the constant with ``monkeypatch`` so small
+runs cross many tile boundaries; one run crosses the real constant,
+and multi-tile runs are checked against the paper's exact acceptance
+probabilities.  The deterministic full-storage sampler has nothing to
+tile; the engine's tiled runs still cover it.
 """
 
 import warnings
+from math import lgamma, log
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import repro.core.classical_recognizer as classical_mod
+import repro.core.quantum_recognizer as quantum_mod
+import repro.core.tiling as tiling_mod
 from repro.core import intersecting_nonmember, member
 from repro.core.classical_recognizer import (
     sample_blockwise_acceptance_batch,
     sample_full_storage_acceptance_batch,
 )
-from repro.core.quantum_recognizer import sample_acceptance_batch
-from repro.core.tiling import decide_in_tiles, resolve_chunk_trials, tile_bounds
+from repro.core.quantum_recognizer import (
+    exact_acceptance_probability,
+    sample_acceptance_batch,
+)
+from repro.core.tiling import TILE_TRIALS, decide_in_tiles
 from repro.engine import ExecutionEngine, get_backend, trial_seed_plan
 
 TILED_SAMPLERS = {
@@ -30,6 +40,8 @@ TILED_SAMPLERS = {
     "classical-blockwise": sample_blockwise_acceptance_batch,
 }
 SAMPLERS = {**TILED_SAMPLERS, "classical-full": sample_full_storage_acceptance_batch}
+RECOGNIZERS = ["quantum", "classical-blockwise", "classical-full"]
+TILE_SIZES = [1, 7, 49, 50]
 
 
 @pytest.fixture(scope="module")
@@ -41,31 +53,26 @@ def words():
 
 
 class TestTilingHelpers:
-    def test_tile_bounds_cover_range_contiguously(self):
-        bounds = list(tile_bounds(10, 3))
-        assert bounds == [(0, 3), (3, 6), (6, 9), (9, 10)]
+    @pytest.mark.parametrize("tile", [1, 3, 9, 10])
+    def test_tiles_cover_plan_contiguously(self, tile, monkeypatch):
+        monkeypatch.setattr(tiling_mod, "TILE_TRIALS", tile)
+        plan = np.arange(40, dtype=np.uint32).reshape(10, 4)
+        spans = []
 
-    def test_tile_bounds_empty_range(self):
-        assert list(tile_bounds(0, 4)) == []
+        def decide(rows):
+            spans.append((int(rows[0, 0]) // 4, len(rows)))
+            return np.zeros(len(rows), dtype=bool)
 
-    def test_resolve_explicit_chunk_wins_when_smaller(self):
-        assert resolve_chunk_trials(100, max_batch_bytes=10**9, chunk_trials=7) == 7
+        decide_in_tiles(plan, decide)
+        assert spans == [(lo, min(tile, 10 - lo)) for lo in range(0, 10, tile)]
 
-    def test_resolve_budget_converts_to_trials(self):
-        assert resolve_chunk_trials(100, max_batch_bytes=160, bytes_per_trial=16) == 10
-
-    def test_resolve_budget_respects_floor(self):
-        assert (
-            resolve_chunk_trials(
-                100, max_batch_bytes=200, bytes_per_trial=10, floor_bytes=100
-            )
-            == 10
+    def test_empty_plan_is_empty(self):
+        out = decide_in_tiles(
+            np.zeros((0, 4), dtype=np.uint32), lambda rows: rows[:, 0] > 0
         )
+        assert out.dtype == bool and out.size == 0
 
-    def test_tiny_budget_still_progresses_one_trial(self):
-        assert resolve_chunk_trials(100, max_batch_bytes=1, bytes_per_trial=64) == 1
-
-    def test_decide_in_tiles_concatenates_tile_decisions(self):
+    def test_decide_in_tiles_concatenates_tile_decisions(self, monkeypatch):
         plan = np.arange(40, dtype=np.uint32).reshape(10, 4)
         seen = []
 
@@ -73,18 +80,51 @@ class TestTilingHelpers:
             seen.append(len(rows))
             return rows[:, 0] % 8 == 0
 
-        out = decide_in_tiles(plan, 3, decide)
+        monkeypatch.setattr(tiling_mod, "TILE_TRIALS", 3)
+        out = decide_in_tiles(plan, decide)
         np.testing.assert_array_equal(out, plan[:, 0] % 8 == 0)
         assert seen == [3, 3, 3, 1]
         seen.clear()
-        decide_in_tiles(plan, 10, decide)
+        monkeypatch.setattr(tiling_mod, "TILE_TRIALS", 10)
+        decide_in_tiles(plan, decide)
         assert seen == [10]
 
-    def test_invalid_knobs_rejected(self):
-        with pytest.raises(ValueError):
-            resolve_chunk_trials(10, chunk_trials=0)
-        with pytest.raises(ValueError):
-            resolve_chunk_trials(10, max_batch_bytes=0)
+    @pytest.mark.parametrize(
+        "module, recognizer",
+        [(quantum_mod, "quantum"), (classical_mod, "classical-blockwise")],
+    )
+    def test_one_trial_past_the_constant_takes_two_tiles(
+        self, module, recognizer, monkeypatch
+    ):
+        """At the real constant, ``TILE_TRIALS + 1`` trials are two
+        ``decide`` calls whose decisions equal one untiled call."""
+        tiles = []
+
+        def counting_tiles(plan, decide):
+            def counted(rows):
+                tiles.append(len(rows))
+                return decide(rows)
+
+            return decide_in_tiles(plan, counted)
+
+        monkeypatch.setattr(module, "decide_in_tiles", counting_tiles)
+        # The chunk matcher rejects an intersecting word before the
+        # blockwise sampler reaches its tile loop, so that one samples
+        # a member.
+        rng = np.random.default_rng(4)
+        if recognizer == "quantum":
+            word = intersecting_nonmember(1, 1, rng)
+        else:
+            word = member(1, rng)
+        sampler = TILED_SAMPLERS[recognizer]
+        trials = TILE_TRIALS + 1
+        tiled = sampler(word, trials, 12)
+        assert tiles == [TILE_TRIALS, 1]
+        tiles.clear()
+        monkeypatch.setattr(tiling_mod, "TILE_TRIALS", trials + 1)
+        untiled = sampler(word, trials, 12)
+        assert tiles == [trials]
+        np.testing.assert_array_equal(tiled, untiled)
 
 
 class TestChunkedParity:
@@ -95,107 +135,142 @@ class TestChunkedParity:
         sampler = TILED_SAMPLERS[recognizer]
         word = words["intersecting"]
         untiled = sampler(word, 61, np.random.default_rng(seed))
-        tiled = sampler(word, 61, np.random.default_rng(seed), chunk_trials=chunk)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(tiling_mod, "TILE_TRIALS", chunk)
+            tiled = sampler(word, 61, np.random.default_rng(seed))
         np.testing.assert_array_equal(untiled, tiled)
 
     @pytest.mark.parametrize("recognizer", sorted(TILED_SAMPLERS))
-    @pytest.mark.parametrize("budget", [1, 512, 4096, 1 << 20])
-    def test_byte_budget_counts_match_untiled(self, words, recognizer, budget):
+    @pytest.mark.parametrize("tile", TILE_SIZES)
+    def test_every_word_matches_untiled(self, words, recognizer, tile, monkeypatch):
         sampler = TILED_SAMPLERS[recognizer]
-        for word in words.values():
-            untiled = sampler(word, 50, np.random.default_rng(7))
-            tiled = sampler(
-                word, 50, np.random.default_rng(7), max_batch_bytes=budget
-            )
-            np.testing.assert_array_equal(untiled, tiled)
+        untiled = {
+            name: sampler(word, 50, np.random.default_rng(7))
+            for name, word in words.items()
+        }
+        monkeypatch.setattr(tiling_mod, "TILE_TRIALS", tile)
+        for name, word in words.items():
+            tiled = sampler(word, 50, np.random.default_rng(7))
+            np.testing.assert_array_equal(untiled[name], tiled)
 
     @pytest.mark.parametrize("recognizer", sorted(TILED_SAMPLERS))
-    def test_chunked_explicit_seed_plan(self, words, recognizer):
+    def test_chunked_explicit_seed_plan(self, words, recognizer, monkeypatch):
         """Tiling composes with explicit trial seeds (the deepening path)."""
         sampler = TILED_SAMPLERS[recognizer]
         word = words["intersecting"]
         plan = trial_seed_plan(11, 40)
         whole = sampler(word, 40, None, trial_seeds=plan)
-        tiled = sampler(word, 40, None, trial_seeds=plan, chunk_trials=9)
+        monkeypatch.setattr(tiling_mod, "TILE_TRIALS", 9)
+        tiled = sampler(word, 40, None, trial_seeds=plan)
         np.testing.assert_array_equal(whole, tiled)
 
     @pytest.mark.parametrize("recognizer", sorted(SAMPLERS))
-    def test_zero_trials_is_empty(self, words, recognizer):
+    def test_zero_trials_is_empty(self, words, recognizer, monkeypatch):
+        monkeypatch.setattr(tiling_mod, "TILE_TRIALS", 1)
         out = SAMPLERS[recognizer](words["member"], 0, None, trial_seeds=[])
         assert out.dtype == bool and out.size == 0
 
 
-class TestBackendBudgetThreading:
-    @pytest.mark.parametrize(
-        "recognizer", ["quantum", "classical-blockwise", "classical-full"]
-    )
-    def test_budgeted_batched_backend_matches_unbudgeted(self, words, recognizer):
+class TestBackendTiling:
+    @pytest.mark.parametrize("recognizer", RECOGNIZERS)
+    def test_tiled_engine_matches_untiled(self, words, recognizer, monkeypatch):
         word = words["intersecting"]
         plain = ExecutionEngine("batched").estimate_acceptance(
             word, 80, rng=3, recognizer=recognizer
         )
-        budgeted = ExecutionEngine(
-            "batched", max_batch_bytes=2048, chunk_trials=13
-        ).estimate_acceptance(word, 80, rng=3, recognizer=recognizer)
-        assert budgeted.accepted == plain.accepted
+        monkeypatch.setattr(tiling_mod, "TILE_TRIALS", 13)
+        tiled = ExecutionEngine("batched").estimate_acceptance(
+            word, 80, rng=3, recognizer=recognizer
+        )
+        assert tiled.accepted == plain.accepted
 
-    def test_budgeted_seed_slices_still_shard(self, words):
+    def test_tiled_seed_slices_still_shard(self, words, monkeypatch):
         word = words["intersecting"]
         plan = trial_seed_plan(5, 60)
-        plain = get_backend("batched")
-        tiled = get_backend("batched", max_batch_bytes=1024)
-        whole = plain.count_accepted_from_seeds(word, plan, "quantum")
+        backend = get_backend("batched")
+        whole = backend.count_accepted_from_seeds(word, plan, "quantum")
+        monkeypatch.setattr(tiling_mod, "TILE_TRIALS", 8)
         split = sum(
-            tiled.count_accepted_from_seeds(word, plan[lo:hi], "quantum")
+            backend.count_accepted_from_seeds(word, plan[lo:hi], "quantum")
             for lo, hi in [(0, 23), (23, 44), (44, 60)]
         )
         assert whole == split
 
-    def test_sequential_accepts_and_ignores_budget(self, words):
-        word = words["intersecting"]
-        a = ExecutionEngine("sequential").estimate_acceptance(word, 25, rng=4)
-        b = ExecutionEngine(
-            "sequential", max_batch_bytes=1024
-        ).estimate_acceptance(word, 25, rng=4)
-        assert a.accepted == b.accepted
-
-    def test_retired_multiprocess_takes_the_budget(self, words):
+    def test_retired_multiprocess_tiles_like_batched(self, words, monkeypatch):
         word_list = list(words.values())
         plain = ExecutionEngine("batched").run_many(word_list, 60, rng=8)
+        monkeypatch.setattr(tiling_mod, "TILE_TRIALS", 11)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", DeprecationWarning)
-            budgeted = ExecutionEngine(
-                "multiprocess", max_batch_bytes=4096
-            ).run_many(word_list, 60, rng=8)
-        assert [e.accepted for e in budgeted] == [e.accepted for e in plain]
+            tiled = ExecutionEngine("multiprocess").run_many(word_list, 60, rng=8)
+        assert [e.accepted for e in tiled] == [e.accepted for e in plain]
 
-    @pytest.mark.parametrize("recognizer", sorted(SAMPLERS))
-    @pytest.mark.parametrize("budget", [1, 512, 4096, 1 << 20])
-    def test_budgeted_backend_counts_match_untiled(self, words, recognizer, budget):
-        """Every recognizer, the full-storage one included, under every
-        budget the samplers are checked at — through both seeding modes."""
-        plain = get_backend("batched")
-        tiled = get_backend("batched", max_batch_bytes=budget)
+    @pytest.mark.parametrize("recognizer", RECOGNIZERS)
+    @pytest.mark.parametrize("tile", TILE_SIZES)
+    def test_tiled_backend_counts_match_untiled(
+        self, words, recognizer, tile, monkeypatch
+    ):
+        """Every recognizer, the full-storage one included, at every
+        tile size the samplers are checked at — through both seeding
+        modes."""
+        backend = get_backend("batched")
         plan = trial_seed_plan(7, 50)
-        for word in words.values():
-            assert tiled.count_accepted(
-                word, 50, 7, recognizer=recognizer
-            ) == plain.count_accepted(word, 50, 7, recognizer=recognizer)
-            assert tiled.count_accepted_from_seeds(
-                word, plan, recognizer
-            ) == plain.count_accepted_from_seeds(word, plan, recognizer)
 
-    def test_full_storage_sampler_takes_no_tile_knobs(self, words):
-        """Its one decision is broadcast across trials: nothing to tile,
-        so the knobs are not part of its signature."""
-        for knob in ("max_batch_bytes", "chunk_trials"):
-            with pytest.raises(TypeError, match=knob):
-                sample_full_storage_acceptance_batch(
-                    words["member"], 5, 0, **{knob: None}
+        def counts():
+            return [
+                (
+                    backend.count_accepted(word, 50, 7, recognizer=recognizer),
+                    backend.count_accepted_from_seeds(word, plan, recognizer),
                 )
+                for word in words.values()
+            ]
 
-    def test_batched_validates_knobs_at_construction(self):
-        with pytest.raises(ValueError, match="chunk_trials"):
-            get_backend("batched", chunk_trials=0)
-        with pytest.raises(ValueError, match="max_batch_bytes"):
-            get_backend("batched", max_batch_bytes=-1)
+        plain = counts()
+        monkeypatch.setattr(tiling_mod, "TILE_TRIALS", tile)
+        assert counts() == plain
+
+
+def binomial_acceptance_region(n: int, p: float, alpha: float) -> tuple:
+    """Counts ``c`` with ``Pr[X <= c] > alpha/2`` and ``Pr[X >= c] > alpha/2``."""
+    log_fact = np.array([lgamma(c + 1) for c in range(n + 1)])
+    c = np.arange(n + 1)
+    log_binom = log_fact[n] - log_fact - log_fact[::-1]
+    pmf = np.exp(log_binom + c * log(p) + (n - c) * log(1 - p))
+    cdf = np.cumsum(pmf)
+    sf = np.cumsum(pmf[::-1])[::-1]
+    inside = np.flatnonzero((cdf > alpha / 2) & (sf > alpha / 2))
+    return int(inside[0]), int(inside[-1])
+
+
+class TestMultiTileConformance:
+    """Runs spanning three tiles agree with the paper's exact values."""
+
+    TRIALS = 2 * TILE_TRIALS + 17
+    K = 2
+
+    @pytest.mark.parametrize("t", [1, 1 << (2 * K - 1)])
+    def test_quantum_intersecting_count_in_exact_binomial_region(self, t):
+        word = intersecting_nonmember(self.K, t, np.random.default_rng(20 + t))
+        exact = exact_acceptance_probability(word)
+        assert 0.0 < exact <= 0.75 + 1e-12  # Theorem 3.4's rejection bound
+        est = ExecutionEngine("batched").estimate_acceptance(
+            word, self.TRIALS, rng=t
+        )
+        lo, hi = binomial_acceptance_region(self.TRIALS, exact, alpha=1e-9)
+        assert lo <= est.accepted <= hi
+
+    @pytest.mark.parametrize("recognizer", ["quantum", "classical-blockwise"])
+    def test_members_accept_every_trial(self, recognizer):
+        word = member(self.K, np.random.default_rng(30))
+        est = ExecutionEngine("batched").estimate_acceptance(
+            word, self.TRIALS, rng=31, recognizer=recognizer
+        )
+        assert est.accepted == self.TRIALS
+
+    @pytest.mark.parametrize("t", [1, 1 << (2 * K - 1)])
+    def test_blockwise_intersecting_word_accepts_none(self, t):
+        word = intersecting_nonmember(self.K, t, np.random.default_rng(40 + t))
+        est = ExecutionEngine("batched").estimate_acceptance(
+            word, self.TRIALS, rng=41, recognizer="classical-blockwise"
+        )
+        assert est.accepted == 0

@@ -209,7 +209,7 @@ class TestRetiredNames:
         word = intersecting_nonmember(1, 2, np.random.default_rng(4))
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", DeprecationWarning)
-            retired = ExecutionEngine(name, max_batch_bytes=2048)
+            retired = ExecutionEngine(name)
         batched = ExecutionEngine("batched")
         for call in ("estimate_acceptance", "run_many"):
             arg = word if call == "estimate_acceptance" else [word, word]
@@ -227,12 +227,19 @@ class TestRetiredNames:
         assert all(ok is True for ok in availability.values())
 
     @pytest.mark.parametrize("name", RETIRED)
-    def test_options_reach_the_batched_backend(self, name):
+    def test_resolves_to_a_batched_instance(self, name):
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", DeprecationWarning)
-            backend = get_backend(name, max_batch_bytes=4096, chunk_trials=7)
+            backend = get_backend(name)
         assert isinstance(backend, BatchedDenseBackend)
-        assert (backend.max_batch_bytes, backend.chunk_trials) == (4096, 7)
+
+    def test_backends_take_no_options(self):
+        """Tiling is fixed (:data:`repro.core.tiling.TILE_TRIALS`), so no
+        backend has a constructor option to pass through."""
+        with pytest.raises(TypeError):
+            get_backend("batched", tile=1)
+        with pytest.raises(TypeError):
+            ExecutionEngine("sequential", tile=1)
 
     @pytest.mark.parametrize("name", RETIRED)
     def test_metrics_are_labelled_batched(self, name):

@@ -5,6 +5,7 @@ import warnings
 
 import pytest
 
+import repro.core.tiling as tiling_mod
 import repro.lab.orchestrator as orchestrator_mod
 from repro.analysis import acceptance_sweep
 from repro.core import intersecting_nonmember, member
@@ -123,14 +124,14 @@ class TestSweepThroughStore:
         assert store_counts == engine_counts
 
     def test_store_sweep_rejects_backend_instances(self, tmp_path):
-        """A configured instance can't be serialized into a spec, so the
-        sweep refuses rather than silently dropping its options."""
+        """A backend instance can't be serialized into a spec, so the
+        sweep refuses rather than guessing a registry name."""
         from repro.engine import BatchedDenseBackend
 
         with pytest.raises(ValueError, match="registry name"):
             acceptance_sweep(
                 [("m", "1#")], 10,
-                backend=BatchedDenseBackend(max_batch_bytes=4096), store=tmp_path,
+                backend=BatchedDenseBackend(), store=tmp_path,
             )
 
     def test_second_sweep_is_pure_cache(self, tmp_path, monkeypatch):
@@ -149,20 +150,22 @@ class TestSweepThroughStore:
         ]
 
 
-class TestMemoryBudget:
-    def test_budgeted_runs_are_count_identical(self, tmp_path):
+class TestTiledRuns:
+    def test_tiled_runs_are_count_identical(self, tmp_path, monkeypatch):
         plain = Orchestrator(tmp_path / "plain").run(_spec())
-        tiled = Orchestrator(tmp_path / "tiled", max_batch_bytes=1024).run(_spec())
+        monkeypatch.setattr(tiling_mod, "TILE_TRIALS", 7)
+        tiled = Orchestrator(tmp_path / "tiled").run(_spec())
         assert tiled.estimate.accepted == plain.estimate.accepted
 
-    def test_budgeted_deepening_matches_fresh(self, tmp_path):
-        orch = Orchestrator(tmp_path, max_batch_bytes=2048)
+    def test_tiled_deepening_matches_fresh(self, tmp_path, monkeypatch):
         spec = _spec(trials=50)
-        orch.run(spec)
-        deep = orch.run(spec.with_trials(150))
         fresh = ExecutionEngine("batched").estimate_acceptance(
             spec.resolve_word(), 150, rng=spec.seed
         )
+        monkeypatch.setattr(tiling_mod, "TILE_TRIALS", 16)
+        orch = Orchestrator(tmp_path)
+        orch.run(spec)
+        deep = orch.run(spec.with_trials(150))
         assert deep.source == "deepened"
         assert deep.estimate.accepted == fresh.accepted
 

@@ -148,9 +148,3 @@ class TestLayerMetrics:
         assert reg.counter("lab.trials_executed").value == 30
         assert reg.histogram("lab.store.scan.seconds").count == 3
         assert reg.histogram("lab.store.append.seconds").count == 2
-
-    def test_core_tiling_counts_tiles(self):
-        from repro.core.tiling import tile_bounds
-
-        list(tile_bounds(10, 3))
-        assert get_registry().counter("core.tiles").value == 4

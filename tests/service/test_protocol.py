@@ -14,7 +14,6 @@ from repro.service.protocol import (
     error_response,
     ok_response,
     raise_for_response,
-    validate_max_batch_bytes,
     validate_target_halfwidth,
 )
 
@@ -96,11 +95,3 @@ def test_cli_default_port_mirrors_protocol():
     parser = build_parser()
     assert parser.parse_args(["serve"]).port == DEFAULT_PORT
     assert parser.parse_args(["query", "--ping"]).port == DEFAULT_PORT
-
-
-def test_validate_max_batch_bytes():
-    assert validate_max_batch_bytes(None) is None
-    assert validate_max_batch_bytes(1 << 20) == 1 << 20
-    for bad in (0, -1, 1.5, "64M", True):
-        with pytest.raises(ValueError):
-            validate_max_batch_bytes(bad)

@@ -51,7 +51,7 @@ def test_identical_concurrent_queries_share_one_run(tmp_path):
             # All five coroutines are scheduled before any engine work
             # starts, so exactly the first creates the in-flight task.
             return await asyncio.gather(
-                *[service._run_query(spec, None, None) for _ in range(5)]
+                *[service._run_query(spec, None) for _ in range(5)]
             ), service.stats
         finally:
             await service.stop()
@@ -73,9 +73,9 @@ def test_deeper_request_joins_by_extending_the_suffix(tmp_path):
         service = AcceptanceService(tmp_path / "store", port=0, workers=2)
         await service.start()
         try:
-            first = asyncio.ensure_future(service._run_query(shallow, None, None))
+            first = asyncio.ensure_future(service._run_query(shallow, None))
             await asyncio.sleep(0)  # let the shallow run register its key lock
-            second = asyncio.ensure_future(service._run_query(deep, None, None))
+            second = asyncio.ensure_future(service._run_query(deep, None))
             return await first, await second, service.stats
         finally:
             await service.stop()
@@ -174,15 +174,18 @@ def test_precision_query_over_socket(client):
     assert result.trials_executed == result.trials
 
 
-def test_per_query_memory_budget_does_not_change_counts(client):
-    tiny_budget = client.query(
-        trials=300, max_batch_bytes=32 * 1024, **SPEC_KWARGS
+def test_v1_query_carrying_retired_budget_field_is_served(client):
+    """Old clients still send ``max_batch_bytes``: the server ignores it."""
+    spec = ExperimentSpec(trials=300, **SPEC_KWARGS)
+    # _request raises ServiceError unless the response is ``ok``.
+    result = client._request(
+        {"v": 1, "op": "query", "spec": spec.to_dict(), "max_batch_bytes": 32768}
     )
-    assert tiny_budget.source == "fresh"
-    unbudgeted = ExecutionEngine("batched").estimate_acceptance(
-        ExperimentSpec(**SPEC_KWARGS).resolve_word(), 300, rng=SPEC_KWARGS["seed"]
+    assert result["source"] == "fresh"
+    direct = ExecutionEngine("batched").estimate_acceptance(
+        spec.resolve_word(), 300, rng=SPEC_KWARGS["seed"]
     )
-    assert tiny_budget.accepted == unbudgeted.accepted
+    assert result["accepted"] == direct.accepted
 
 
 @pytest.mark.parametrize("retired", ["multiprocess", "sharedmem", "gpu"])

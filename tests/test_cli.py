@@ -4,6 +4,7 @@ import warnings
 
 import pytest
 
+import repro.core.tiling as tiling_mod
 from repro.cli import build_parser, main
 
 
@@ -120,15 +121,17 @@ class TestCommands:
         assert counts(got) == counts(want)
         assert "backend=batched" in counts(got)[0]
 
-    def test_sample_retired_backend_honours_memory_budget(self, capsys):
-        """The retired names take the ``batched`` options, budget included."""
+    def test_sample_retired_backend_tiles_like_batched(self, capsys, monkeypatch):
+        """A retired name runs ``batched``, tiling included: a tiled
+        ``sharedmem`` run prints the untiled ``batched`` count."""
         args = ["sample", "--k", "1", "--kind", "intersecting", "--trials", "80",
                 "--seed", "3"]
         assert main(args + ["--backend", "batched"]) == 0
         want = [l for l in capsys.readouterr().out.splitlines() if "accepted=" in l]
+        monkeypatch.setattr(tiling_mod, "TILE_TRIALS", 16)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", DeprecationWarning)
-            assert main(args + ["--backend", "sharedmem", "--memory-budget", "64K"]) == 0
+            assert main(args + ["--backend", "sharedmem"]) == 0
         got = [l for l in capsys.readouterr().out.splitlines() if "accepted=" in l]
         assert got == want
 
