@@ -40,7 +40,7 @@ def amplified_recognizer(r: int, rng=None) -> AnyRejectsAmplifier:
     return AnyRejectsAmplifier(f"amplified[{r}]", children)
 
 
-def exact_amplified_acceptance(word: str, r: int, max_k_for_a2: int = 3) -> float:
+def exact_amplified_acceptance(word: str, r: int) -> float:
     """Exact acceptance probability of the r-fold amplified recognizer.
 
     Copies are independent, so the any-rejects acceptance probability is
@@ -48,5 +48,5 @@ def exact_amplified_acceptance(word: str, r: int, max_k_for_a2: int = 3) -> floa
     """
     from .quantum_recognizer import exact_acceptance_probability
 
-    p = exact_acceptance_probability(word, max_k_for_a2=max_k_for_a2)
+    p = exact_acceptance_probability(word)
     return p**r

@@ -17,9 +17,9 @@ Besides the streamed machines, this module provides their *batched*
 counterparts for the execution engine's dense backend: the word's
 blocks are bit-packed into a ``(B, n)`` uint8 matrix (and uint64 lanes
 for whole-block work), A1 is decided once by the offline reference
-parser, A2's per-trial fingerprints come out of one modular-Horner
-sweep (:func:`repro.core.a2_fingerprint.a2_passes_at_points`), and the
-chunk matcher / full-storage comparisons collapse to a handful of NumPy
+parser, A2 is decided once per word from its gcd polynomial
+(:func:`repro.core.a2_fingerprint.a2_decision`), and the chunk
+matcher / full-storage comparisons collapse to a handful of NumPy
 reductions.  Trial randomness is the streamed machines' draw for draw
 (derived in bulk by :func:`repro.rng.spawn_bulk`), so acceptance
 decisions are identical, only faster.
@@ -36,7 +36,13 @@ from ..rng import bulk_draws, ensure_rng, resolve_trial_seeds, spawn
 from ..streaming.algorithm import OnlineAlgorithm
 from ..streaming.combinators import ParallelComposition
 from .a1_format import A1FormatCheck
-from .a2_fingerprint import A2FingerprintCheck, a2_passes_at_points
+from .a2_fingerprint import (
+    MASK,
+    PASS_ALL,
+    A2FingerprintCheck,
+    a2_decision,
+    a2_passes_at_points,
+)
 from .language import parse_condition_i
 from .structure import BlockStreamParser, block_type, round_index
 from .tiling import decide_in_tiles
@@ -264,9 +270,11 @@ def sample_blockwise_acceptance_batch(
     :class:`BlockwiseClassicalRecognizer` with the same seed: the same
     child stream is derived per trial (in bulk, by
     :func:`repro.rng.spawn_bulk`) and consulted in the same order (A2's
-    evaluation point t), A2 is evaluated for all trials in one Horner
-    sweep, and the deterministic A1/chunk-matching verdicts are
-    computed once and broadcast.  *trial_seeds* (one child seed per
+    evaluation point t).  The deterministic A1/chunk-matching verdicts
+    and A2's per-word gcd decision
+    (:func:`repro.core.a2_fingerprint.a2_decision`) are computed once:
+    unless A2's verdict is a mask, no trial draws anything and the
+    verdict is broadcast.  *trial_seeds* (one child seed per
     trial, as :func:`repro.rng.spawn_seeds` would produce, or their
     ``(trials, 4)`` plan words) overrides the spawn, so a slice of a
     run's plan decides exactly those trials.  Deep runs are decided in
@@ -287,6 +295,9 @@ def sample_blockwise_acceptance_batch(
         # can never flip the (all-False) outcome — skip drawing them.
         return np.zeros(trials, dtype=bool)
     p = fingerprint_prime(k)
+    outcome = a2_decision(k, blocks, p).outcome
+    if outcome != MASK:
+        return np.full(trials, outcome == PASS_ALL, dtype=bool)
     return decide_in_tiles(
         plan, lambda rows: _decide_blockwise_tile(k, blocks, p, rows)
     )

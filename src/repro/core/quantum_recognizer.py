@@ -37,7 +37,13 @@ from ..rng import bulk_draws, ensure_rng, resolve_trial_seeds, spawn
 from ..streaming.combinators import ParallelComposition
 from ..mathx.primes import fingerprint_prime
 from .a1_format import A1FormatCheck
-from .a2_fingerprint import A2FingerprintCheck, a2_passes_at_points
+from .a2_fingerprint import (
+    FAIL_ALL,
+    MASK,
+    A2FingerprintCheck,
+    a2_decision,
+    a2_passes_at_points,
+)
 from .a3_grover import A3GroverProcedure
 from .language import parse_condition_i
 from .tiling import decide_in_tiles
@@ -115,22 +121,18 @@ def exact_a3_output_one_probability(word: str) -> float:
     return 1.0 - float(np.mean(batched_a3_detection(k, blocks, js)))
 
 
-def exact_a2_pass_probability(word: str, max_k: int = 3) -> float:
-    """Exact Pr_t[A2 outputs 1] on a condition-(i) word.
+def exact_a2_pass_probability(word: str) -> float:
+    """Exact Pr_t[A2 outputs 1] on a condition-(i) word, at any k.
 
-    Enumerates every evaluation point t in F_p (one batched Horner
-    sweep), so it is limited to small k (p < 2^{4k+1}; the default cap
-    k <= 3 keeps the enumeration under ~10^7 modular operations).
+    A root count, not an enumeration: 1 when every same-type block is
+    one string, else ``deg R / p`` for ``R`` the word's root polynomial
+    (:func:`repro.core.a2_fingerprint.a2_decision`).
     """
     parsed = parse_condition_i(word)
     if parsed is None:
         raise ValueError("word does not satisfy condition (i)")
     k, blocks = parsed
-    if k > max_k:
-        raise ValueError(f"exact A2 enumeration capped at k <= {max_k}")
-    p = fingerprint_prime(k)
-    ok = a2_passes_at_points(k, blocks, np.arange(p, dtype=np.int64))
-    return float(np.count_nonzero(ok)) / p
+    return a2_decision(k, blocks).pass_probability
 
 
 # ---------------------------------------------------------------------------
@@ -206,24 +208,34 @@ def _decide_quantum_tile(
     m: int,
     plan: np.ndarray,
     detection: np.ndarray,
+    a2_mask: bool,
 ) -> np.ndarray:
     """Accept decisions for one tile of trials, from their plan words.
 
     *plan* holds the tile's ``(T, 4)`` rows of the run's trial plan.
-    :func:`repro.rng.spawn_bulk` derives each trial's two children, draw
+    :func:`repro.rng.spawn_bulk` derives each trial's children, draw
     for draw the streamed machine's ``spawn(default_rng(seed), 2)``:
     child 0 draws A2's ``t``, child 1 A3's ``j`` and then its coin.
+    Unless A2's verdict is a mask (*a2_mask*), it passes at every ``t``
+    and child 0 is never derived.
 
     *detection* is A3's detection probability for every iteration count
     ``j`` in ``[0, m)``, evolved once per word by the caller; a trial's
     is ``detection[j]``.
     """
-    ts, js, coins = bulk_draws(
-        plan, 2, lambda a2_rng, a3_rng: (
-            a2_rng.integers(p), a3_rng.integers(m), a3_rng.random()
+    if a2_mask:
+        ts, js, coins = bulk_draws(
+            plan, 2, lambda a2_rng, a3_rng: (
+                a2_rng.integers(p), a3_rng.integers(m), a3_rng.random()
+            )
         )
-    )
-    a2_ok = a2_passes_at_points(k, blocks, ts, p=p)
+        a2_ok = a2_passes_at_points(k, blocks, ts, p=p)
+    else:
+        js, coins = bulk_draws(
+            plan, 2, lambda a3_rng: (a3_rng.integers(m), a3_rng.random()),
+            children=(1,),
+        )
+        a2_ok = True
     a3_ok = ~(coins < detection[js])  # b = 1 (intersection seen) rejects
     return a2_ok & a3_ok
 
@@ -241,14 +253,17 @@ def sample_acceptance_batch(
     :func:`repro.streaming.acceptance_probability_by_sampling` with the
     same seed: the same child streams are derived (in bulk, by
     :func:`repro.rng.spawn_bulk`) and consulted in the same order (A2's
-    t, A3's j, A3's measurement coin), A2 is evaluated for all trials in
-    one Horner sweep, and A3's detection probabilities for all 2^k
-    iteration counts come out of one walk of the block sequence
-    (:func:`batched_a3_detection`).  *trial_seeds* (one child seed
-    per trial, as :func:`repro.rng.spawn_seeds` would produce, or their
-    ``(trials, 4)`` plan words) overrides the spawn, so a slice of a
-    run's plan — e.g. the continuation ``repro.lab`` deepens with —
-    decides exactly those trials.
+    t, A3's j, A3's measurement coin).  A2 is decided once per word from
+    its gcd polynomial (:func:`repro.core.a2_fingerprint.a2_decision`):
+    a fail-all word rejects every trial with no draws and no A3 walk, a
+    pass-all word draws only A3's child, and only a mask word draws t.
+    A3's detection probabilities for all 2^k iteration counts come out
+    of one walk of the block sequence (:func:`batched_a3_detection`).
+    *trial_seeds* (one child seed per trial, as
+    :func:`repro.rng.spawn_seeds` would produce, or their ``(trials, 4)``
+    plan words) overrides the spawn, so a slice of a run's plan — e.g.
+    the continuation ``repro.lab`` deepens with — decides exactly those
+    trials.
 
     Deep runs are decided in fixed-size tiles
     (:func:`repro.core.tiling.decide_in_tiles`): each trial's decision
@@ -266,14 +281,21 @@ def sample_acceptance_batch(
         return np.zeros(trials, dtype=bool)
     k, blocks = parsed
     p = fingerprint_prime(k)
+    outcome = a2_decision(k, blocks, p).outcome
+    if outcome == FAIL_ALL:
+        # A2 rejects at every t, whatever the draws: skip them and A3.
+        return np.zeros(trials, dtype=bool)
     m = 1 << k
     detection = batched_a3_detection(k, blocks, np.arange(m))
     return decide_in_tiles(
-        plan, lambda rows: _decide_quantum_tile(k, blocks, p, m, rows, detection)
+        plan,
+        lambda rows: _decide_quantum_tile(
+            k, blocks, p, m, rows, detection, outcome == MASK
+        ),
     )
 
 
-def exact_acceptance_probability(word: str, max_k_for_a2: int = 3) -> float:
+def exact_acceptance_probability(word: str) -> float:
     """Exact Pr[the recognizer accepts *word*] — no sampling anywhere.
 
     * malformed words: 0 (A1 is deterministic);
@@ -283,6 +305,6 @@ def exact_acceptance_probability(word: str, max_k_for_a2: int = 3) -> float:
     parsed = parse_condition_i(word)
     if parsed is None:
         return 0.0
-    p_a2 = exact_a2_pass_probability(word, max_k=max_k_for_a2)
+    p_a2 = exact_a2_pass_probability(word)
     p_a3 = exact_a3_output_one_probability(word)
     return p_a2 * p_a3

@@ -1,10 +1,10 @@
 """Fixed-size tiling of batched trial runs.
 
 The dense samplers materialize O(B) temporaries for a B-trial batch
-(evaluation points, iteration counts, coins, per-distinct-block
-fingerprint sweeps), so a deep run decides its trials in contiguous
-tiles of :data:`TILE_TRIALS` rows, reusing the same per-trial child
-seeds the untiled run would draw.  Every trial's decision depends only
+(evaluation points, iteration counts, coins, A2's mask evaluation), so
+a deep run decides its trials in contiguous tiles of
+:data:`TILE_TRIALS` rows, reusing the same per-trial child seeds the
+untiled run would draw.  Every trial's decision depends only
 on its own child seed (the per-trial streams are independent by the
 SeedSequence spawning contract), so tiling is invisible in the
 statistics: the concatenated decisions are byte-identical to the
@@ -21,9 +21,8 @@ from typing import Callable
 
 import numpy as np
 
-#: Trials decided per tile.  At 2^16 rows the tiled temporaries stay
-#: near 53 MB even for 96 distinct blocks at k = 5, and deep runs time
-#: within noise of an untiled batch.
+#: Trials decided per tile.  At 2^16 rows a tile's per-trial arrays are
+#: a few MB, and deep runs time within noise of an untiled batch.
 TILE_TRIALS = 1 << 16
 
 

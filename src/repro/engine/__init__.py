@@ -4,8 +4,8 @@ See :mod:`repro.engine.api` for the contract.  Importing this package
 registers the two stock backends:
 
 * ``sequential`` — per-trial streaming passes (reference semantics);
-* ``batched``    — one A3 state walk per word + one Horner sweep,
-  deep runs decided in fixed-size tiles (:mod:`repro.core.tiling`).
+* ``batched``    — one A3 state walk and one A2 gcd decision per
+  word, deep runs decided in fixed-size tiles (:mod:`repro.core.tiling`).
 
 The retired names ``multiprocess``, ``sharedmem`` and ``gpu`` resolve
 to ``batched``.

@@ -8,8 +8,8 @@ the *how* vary per backend:
 * ``sequential`` — one streaming pass per trial, exactly today's
   per-trial semantics (:mod:`repro.engine.sequential`);
 * ``batched`` — all trials of a word advance together: one A3 state
-  walk for every iteration count and one modular-Horner sweep
-  (:mod:`repro.engine.batched`).
+  walk for every iteration count and one A2 decision per word from
+  its gcd polynomial (:mod:`repro.engine.batched`).
 
 The retired names ``multiprocess``, ``sharedmem`` and ``gpu`` resolve
 to ``batched`` (:data:`RETIRED_BACKENDS`), so stored specs and scripts

@@ -509,22 +509,31 @@ class BulkPCG64:
         return (self.next_uint64() >> 11).astype(np.float64) * (1.0 / 9007199254740992.0)
 
 
-def spawn_bulk(plan: np.ndarray, n: int) -> List[BulkPCG64]:
+def spawn_bulk(
+    plan: np.ndarray, n: int, children: Optional[Sequence[int]] = None
+) -> List[BulkPCG64]:
     """Per trial, the *n* generators ``spawn(default_rng(seed), n)`` returns.
 
     *plan* is a ``(T, 4)`` ``uint32`` plan; element ``c`` of the result
-    holds child ``c`` of every trial.  The trial seed's pool is mixed
-    once for all children, which then advance as one ``(n, T)`` batch up
-    to their first draw.
+    holds child ``c`` of every trial.  *children*, a subset of
+    ``range(n)``, derives only those (element ``c`` is then child
+    ``children[c]``): a child's stream depends on its index alone, so a
+    sampler skips the children whose draws cannot change its decision.
+    The trial seed's pool is mixed once for all children, which then
+    advance as one ``(len(children), T)`` batch up to their first draw.
     """
+    if children is None:
+        children = range(n)
+    elif not all(0 <= c < n for c in children):
+        raise ValueError(f"children must lie in range({n})")
     base, hash_const = _mix_entropy(list(np.asarray(plan, dtype=np.uint32).T))
-    index = np.arange(n, dtype=np.uint32)[:, None]
+    index = np.asarray(children, dtype=np.uint32)[:, None]
     child_pool, _ = _absorb(base, hash_const, [index])
     # A child collapses to its generate_state(4) words, and default_rng
     # of that integer seeds PCG64 from a fresh, key-less sequence.
     grandchild_pool, _ = _mix_entropy(_generate_state(child_pool, _POOL_SIZE))
     seeded = _pcg64_seeded(_generate_state(grandchild_pool, 8))
-    return [BulkPCG64(*(limb[c] for limb in seeded)) for c in range(n)]
+    return [BulkPCG64(*(limb[c] for limb in seeded)) for c in range(len(index))]
 
 
 #: Plan rows per :func:`bulk_draws` block.  The chain keeps a few dozen
@@ -533,15 +542,17 @@ def spawn_bulk(plan: np.ndarray, n: int) -> List[BulkPCG64]:
 DRAW_BLOCK_ROWS = 4096
 
 
-def bulk_draws(plan: np.ndarray, n: int, draw) -> Tuple[np.ndarray, ...]:
-    """``draw(*spawn_bulk(rows, n))`` over *plan* in blocks, concatenated.
+def bulk_draws(
+    plan: np.ndarray, n: int, draw, children: Optional[Sequence[int]] = None
+) -> Tuple[np.ndarray, ...]:
+    """``draw(*spawn_bulk(rows, n, children))`` over *plan* in blocks, concatenated.
 
-    *draw* takes the *n* per-trial children and returns a tuple of
-    per-row arrays; each block's children are independent of the
-    others', so blocking changes no value.
+    *draw* takes the per-trial children (all *n*, or the *children*
+    subset) and returns a tuple of per-row arrays; each block's children
+    are independent of the others', so blocking changes no value.
     """
     blocks = [
-        draw(*spawn_bulk(plan[lo : lo + DRAW_BLOCK_ROWS], n))
+        draw(*spawn_bulk(plan[lo : lo + DRAW_BLOCK_ROWS], n, children))
         for lo in range(0, max(len(plan), 1), DRAW_BLOCK_ROWS)
     ]
     return tuple(np.concatenate(parts) for parts in zip(*blocks))

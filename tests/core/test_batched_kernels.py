@@ -1,6 +1,6 @@
 """The batched kernels behind the engine's dense backend.
 
-Three contracts under test:
+Four contracts under test:
 
 * **per-call caching** — ``fingerprint_prime`` and the per-size index
   tables are derived once per ``sample_acceptance_batch`` call however
@@ -14,7 +14,11 @@ Three contracts under test:
 * **float determinism** — :func:`marked_probabilities` reduces each row
   by its own 1-D sum, bit-identical to the per-row reference the
   engine's coins compare against, and every A3 path reads the l-qubit
-  mask from the one ``(size, qubit)`` index-table entry.
+  mask from the one ``(size, qubit)`` index-table entry;
+* **draws only where A2's verdict needs them** — A2 is decided once per
+  word, so a pass-all word derives only A3's child per trial, and a
+  fail-all word (and every blockwise word but a mask one) draws
+  nothing.
 """
 
 import numpy as np
@@ -26,6 +30,7 @@ import repro.core.a2_fingerprint as a2_mod
 import repro.core.classical_recognizer as classical_mod
 import repro.core.quantum_recognizer as quantum_mod
 import repro.core.tiling as tiling_mod
+import repro.rng as rng_mod
 from repro.core import intersecting_nonmember, member
 from repro.core.classical_recognizer import sample_blockwise_acceptance_batch
 from repro.core.language import parse_condition_i
@@ -45,6 +50,9 @@ def words():
         "member": member(1, np.random.default_rng(0)),
         "intersecting": intersecting_nonmember(1, 2, np.random.default_rng(1)),
         "member2": member(2, np.random.default_rng(2)),
+        # k = 1, x = 1000, y = 0110 with repetition 1's y drifted to
+        # 0100: chunk-disjoint, and A2 passes only at t = 0.
+        "y_drift": "1#" + "1000#0110#1000#" + "1000#0100#1000#",
     }
 
 
@@ -130,10 +138,10 @@ class TestPerCallCaching:
     def test_blockwise_prime_derived_once_across_tiles(self, words, monkeypatch):
         calls = self._counting_prime(monkeypatch)
         monkeypatch.setattr(tiling_mod, "TILE_TRIALS", 3)
-        # a member word: the intersecting one is rejected by the chunk
-        # matcher before any per-trial randomness (or prime) is needed.
+        # a drift word whose A2 verdict is a mask: members and
+        # intersecting words are decided before any tile is drawn.
         sample_blockwise_acceptance_batch(
-            words["member"], 40, np.random.default_rng(0)
+            words["y_drift"], 40, np.random.default_rng(0)
         )
         assert calls == [1]
 
@@ -164,6 +172,59 @@ class TestPerCallCaching:
         )
         np.testing.assert_array_equal(base, tiled)
         assert seen  # the wrapper really intercepted the tiled run
+
+
+#: k = 1, x = 1000, y = 0110 with repetition 1's x drifted to 0000: the
+#: difference is the constant 1, so A2 fails at every t.
+X_DRIFT_AT_0 = "1#" + "1000#0110#1000#" + "0000#0110#1000#"
+
+
+class TestDrawsFollowTheA2Verdict:
+    @staticmethod
+    def _no_draws(monkeypatch, module):
+        def refuse(*args, **kwargs):
+            raise AssertionError("per-trial draws were taken")
+
+        monkeypatch.setattr(module, "bulk_draws", refuse)
+
+    def test_blockwise_member_draws_nothing(self, words, monkeypatch):
+        self._no_draws(monkeypatch, classical_mod)
+        out = sample_blockwise_acceptance_batch(words["member"], 50, 3)
+        assert out.all() and out.size == 50
+
+    def test_blockwise_fail_all_draws_nothing(self, monkeypatch):
+        self._no_draws(monkeypatch, classical_mod)
+        assert not sample_blockwise_acceptance_batch(X_DRIFT_AT_0, 50, 3).any()
+
+    def test_quantum_fail_all_draws_nothing_and_skips_a3(self, monkeypatch):
+        self._no_draws(monkeypatch, quantum_mod)
+
+        def refuse(*args):
+            raise AssertionError("A3 was walked")
+
+        monkeypatch.setattr(quantum_mod, "batched_a3_detection", refuse)
+        assert not sample_acceptance_batch(X_DRIFT_AT_0, 50, 3).any()
+
+    @pytest.mark.parametrize(
+        "name, children", [("intersecting", 1), ("member", 1), ("y_drift", 2)]
+    )
+    def test_quantum_tile_spawns_children_per_trial(
+        self, words, name, children, monkeypatch
+    ):
+        """A pass-all tile spawns one child per trial (A3's), a mask
+        tile both."""
+        spawned = []
+        spawn_bulk = rng_mod.spawn_bulk
+
+        def counting(plan, n, children=None):
+            out = spawn_bulk(plan, n, children)
+            spawned.append((len(out), out[0].size))
+            return out
+
+        monkeypatch.setattr(rng_mod, "spawn_bulk", counting)
+        monkeypatch.setattr(tiling_mod, "TILE_TRIALS", 16)
+        sample_acceptance_batch(words[name], 40, 5)
+        assert spawned == [(children, 16), (children, 16), (children, 8)]
 
 
 class TestA3Kernel:

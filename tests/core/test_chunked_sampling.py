@@ -42,6 +42,10 @@ TILED_SAMPLERS = {
 SAMPLERS = {**TILED_SAMPLERS, "classical-full": sample_full_storage_acceptance_batch}
 RECOGNIZERS = ["quantum", "classical-blockwise", "classical-full"]
 TILE_SIZES = [1, 7, 49, 50]
+#: k = 1, x = 1000 and y = 0110, with repetition 1's y drifted to 0100:
+#: disjoint chunk by chunk, and A2's gcd polynomial is X^2, so A2's
+#: verdict is the mask {t = 0} and the blockwise sampler draws t.
+Y_DRIFT_AT_2 = "1#" + "1000#0110#1000#" + "1000#0100#1000#"
 
 
 @pytest.fixture(scope="module")
@@ -108,14 +112,14 @@ class TestTilingHelpers:
             return decide_in_tiles(plan, counted)
 
         monkeypatch.setattr(module, "decide_in_tiles", counting_tiles)
-        # The chunk matcher rejects an intersecting word before the
-        # blockwise sampler reaches its tile loop, so that one samples
-        # a member.
-        rng = np.random.default_rng(4)
+        # The blockwise sampler decides a member (A2 passes at every t)
+        # and an intersecting word (the chunk matcher rejects) without
+        # a tile loop, so that one samples a drift word A2 passes only
+        # at t = 0.
         if recognizer == "quantum":
-            word = intersecting_nonmember(1, 1, rng)
+            word = intersecting_nonmember(1, 1, np.random.default_rng(4))
         else:
-            word = member(1, rng)
+            word = Y_DRIFT_AT_2
         sampler = TILED_SAMPLERS[recognizer]
         trials = TILE_TRIALS + 1
         tiled = sampler(word, trials, 12)

@@ -87,6 +87,24 @@ class TestA2:
         )
         assert abs(passes / trials - exact) < 0.05
 
+    @pytest.mark.parametrize("k", [4, 5])
+    def test_exact_member_passes_at_every_point(self, k, rng):
+        from repro.core.quantum_recognizer import exact_a2_pass_probability
+
+        assert exact_a2_pass_probability(member(k, rng)) == 1.0
+
+    @pytest.mark.parametrize("k", [4, 5])
+    @pytest.mark.parametrize("kind", ["x_copy_mismatch", "x_drift", "y_drift"])
+    def test_exact_soundness_bound(self, k, kind, rng):
+        """The paper's A2 bound: a nonzero difference of degree < 2^{2k}
+        has at most 2^{2k} - 1 roots, so A2 passes w.p. <= (2^{2k} - 1)/p."""
+        from repro.core.quantum_recognizer import exact_a2_pass_probability
+        from repro.mathx.primes import fingerprint_prime
+
+        word = malformed_nonmember(k, kind, rng)
+        bound = (string_length(k) - 1) / fingerprint_prime(k)
+        assert exact_a2_pass_probability(word) <= bound
+
     def test_space_logarithmic(self, rng):
         reports = {}
         for k in (1, 2, 3):

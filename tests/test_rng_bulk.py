@@ -204,6 +204,53 @@ class TestSpawnBulk:
         for got, want in zip(rngmod.bulk_draws(plan, 2, draw), whole):
             np.testing.assert_array_equal(got, want)
 
+    @settings(max_examples=40, deadline=None)
+    @given(
+        seeds=st.lists(st.integers(0, 2**128 - 1), min_size=1, max_size=8),
+        bound=st.sampled_from(BOUNDS),
+    )
+    def test_child_subset_matches_numpy(self, seeds, bound):
+        """``children=(1,)`` alone is child 1 of ``spawn(.., 2)``."""
+        (bulk,) = rngmod.spawn_bulk(rngmod.plan_from_seeds(seeds), 2, children=(1,))
+        kids = [numpy_children(seed, 2)[1] for seed in seeds]
+        for _ in range(2):
+            want = [k.integers(0, bound) for k in kids]
+            np.testing.assert_array_equal(bulk.integers(bound), want)
+        np.testing.assert_array_equal(bulk.random(), [k.random() for k in kids])
+
+    def test_child_subset_through_lemire_rejections(self):
+        """At 2^31 + 1 about half of the first draws reject, so 256 rows
+        take both the retry and the buffered-half paths."""
+        bound = 2**31 + 1
+        plan = rngmod.trial_plan(5, 256)
+        (bulk,) = rngmod.spawn_bulk(plan, 2, children=(1,))
+        first = bulk.integers(bound)
+        buffered = bulk.has_uint32.copy()
+        second, coin = bulk.integers(bound), bulk.random()
+        kids = [numpy_children(seed, 2)[1] for seed in rngmod.plan_ints(plan)]
+        want = [(k.integers(0, bound), k.integers(0, bound), k.random()) for k in kids]
+        np.testing.assert_array_equal(first, [w[0] for w in want])
+        np.testing.assert_array_equal(second, [w[1] for w in want])
+        np.testing.assert_array_equal(coin, [w[2] for w in want])
+        assert buffered.any() and not buffered.all()
+
+    def test_bulk_draws_child_subset(self, monkeypatch):
+        plan = rngmod.trial_plan(11, 50)
+        _, js, coins = rngmod.bulk_draws(
+            plan, 2, lambda a2, a3: (a2.integers(257), a3.integers(8), a3.random())
+        )
+        monkeypatch.setattr(rngmod, "DRAW_BLOCK_ROWS", 7)
+        got = rngmod.bulk_draws(
+            plan, 2, lambda a3: (a3.integers(8), a3.random()), children=(1,)
+        )
+        np.testing.assert_array_equal(got[0], js)
+        np.testing.assert_array_equal(got[1], coins)
+
+    @pytest.mark.parametrize("children", [(2,), (-1,), (0, 2)])
+    def test_child_subset_outside_range(self, children):
+        with pytest.raises(ValueError, match="range"):
+            rngmod.spawn_bulk(rngmod.trial_plan(1, 3), 2, children=children)
+
     def test_empty_plan(self):
         (ts,) = rngmod.bulk_draws(
             rngmod.trial_plan(1, 0), 1, lambda a2: (a2.integers(257),)
