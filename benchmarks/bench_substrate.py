@@ -338,11 +338,13 @@ def test_engine_backend_throughput():
         "batched_speedup_over_sequential"
     ]
 
-    # Tiled vs untiled batched execution.  Gates: byte-identical counts
-    # (always) and bounded tiling overhead (full runs only).  The tiled
-    # side shrinks the fixed tile to 992 trials, the tile the earlier
-    # records' 64 KiB budget gave this k = 2 word (two 2^6-amplitude
-    # complex128 state rows as a fixed floor, then 64 B per trial).
+    # Tiled vs baseline batched execution.  Gates: byte-identical counts
+    # (always) and bounded tiling overhead (full runs only).  The
+    # baseline runs at the fixed TILE_TRIALS (one tile up to 4096
+    # trials); the tiled side shrinks the tile to 992 trials, the tile
+    # the earlier records' 64 KiB budget gave this k = 2 word (two
+    # 2^6-amplitude complex128 state rows as a fixed floor, then 64 B
+    # per trial).
     import repro.core.tiling as tiling
 
     tile_trials = 992

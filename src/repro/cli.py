@@ -36,6 +36,8 @@ from typing import Optional, Sequence
 
 import numpy as np
 
+from .errors import ReproError
+
 
 def _cmd_info(args: argparse.Namespace) -> int:
     from . import __version__
@@ -77,7 +79,9 @@ def _cmd_recognize(args: argparse.Namespace) -> int:
     from .core.quantum_recognizer import exact_acceptance_probability
     from .streaming import run_online
 
-    word = _make_word(args)
+    word = _word_or_usage(args, "recognize")
+    if word is None:
+        return 2
     print(f"|w| = {len(word)}; in L_DISJ: {in_ldisj(word)}")
     q = run_online(QuantumOnlineRecognizer(rng=args.seed), word)
     print(
@@ -119,6 +123,16 @@ def _make_word(args: argparse.Namespace) -> str:
     return malformed_nonmember(args.k, args.kind, np.random.default_rng(args.seed))
 
 
+def _word_or_usage(args: argparse.Namespace, command: str) -> Optional[str]:
+    """:func:`_make_word`, or ``None`` after reporting on stderr why the
+    word options (``--k``, ``--t``, ``--kind``) name no word."""
+    try:
+        return _make_word(args)
+    except (ValueError, ReproError) as exc:
+        print(f"{command}: {exc}", file=sys.stderr)
+        return None
+
+
 def _backend_arg(text: str) -> str:
     """``--backend`` values: a registered engine backend or retired name.
 
@@ -154,7 +168,9 @@ def _cmd_sample(args: argparse.Namespace) -> int:
     if args.trials <= 0:
         print("sample: --trials must be positive", file=sys.stderr)
         return 2
-    word = _make_word(args)
+    word = _word_or_usage(args, "sample")
+    if word is None:
+        return 2
     engine = ExecutionEngine(args.backend)
     est = engine.estimate_acceptance(
         word, args.trials, rng=args.seed, recognizer=args.recognizer
@@ -208,7 +224,8 @@ def _cmd_lab_run(args: argparse.Namespace) -> int:
 
     try:
         spec = _lab_spec(args)
-    except ValueError as exc:
+        spec.resolve_word()
+    except (ValueError, ReproError) as exc:
         print(f"lab run: {exc}", file=sys.stderr)
         return 2
     store = _open_store(args, "lab run")

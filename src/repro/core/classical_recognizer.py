@@ -27,12 +27,18 @@ decisions are identical, only faster.
 
 from __future__ import annotations
 
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from ..mathx.primes import fingerprint_prime
-from ..rng import bulk_draws, ensure_rng, resolve_trial_seeds, spawn
+from ..rng import (
+    check_trial_bounds,
+    ensure_rng,
+    resolve_trial_seeds,
+    spawn,
+    spawn_bulk,
+)
 from ..streaming.algorithm import OnlineAlgorithm
 from ..streaming.combinators import ParallelComposition
 from .a1_format import A1FormatCheck
@@ -248,21 +254,21 @@ def full_storage_accepts(word: str) -> bool:
 def _decide_blockwise_tile(
     k: int, blocks: Sequence[str], p: int, plan: np.ndarray
 ) -> np.ndarray:
-    """A2 verdicts for one tile of trials, from their ``(T, 4)`` plan words.
+    """A2 verdicts for one tile of trials, from their ``(rows, 4)`` plan words.
 
     Each trial's one child (the streamed machine's
     ``spawn(default_rng(seed), 1)``) comes from
     :func:`repro.rng.spawn_bulk` and draws A2's ``t``.
     """
-    (ts,) = bulk_draws(plan, 1, lambda a2_rng: (a2_rng.integers(p),))
-    return a2_passes_at_points(k, list(blocks), ts, p=p)
+    (a2_rng,) = spawn_bulk(plan, 1)
+    return a2_passes_at_points(k, list(blocks), a2_rng.integers(p), p=p)
 
 
 def sample_blockwise_acceptance_batch(
     word: str,
     trials: int,
     rng=None,
-    trial_seeds: Optional[Sequence[int]] = None,
+    start: int = 0,
 ) -> np.ndarray:
     """Per-trial accept decisions of Proposition 3.7's machine, batched.
 
@@ -274,30 +280,26 @@ def sample_blockwise_acceptance_batch(
     and A2's per-word gcd decision
     (:func:`repro.core.a2_fingerprint.a2_decision`) are computed once:
     unless A2's verdict is a mask, no trial draws anything and the
-    verdict is broadcast.  *trial_seeds* (one child seed per
-    trial, as :func:`repro.rng.spawn_seeds` would produce, or their
-    ``(trials, 4)`` plan words) overrides the spawn, so a slice of a
-    run's plan decides exactly those trials.  Deep runs are decided in
-    fixed-size tiles with byte-identical counts
+    verdict is broadcast.  Only trials ``start..trials`` of the run
+    parented by *rng* are decided, in fixed-size tiles that each derive
+    their own plan rows, with byte-identical counts
     (:func:`repro.core.tiling.decide_in_tiles`).  Returns a boolean
-    array of length *trials*.
+    array of length ``trials - start``.
     """
-    plan = resolve_trial_seeds(trials, rng, trial_seeds)
-    if trials == 0:
-        return np.zeros(0, dtype=bool)
+    plan = resolve_trial_seeds(trials, rng, start)
     parsed = parse_condition_i(word)
     if parsed is None:
         # A1 rejects deterministically; no per-trial randomness matters.
-        return np.zeros(trials, dtype=bool)
+        return np.zeros(len(plan), dtype=bool)
     k, blocks = parsed
     if not blockwise_chunk_match(k, blocks):
         # The chunk matcher is deterministic, so the per-trial points
         # can never flip the (all-False) outcome — skip drawing them.
-        return np.zeros(trials, dtype=bool)
+        return np.zeros(len(plan), dtype=bool)
     p = fingerprint_prime(k)
     outcome = a2_decision(k, blocks, p).outcome
     if outcome != MASK:
-        return np.full(trials, outcome == PASS_ALL, dtype=bool)
+        return np.full(len(plan), outcome == PASS_ALL, dtype=bool)
     return decide_in_tiles(
         plan, lambda rows: _decide_blockwise_tile(k, blocks, p, rows)
     )
@@ -307,7 +309,7 @@ def sample_full_storage_acceptance_batch(
     word: str,
     trials: int,
     rng=None,
-    trial_seeds: Optional[Sequence[int]] = None,
+    start: int = 0,
 ) -> np.ndarray:
     """Per-trial accept decisions of the full-storage baseline, batched.
 
@@ -316,15 +318,10 @@ def sample_full_storage_acceptance_batch(
     *rng* is never consulted — no per-trial children are spawned (at
     one million trials that loop alone costs seconds for a decision
     made in microseconds), so unlike the randomized samplers the
-    parent's spawn counter is left untouched.  Explicit *trial_seeds*
-    are still validated, so a plan slice is accepted like everywhere
-    else.  The broadcast output array is the whole working set and the
-    decision is one reduction, so there is nothing to tile.
+    parent's spawn counter is left untouched.  Trials
+    ``start..trials`` are decided, as by the randomized samplers.  The
+    broadcast output array is the whole working set and the decision
+    is one reduction, so there is nothing to tile.
     """
-    if trial_seeds is not None:
-        resolve_trial_seeds(trials, rng, trial_seeds)
-    elif trials < 0:
-        raise ValueError("trials must be non-negative")
-    if trials == 0:
-        return np.zeros(0, dtype=bool)
-    return np.full(trials, full_storage_accepts(word), dtype=bool)
+    check_trial_bounds(trials, start)
+    return np.full(trials - start, full_storage_accepts(word), dtype=bool)

@@ -33,7 +33,7 @@ from ..quantum.operators import (
     initial_phi,
 )
 from ..quantum.registers import A3Registers
-from ..rng import bulk_draws, ensure_rng, resolve_trial_seeds, spawn
+from ..rng import ensure_rng, resolve_trial_seeds, spawn, spawn_bulk
 from ..streaming.combinators import ParallelComposition
 from ..mathx.primes import fingerprint_prime
 from .a1_format import A1FormatCheck
@@ -212,7 +212,7 @@ def _decide_quantum_tile(
 ) -> np.ndarray:
     """Accept decisions for one tile of trials, from their plan words.
 
-    *plan* holds the tile's ``(T, 4)`` rows of the run's trial plan.
+    *plan* holds the tile's ``(rows, 4)`` rows of the run's trial plan.
     :func:`repro.rng.spawn_bulk` derives each trial's children, draw
     for draw the streamed machine's ``spawn(default_rng(seed), 2)``:
     child 0 draws A2's ``t``, child 1 A3's ``j`` and then its coin.
@@ -224,18 +224,13 @@ def _decide_quantum_tile(
     is ``detection[j]``.
     """
     if a2_mask:
-        ts, js, coins = bulk_draws(
-            plan, 2, lambda a2_rng, a3_rng: (
-                a2_rng.integers(p), a3_rng.integers(m), a3_rng.random()
-            )
-        )
-        a2_ok = a2_passes_at_points(k, blocks, ts, p=p)
+        a2_rng, a3_rng = spawn_bulk(plan, 2)
+        a2_ok = a2_passes_at_points(k, blocks, a2_rng.integers(p), p=p)
     else:
-        js, coins = bulk_draws(
-            plan, 2, lambda a3_rng: (a3_rng.integers(m), a3_rng.random()),
-            children=(1,),
-        )
+        (a3_rng,) = spawn_bulk(plan, 2, children=(1,))
         a2_ok = True
+    js = a3_rng.integers(m)
+    coins = a3_rng.random()
     a3_ok = ~(coins < detection[js])  # b = 1 (intersection seen) rejects
     return a2_ok & a3_ok
 
@@ -244,7 +239,7 @@ def sample_acceptance_batch(
     word: str,
     trials: int,
     rng=None,
-    trial_seeds=None,
+    start: int = 0,
 ) -> np.ndarray:
     """Per-trial accept decisions of the recognizer, computed batched.
 
@@ -259,32 +254,28 @@ def sample_acceptance_batch(
     pass-all word draws only A3's child, and only a mask word draws t.
     A3's detection probabilities for all 2^k iteration counts come out
     of one walk of the block sequence (:func:`batched_a3_detection`).
-    *trial_seeds* (one child seed per trial, as
-    :func:`repro.rng.spawn_seeds` would produce, or their ``(trials, 4)``
-    plan words) overrides the spawn, so a slice of a run's plan — e.g.
-    the continuation ``repro.lab`` deepens with — decides exactly those
-    trials.
 
-    Deep runs are decided in fixed-size tiles
-    (:func:`repro.core.tiling.decide_in_tiles`): each trial's decision
-    depends only on its own plan row, so the concatenated decisions are
-    byte-identical to the untiled run.  Returns a boolean array of
-    length *trials*.
+    Only trials ``start..trials`` of the run parented by *rng* are
+    decided, so a run split at any points — e.g. the continuation
+    ``repro.lab`` deepens with — decides exactly the trials of the
+    whole run.  They are decided in fixed-size tiles
+    (:func:`repro.core.tiling.decide_in_tiles`), each deriving its own
+    plan rows: a trial's decision depends only on its own row, so the
+    concatenated decisions are byte-identical to the untiled run.
+    Returns a boolean array of length ``trials - start``.
     """
-    plan = resolve_trial_seeds(trials, rng, trial_seeds)
-    if trials == 0:
-        return np.zeros(0, dtype=bool)
+    plan = resolve_trial_seeds(trials, rng, start)
     parsed = parse_condition_i(word)
     if parsed is None:
         # A1 rejects deterministically; no per-trial randomness can
         # change the (all-False) outcome.
-        return np.zeros(trials, dtype=bool)
+        return np.zeros(len(plan), dtype=bool)
     k, blocks = parsed
     p = fingerprint_prime(k)
     outcome = a2_decision(k, blocks, p).outcome
     if outcome == FAIL_ALL:
         # A2 rejects at every t, whatever the draws: skip them and A3.
-        return np.zeros(trials, dtype=bool)
+        return np.zeros(len(plan), dtype=bool)
     m = 1 << k
     detection = batched_a3_detection(k, blocks, np.arange(m))
     return decide_in_tiles(

@@ -55,26 +55,16 @@ def trial_seed_plan(rng: RngLike, trials: int, start: int = 0) -> List[int]:
 
     For a parent seed *rng*, every backend derives trial *i*'s child
     generator from ``spawn_seeds(parent, trials)[i]`` — this function
-    returns that list's rows ``start..trials``, as a public API.  The
-    bulk chain in :mod:`repro.rng` addresses a child by its index, so
-    the cost is ``O(trials - start)`` whatever *start* is.  Two
-    contracts hang off it:
-
-    * **slicing** — any contiguous slice ``plan[lo:hi]`` fed to a
-      backend's ``count_accepted_from_seeds`` runs exactly trials
-      ``lo..hi`` of the whole run;
-    * **resumption** — because ``SeedSequence`` children depend only on
-      the parent entropy and the child index, ``trial_seed_plan(seed,
-      more, start=done)`` is the exact continuation of a run that
-      stopped after ``done`` trials: counts merged across the boundary
-      are identical to one fresh ``more``-trial run.  ``repro.lab``
-      deepens cached experiments through this, deriving only the new
-      trials' seeds.
-
-    Deterministic recognizers (:data:`DETERMINISTIC_RECOGNIZERS`) never
-    consult their child generators, so for them the plan is a valid —
-    if unused — slicing vocabulary: feeding any slice of it still
-    produces the right counts.
+    returns that list's rows ``start..trials`` as 128-bit ints, as a
+    public API.  The backends themselves never build this list: they
+    address the same trials as ``count_accepted(word, trials, rng,
+    start=start)`` and derive the rows tile by tile.  The bulk chain in
+    :mod:`repro.rng` addresses a child by its index, so the cost is
+    ``O(trials - start)`` whatever *start* is.  Because
+    ``SeedSequence`` children depend only on the parent entropy and the
+    child index, rows ``done..more`` are the exact continuation of a
+    run that stopped after ``done`` trials — the **resumption**
+    contract ``repro.lab`` deepens cached experiments through.
 
     Args:
         rng: anything :func:`repro.rng.ensure_rng` accepts — an int
@@ -90,8 +80,7 @@ def trial_seed_plan(rng: RngLike, trials: int, start: int = 0) -> List[int]:
         start: the first trial returned, ``0 <= start <= trials``.
 
     Plans are prefix-stable — a shorter plan from the same seed is a
-    prefix of a longer one — and a suffix is addressed directly, which
-    together are the resumption contract:
+    prefix of a longer one — and a suffix is addressed directly:
 
     >>> trial_seed_plan(7, 4) == trial_seed_plan(7, 9)[:4]
     True
@@ -100,8 +89,6 @@ def trial_seed_plan(rng: RngLike, trials: int, start: int = 0) -> List[int]:
     >>> trial_seed_plan(7, 0)
     []
     """
-    if trials < 0:
-        raise ValueError("trials must be non-negative")
     return plan_ints(trial_plan(rng, trials, start))
 
 
@@ -164,10 +151,10 @@ class AcceptanceEstimate:
 class ExecutionBackend(ABC):
     """One strategy for running the trials of an acceptance experiment.
 
-    Subclasses implement :meth:`count_accepted` (one word, many trials)
-    and :meth:`count_accepted_from_seeds` (one word, explicit trial
-    seeds), and may override :meth:`count_accepted_many` when they can
-    do better than a word loop.
+    Subclasses implement :meth:`count_accepted` (one word, the trials
+    ``start..trials`` of one run), and may override
+    :meth:`count_accepted_many` when they can do better than a word
+    loop.
     """
 
     #: Registry key; subclasses set it and register via register_backend.
@@ -181,8 +168,9 @@ class ExecutionBackend(ABC):
         rng: RngLike,
         factory: Optional[Callable[[np.random.Generator], Any]] = None,
         recognizer: str = "quantum",
+        start: int = 0,
     ) -> int:
-        """Number of accepting trials among *trials* runs on *word*.
+        """Number of accepting trials among trials ``start..trials`` on *word*.
 
         *rng* is the trials' parent: an int seed (whose children the
         batched samplers address directly) or a ``Generator`` whose
@@ -192,21 +180,13 @@ class ExecutionBackend(ABC):
         :data:`RECOGNIZERS`); *factory* (child generator -> algorithm)
         overrides it with an arbitrary algorithm — backends that
         vectorize the recognizers themselves reject custom factories.
-        """
 
-    @abstractmethod
-    def count_accepted_from_seeds(
-        self,
-        word: str,
-        seeds: Sequence[int],
-        recognizer: str = "quantum",
-    ) -> int:
-        """Accepted count for explicit per-trial child seeds.
-
-        *seeds* is a contiguous slice of :func:`trial_seed_plan` — e.g.
-        the continuation ``done..trials`` of an experiment ``repro.lab``
-        is deepening — so the count equals that slice's share of the
-        whole run.  An empty slice is a 0-accepted no-op.
+        **Slicing**: summing the counts of ``start=lo`` calls over any
+        partition of ``0..trials`` (each ``lo..hi`` call passing ``hi``
+        as *trials*) gives the whole run's count — which is how
+        ``repro.lab`` deepens an experiment through only its new
+        trials ``done..trials``.  ``start == trials`` is a 0-accepted
+        no-op.
         """
 
     def count_accepted_many(

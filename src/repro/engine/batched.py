@@ -26,7 +26,7 @@ faster.
 
 from __future__ import annotations
 
-from typing import Any, Callable, Optional, Sequence
+from typing import Any, Callable, Optional
 
 import numpy as np
 
@@ -53,9 +53,9 @@ def _batch_sampler(recognizer: str) -> Callable[..., np.ndarray]:
 class BatchedDenseBackend(ExecutionBackend):
     """Vectorized trials for the stock recognizers.
 
-    The randomized samplers decide deep runs in fixed-size tiles (see
-    :mod:`repro.core.tiling`), with counts byte-identical to the
-    untiled run.
+    The randomized samplers decide deep runs in fixed-size tiles, each
+    deriving its own trial plan rows (see :mod:`repro.core.tiling`),
+    with counts byte-identical to the untiled run.
     """
 
     name = "batched"
@@ -67,6 +67,7 @@ class BatchedDenseBackend(ExecutionBackend):
         rng: np.random.Generator,
         factory: Optional[Callable[[np.random.Generator], Any]] = None,
         recognizer: str = "quantum",
+        start: int = 0,
     ) -> int:
         if factory is not None:
             raise ValueError(
@@ -75,17 +76,5 @@ class BatchedDenseBackend(ExecutionBackend):
                 "'sequential' for arbitrary algorithms"
             )
         sampler = _batch_sampler(recognizer)
-        with observe_backend_call(self.name, recognizer, trials):
-            return int(np.count_nonzero(sampler(word, trials, rng)))
-
-    def count_accepted_from_seeds(
-        self,
-        word: str,
-        seeds: Sequence[int],
-        recognizer: str = "quantum",
-    ) -> int:
-        sampler = _batch_sampler(recognizer)
-        with observe_backend_call(self.name, recognizer, len(seeds)):
-            return int(
-                np.count_nonzero(sampler(word, len(seeds), trial_seeds=seeds))
-            )
+        with observe_backend_call(self.name, recognizer, trials - start):
+            return int(np.count_nonzero(sampler(word, trials, rng, start)))

@@ -16,11 +16,12 @@ from typing import Any, Callable, Dict, List, Optional, Sequence
 
 import numpy as np
 
-from ..rng import spawn
+from ..rng import check_trial_bounds, spawn
 from .api import (
     DETERMINISTIC_RECOGNIZERS,
     ExecutionBackend,
     register_backend,
+    trial_seed_plan,
     validate_recognizer,
 )
 from .telemetry import observe_backend_call
@@ -89,16 +90,24 @@ class SequentialBackend(ExecutionBackend):
         rng: np.random.Generator,
         factory: Optional[Callable[[np.random.Generator], Any]] = None,
         recognizer: str = "quantum",
+        start: int = 0,
     ) -> int:
         label = "custom" if factory is not None else recognizer
-        with observe_backend_call(self.name, label, trials):
+        with observe_backend_call(self.name, label, trials - start):
             if factory is None and recognizer in DETERMINISTIC_RECOGNIZERS:
                 # The machine never consults its child generator; skip the
                 # spawn so the parent's state matches the batched backend,
                 # which skips it for the same reason.
-                children: Any = [None] * trials
-            else:
+                check_trial_bounds(trials, start)
+                children: Any = [None] * (trials - start)
+            elif start == 0:
+                # numpy's own SeedSequence.spawn, the bulk chain's oracle.
                 children = spawn(rng, trials)
+            else:
+                children = [
+                    np.random.default_rng(s)
+                    for s in trial_seed_plan(rng, trials, start)
+                ]
             return self.count_accepted_from_children(
                 word, children, factory, recognizer
             )
@@ -109,6 +118,10 @@ class SequentialBackend(ExecutionBackend):
         seeds: Sequence[int],
         recognizer: str = "quantum",
     ) -> int:
+        """Accepted count for explicit per-trial child seeds (e.g. a
+        slice of :func:`repro.engine.trial_seed_plan`), each built into
+        its generator by numpy: the reference the benchmark's goldens
+        are checked against."""
         with observe_backend_call(self.name, recognizer, len(seeds)):
             children: List[np.random.Generator] = [
                 np.random.default_rng(s) for s in seeds

@@ -9,8 +9,8 @@ as a cumulative checkpoint in an append-only JSON-lines store, so:
   trials execute;
 * asking for *more* trials **deepens** the cached result: only the
   missing trials run, continuing the fresh run's exact per-trial
-  seed plan (:func:`repro.engine.trial_seed_plan` with ``start=``,
-  which derives only the missing trials' seeds), and the merged
+  seeds (a backend's ``count_accepted`` with ``start=``, which
+  derives only the missing trials' seeds), and the merged
   counts are identical — not approximately, identically — to one
   fresh run at the full depth, on every backend.
 

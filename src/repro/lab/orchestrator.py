@@ -7,11 +7,10 @@ content key:
 * **cache** — a checkpoint at exactly ``spec.trials`` exists: the
   stored counts are served with *zero* engine work;
 * **deepened** — a shallower checkpoint exists: only the missing
-  trials run, from the exact per-trial child seeds the fresh run would
-  have drawn (``trial_seed_plan(seed, trials, start=done)``,
-  which derives only those seeds), and the counts merge
-  seed-identically to one fresh ``trials``-trial run;
-* **fresh** — nothing stored: the full seed plan runs.
+  trials run (``count_accepted(.., trials, seed, start=done)``, which
+  derives only those trials' seeds, tile by tile), and the counts
+  merge seed-identically to one fresh ``trials``-trial run;
+* **fresh** — nothing stored: every trial runs.
 
 Either way a new cumulative checkpoint is appended, so the store only
 ever grows deeper and every depth ever computed stays servable.
@@ -25,7 +24,9 @@ from pathlib import Path
 from typing import Optional, Union
 
 from ..analysis.bounds import Z95, trials_for_halfwidth, wilson_halfwidth
-from ..engine.api import AcceptanceEstimate, get_backend, trial_seed_plan
+from ..engine.api import AcceptanceEstimate, get_backend
+# perfbench/tracer.py wraps trial_seed_plan here, so it stays importable.
+from ..engine.api import trial_seed_plan  # noqa: F401
 from ..obs import get_registry, span
 from .spec import ExperimentSpec
 from .store import LabRecord, ResultStore
@@ -189,13 +190,15 @@ class Orchestrator:
             if record.trials < spec.trials:
                 base = record  # ladder is sorted: ends at deepest prefix
         done = base.trials if base is not None else 0
-        # The continuation seeds: exactly what the fresh run
-        # would draw for trials done..trials, addressed directly.
-        seeds = trial_seed_plan(spec.seed, spec.trials, start=done)
         backend = get_backend(spec.backend)
         start = time.perf_counter()
-        accepted_new = backend.count_accepted_from_seeds(
-            spec.resolve_word(), seeds, spec.recognizer
+        # Trials done..trials of the fresh run, addressed directly.
+        accepted_new = backend.count_accepted(
+            spec.resolve_word(),
+            spec.trials,
+            spec.seed,
+            recognizer=spec.recognizer,
+            start=done,
         )
         elapsed = time.perf_counter() - start
         accepted = accepted_new + (base.accepted if base is not None else 0)
@@ -216,7 +219,7 @@ class Orchestrator:
         return LabRunResult(
             estimate=self._estimate(spec, record),
             source="deepened" if base is not None else "fresh",
-            trials_executed=len(seeds),
+            trials_executed=spec.trials - done,
             base_trials=done,
             key=key,
         )

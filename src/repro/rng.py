@@ -29,12 +29,16 @@ computes it for all trials at once in ``uint32``/``uint64`` arrays:
   arXiv:1805.10941), including numpy's 64-bit branch for bounds above
   ``2^32``, and ``Generator.random()``.
 
-Plans travel as ``(T, 4)`` ``uint32`` arrays of ``generate_state(4)``
-words (the little-endian limbs of the 128-bit plan integers), so a
-trial never passes through a Python ``int``.  Every result is
-byte-identical to numpy's objects, which stay the reference: the
-sequential backend and :func:`spawn_seeds` use them, and the tests
-check the chain against them and against a committed golden file.
+A run's trials are addressed one way: a parent plus the index range
+``start..trials``.  :func:`resolve_trial_seeds` mixes the parent once
+and returns a lazy :class:`TrialPlan`, whose rows — ``(rows, 4)``
+``uint32`` arrays of ``generate_state(4)`` words, the little-endian
+limbs of the 128-bit plan integers — a sampler derives tile by tile,
+so neither the whole plan nor a Python ``int`` per trial is ever
+built on the hot path.  Every result is byte-identical to numpy's
+objects, which stay the reference: the sequential backend and
+:func:`spawn_seeds` use them, and the tests check the chain against
+them and against a committed golden file.
 """
 
 from __future__ import annotations
@@ -122,31 +126,6 @@ def spawn(rng: RngLike, n: int) -> list[np.random.Generator]:
     leaving the parent's own draws untouched.
     """
     return [np.random.default_rng(s) for s in spawn_seeds(rng, n)]
-
-
-def resolve_trial_seeds(trials: int, rng: RngLike, trial_seeds=None) -> np.ndarray:
-    """Per-trial plan words for a batched sampler: a ``(trials, 4)`` array.
-
-    With *trial_seeds* None this is ``trial_plan(rng, trials)``: the
-    words of ``spawn_seeds(rng, trials)``, computed in bulk.  Otherwise
-    the explicit plan (128-bit integers as :func:`spawn_seeds` returns
-    them, or a ``(trials, 4)`` ``uint32`` array) is validated against
-    *trials* and used verbatim — which is how a slice of one word's
-    plan, e.g. the ``done..trials`` continuation of a deepened run,
-    reproduces the whole run's draws.
-
-    ``trials == 0`` is legal and resolves to an empty plan: a
-    zero-length slice (e.g. the continuation of an already-complete
-    run) is a no-op, not an error.
-    """
-    if trials < 0:
-        raise ValueError("trials must be non-negative")
-    if trial_seeds is None:
-        return trial_plan(rng, trials)
-    plan = plan_from_seeds(trial_seeds)
-    if len(plan) != trials:
-        raise ValueError(f"expected {trials} trial seeds, got {len(plan)}")
-    return plan
 
 
 def coin(rng: np.random.Generator, p: float = 0.5) -> bool:
@@ -315,6 +294,15 @@ def _index_lanes(lo: int, hi: int) -> Iterator[List[np.ndarray]]:
         yield [(index & _MASK32).astype(np.uint32), (index >> 32).astype(np.uint32)]
 
 
+def _words_from(pool: Sequence[Lane], hash_const: int, lo: int, hi: int) -> np.ndarray:
+    """Children ``lo..hi`` of the sequence whose child prefix is *pool*."""
+    parts = [np.empty((0, _POOL_SIZE), dtype=np.uint32)]
+    for lanes in _index_lanes(lo, hi):
+        child_pool, _ = _absorb(pool, hash_const, lanes)
+        parts.append(np.stack(_generate_state(child_pool, _POOL_SIZE), axis=-1))
+    return np.concatenate(parts)
+
+
 def child_words(rng: RngLike, lo: int, hi: int) -> np.ndarray:
     """``generate_state(4)`` words of children ``lo..hi`` of *rng*'s sequence.
 
@@ -323,50 +311,79 @@ def child_words(rng: RngLike, lo: int, hi: int) -> np.ndarray:
     whatever the parent's spawn counter says (which is left alone).
     Returns a ``(hi - lo, 4)`` ``uint32`` array.
     """
-    pool, hash_const = _child_prefix(rng)
-    parts = [np.empty((0, _POOL_SIZE), dtype=np.uint32)]
-    for lanes in _index_lanes(lo, hi):
-        child_pool, _ = _absorb(pool, hash_const, lanes)
-        parts.append(np.stack(_generate_state(child_pool, _POOL_SIZE), axis=-1))
-    return np.concatenate(parts)
+    return _words_from(*_child_prefix(rng), lo, hi)
+
+
+def check_trial_bounds(trials: int, start: int) -> None:
+    """Reject a trial range ``start..trials`` unless ``0 <= start <= trials``."""
+    if not 0 <= start <= trials:
+        raise ValueError("trial bounds must satisfy 0 <= start <= trials")
+
+
+class TrialPlan:
+    """Trials ``start..trials`` of a run, their plan words derived on demand.
+
+    Built by :func:`resolve_trial_seeds`, which has already mixed the
+    parent's child prefix and settled where its children start, so
+    :meth:`rows` costs only the requested rows: a sampler derives each
+    tile's rows inside its tile loop and never holds the whole plan.
+    """
+
+    def __init__(self, pool: Sequence[Lane], hash_const: int, first: int, count: int):
+        self._pool, self._hash_const = pool, hash_const
+        self._first, self._count = first, count
+
+    def __len__(self) -> int:
+        return self._count
+
+    def rows(self, lo: int, hi: int) -> np.ndarray:
+        """Plan words of rows ``lo..hi`` (trials ``start + lo..start + hi``).
+
+        A ``(hi - lo, 4)`` ``uint32`` array: the words of
+        ``spawn_seeds(rng, trials)[start + lo:start + hi]``.
+        """
+        if not 0 <= lo <= hi <= self._count:
+            raise ValueError(f"plan rows must satisfy 0 <= lo <= hi <= {self._count}")
+        first = self._first
+        return _words_from(self._pool, self._hash_const, first + lo, first + hi)
+
+
+def resolve_trial_seeds(trials: int, rng: RngLike, start: int = 0) -> TrialPlan:
+    """The plan of trials ``start..trials`` of a run parented by *rng*.
+
+    Mixes the parent's child prefix once and returns a lazy
+    :class:`TrialPlan`:
+
+    * an int seed (or ``None``) addresses children ``start..trials``
+      directly, so a deepened run pays only for its new trials;
+    * a ``Generator``/``SeedSequence`` is read at its spawn counter
+      ``n0`` (children ``n0 + start..n0 + trials``), and its counter is
+      advanced here by *trials* through numpy's own ``spawn`` — exactly
+      where ``spawn_seeds(rng, trials)`` would leave it, even when the
+      sampler then decides its trials without drawing a single row.
+
+    ``start == trials`` is legal and resolves to an empty plan: the
+    continuation of an already-complete run is a no-op, not an error.
+    """
+    check_trial_bounds(trials, start)
+    parent = trial_parent(rng)
+    first = 0
+    if not isinstance(parent, int):
+        seq = _seed_sequence_of(parent)
+        first = seq.n_children_spawned
+        seq.spawn(trials)
+    return TrialPlan(*_child_prefix(parent), first + start, trials - start)
 
 
 def trial_plan(rng: RngLike, trials: int, start: int = 0) -> np.ndarray:
     """Plan words of trials ``start..trials`` of a run parented by *rng*.
 
-    The words of ``spawn_seeds(rng, trials)[start:]`` as a
-    ``(trials - start, 4)`` ``uint32`` array, computed in bulk:
-
-    * an int seed (or ``None``) addresses children ``start..trials``
-      directly, so a deepened run pays only for its new trials;
-    * a ``Generator``/``SeedSequence`` is read at its spawn counter
-      ``n0`` (children ``n0 + start..n0 + trials``), then its counter is
-      advanced by *trials* through numpy's own ``spawn`` — exactly where
-      ``spawn_seeds(rng, trials)`` would leave it.
+    The words of ``spawn_seeds(rng, trials)[start:]`` as one
+    ``(trials - start, 4)`` ``uint32`` array: every row of
+    :func:`resolve_trial_seeds`, with the same parent semantics.
     """
-    if not 0 <= start <= trials:
-        raise ValueError("trial plan bounds must satisfy 0 <= start <= trials")
-    parent = trial_parent(rng)
-    if isinstance(parent, int):
-        return child_words(parent, start, trials)
-    seq = _seed_sequence_of(parent)
-    first = seq.n_children_spawned
-    plan = child_words(parent, first + start, first + trials)
-    seq.spawn(trials)
-    return plan
-
-
-def plan_from_seeds(seeds) -> np.ndarray:
-    """A ``(T, 4)`` ``uint32`` plan from 128-bit seeds (or plan words)."""
-    if isinstance(seeds, np.ndarray) and seeds.dtype == np.uint32:
-        if seeds.ndim != 2 or seeds.shape[1] != _POOL_SIZE:
-            raise ValueError("plan words must have shape (trials, 4)")
-        return seeds
-    try:
-        raw = b"".join(int(s).to_bytes(16, "little") for s in seeds)
-    except OverflowError:
-        raise ValueError("trial seeds must be 128-bit non-negative integers") from None
-    return np.frombuffer(raw, dtype="<u4").astype(np.uint32).reshape(-1, _POOL_SIZE)
+    plan = resolve_trial_seeds(trials, rng, start)
+    return plan.rows(0, len(plan))
 
 
 def plan_ints(plan: np.ndarray) -> List[int]:
@@ -534,25 +551,3 @@ def spawn_bulk(
     grandchild_pool, _ = _mix_entropy(_generate_state(child_pool, _POOL_SIZE))
     seeded = _pcg64_seeded(_generate_state(grandchild_pool, 8))
     return [BulkPCG64(*(limb[c] for limb in seeded)) for c in range(len(index))]
-
-
-#: Plan rows per :func:`bulk_draws` block.  The chain keeps a few dozen
-#: ``(n, rows)`` temporaries alive; at this size they stay in cache and
-#: are reused from block to block instead of growing the heap.
-DRAW_BLOCK_ROWS = 4096
-
-
-def bulk_draws(
-    plan: np.ndarray, n: int, draw, children: Optional[Sequence[int]] = None
-) -> Tuple[np.ndarray, ...]:
-    """``draw(*spawn_bulk(rows, n, children))`` over *plan* in blocks, concatenated.
-
-    *draw* takes the per-trial children (all *n*, or the *children*
-    subset) and returns a tuple of per-row arrays; each block's children
-    are independent of the others', so blocking changes no value.
-    """
-    blocks = [
-        draw(*spawn_bulk(plan[lo : lo + DRAW_BLOCK_ROWS], n, children))
-        for lo in range(0, max(len(plan), 1), DRAW_BLOCK_ROWS)
-    ]
-    return tuple(np.concatenate(parts) for parts in zip(*blocks))

@@ -185,7 +185,7 @@ class TestDrawsFollowTheA2Verdict:
         def refuse(*args, **kwargs):
             raise AssertionError("per-trial draws were taken")
 
-        monkeypatch.setattr(module, "bulk_draws", refuse)
+        monkeypatch.setattr(module, "spawn_bulk", refuse)
 
     def test_blockwise_member_draws_nothing(self, words, monkeypatch):
         self._no_draws(monkeypatch, classical_mod)
@@ -221,7 +221,7 @@ class TestDrawsFollowTheA2Verdict:
             spawned.append((len(out), out[0].size))
             return out
 
-        monkeypatch.setattr(rng_mod, "spawn_bulk", counting)
+        monkeypatch.setattr(quantum_mod, "spawn_bulk", counting)
         monkeypatch.setattr(tiling_mod, "TILE_TRIALS", 16)
         sample_acceptance_batch(words[name], 40, 5)
         assert spawned == [(children, 16), (children, 16), (children, 8)]

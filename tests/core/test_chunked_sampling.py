@@ -4,11 +4,11 @@ The randomized samplers decide a trial batch in contiguous tiles of
 :data:`repro.core.tiling.TILE_TRIALS` rows.  Each trial's decision
 depends only on its own child seed, so the concatenated decisions must
 equal the untiled run exactly — for every tile size, both randomized
-recognizers, and both seeding modes (parent rng and explicit trial
-seeds).  The tests shrink the constant with ``monkeypatch`` so small
-runs cross many tile boundaries; one run crosses the real constant,
-and multi-tile runs are checked against the paper's exact acceptance
-probabilities.  The deterministic full-storage sampler has nothing to
+recognizers, and whole runs as well as their ``start=`` suffixes.  Each
+tile derives its own rows of the lazy trial plan.  The tests shrink
+the constant with ``monkeypatch`` so small runs cross many tile
+boundaries; one run crosses the real constant, and multi-tile runs are
+checked against the paper's exact acceptance probabilities.  The deterministic full-storage sampler has nothing to
 tile; the engine's tiled runs still cover it.
 """
 
@@ -33,7 +33,8 @@ from repro.core.quantum_recognizer import (
     sample_acceptance_batch,
 )
 from repro.core.tiling import TILE_TRIALS, decide_in_tiles
-from repro.engine import ExecutionEngine, get_backend, trial_seed_plan
+from repro.engine import ExecutionEngine, get_backend
+from repro.rng import resolve_trial_seeds, trial_plan
 
 TILED_SAMPLERS = {
     "quantum": sample_acceptance_batch,
@@ -58,39 +59,45 @@ def words():
 
 class TestTilingHelpers:
     @pytest.mark.parametrize("tile", [1, 3, 9, 10])
-    def test_tiles_cover_plan_contiguously(self, tile, monkeypatch):
+    def test_tiles_derive_the_plan_contiguously(self, tile, monkeypatch):
+        """Each tile is handed exactly its own rows of the plan."""
         monkeypatch.setattr(tiling_mod, "TILE_TRIALS", tile)
-        plan = np.arange(40, dtype=np.uint32).reshape(10, 4)
-        spans = []
+        whole = trial_plan(5, 14, start=4)
+        seen = []
 
         def decide(rows):
-            spans.append((int(rows[0, 0]) // 4, len(rows)))
+            seen.append(rows)
             return np.zeros(len(rows), dtype=bool)
 
-        decide_in_tiles(plan, decide)
-        assert spans == [(lo, min(tile, 10 - lo)) for lo in range(0, 10, tile)]
+        decide_in_tiles(resolve_trial_seeds(14, 5, start=4), decide)
+        assert [len(rows) for rows in seen] == [
+            min(tile, 10 - lo) for lo in range(0, 10, tile)
+        ]
+        np.testing.assert_array_equal(np.concatenate(seen), whole)
 
-    def test_empty_plan_is_empty(self):
-        out = decide_in_tiles(
-            np.zeros((0, 4), dtype=np.uint32), lambda rows: rows[:, 0] > 0
-        )
+    @pytest.mark.parametrize("trials", [0, 6])
+    def test_empty_plan_is_empty(self, trials):
+        def refuse(rows):
+            raise AssertionError("an empty plan decided a tile")
+
+        out = decide_in_tiles(resolve_trial_seeds(trials, 1, start=trials), refuse)
         assert out.dtype == bool and out.size == 0
 
     def test_decide_in_tiles_concatenates_tile_decisions(self, monkeypatch):
-        plan = np.arange(40, dtype=np.uint32).reshape(10, 4)
+        plan = resolve_trial_seeds(10, 3)
+        want = trial_plan(3, 10)[:, 0] % 2 == 0
         seen = []
 
         def decide(rows):
             seen.append(len(rows))
-            return rows[:, 0] % 8 == 0
+            return rows[:, 0] % 2 == 0
 
         monkeypatch.setattr(tiling_mod, "TILE_TRIALS", 3)
-        out = decide_in_tiles(plan, decide)
-        np.testing.assert_array_equal(out, plan[:, 0] % 8 == 0)
+        np.testing.assert_array_equal(decide_in_tiles(plan, decide), want)
         assert seen == [3, 3, 3, 1]
         seen.clear()
         monkeypatch.setattr(tiling_mod, "TILE_TRIALS", 10)
-        decide_in_tiles(plan, decide)
+        np.testing.assert_array_equal(decide_in_tiles(plan, decide), want)
         assert seen == [10]
 
     @pytest.mark.parametrize(
@@ -158,21 +165,27 @@ class TestChunkedParity:
             np.testing.assert_array_equal(untiled[name], tiled)
 
     @pytest.mark.parametrize("recognizer", sorted(TILED_SAMPLERS))
-    def test_chunked_explicit_seed_plan(self, words, recognizer, monkeypatch):
-        """Tiling composes with explicit trial seeds (the deepening path)."""
+    def test_chunked_suffix(self, words, recognizer, monkeypatch):
+        """Tiling composes with ``start=`` (the deepening path): a
+        suffix's tiles are cut at ``start`` plus multiples of the tile."""
         sampler = TILED_SAMPLERS[recognizer]
         word = words["intersecting"]
-        plan = trial_seed_plan(11, 40)
-        whole = sampler(word, 40, None, trial_seeds=plan)
+        whole = sampler(word, 40, 11)
         monkeypatch.setattr(tiling_mod, "TILE_TRIALS", 9)
-        tiled = sampler(word, 40, None, trial_seeds=plan)
-        np.testing.assert_array_equal(whole, tiled)
+        np.testing.assert_array_equal(sampler(word, 40, 11, start=13), whole[13:])
 
     @pytest.mark.parametrize("recognizer", sorted(SAMPLERS))
     def test_zero_trials_is_empty(self, words, recognizer, monkeypatch):
         monkeypatch.setattr(tiling_mod, "TILE_TRIALS", 1)
-        out = SAMPLERS[recognizer](words["member"], 0, None, trial_seeds=[])
-        assert out.dtype == bool and out.size == 0
+        for trials, start in [(0, 0), (7, 7)]:
+            out = SAMPLERS[recognizer](words["member"], trials, None, start=start)
+            assert out.dtype == bool and out.size == 0
+
+    @pytest.mark.parametrize("recognizer", sorted(SAMPLERS))
+    def test_start_outside_the_run_is_rejected(self, words, recognizer):
+        for start in (-1, 8):
+            with pytest.raises(ValueError, match="start"):
+                SAMPLERS[recognizer](words["member"], 7, 3, start=start)
 
 
 class TestBackendTiling:
@@ -188,14 +201,13 @@ class TestBackendTiling:
         )
         assert tiled.accepted == plain.accepted
 
-    def test_tiled_seed_slices_still_shard(self, words, monkeypatch):
+    def test_tiled_slices_still_shard(self, words, monkeypatch):
         word = words["intersecting"]
-        plan = trial_seed_plan(5, 60)
         backend = get_backend("batched")
-        whole = backend.count_accepted_from_seeds(word, plan, "quantum")
+        whole = backend.count_accepted(word, 60, 5)
         monkeypatch.setattr(tiling_mod, "TILE_TRIALS", 8)
         split = sum(
-            backend.count_accepted_from_seeds(word, plan[lo:hi], "quantum")
+            backend.count_accepted(word, hi, 5, start=lo)
             for lo, hi in [(0, 23), (23, 44), (44, 60)]
         )
         assert whole == split
@@ -215,16 +227,17 @@ class TestBackendTiling:
         self, words, recognizer, tile, monkeypatch
     ):
         """Every recognizer, the full-storage one included, at every
-        tile size the samplers are checked at — through both seeding
-        modes."""
+        tile size the samplers are checked at — for whole runs and
+        their suffixes."""
         backend = get_backend("batched")
-        plan = trial_seed_plan(7, 50)
 
         def counts():
             return [
                 (
                     backend.count_accepted(word, 50, 7, recognizer=recognizer),
-                    backend.count_accepted_from_seeds(word, plan, recognizer),
+                    backend.count_accepted(
+                        word, 50, 7, recognizer=recognizer, start=19
+                    ),
                 )
                 for word in words.values()
             ]
@@ -247,9 +260,14 @@ def binomial_acceptance_region(n: int, p: float, alpha: float) -> tuple:
 
 
 class TestMultiTileConformance:
-    """Runs spanning three tiles agree with the paper's exact values."""
+    """Deep multi-tile runs agree with the paper's exact values.
 
-    TRIALS = 2 * TILE_TRIALS + 17
+    The depth is pinned, not derived from :data:`TILE_TRIALS`, so a
+    smaller tile makes these runs cross more tile edges, never fewer
+    trials.
+    """
+
+    TRIALS = 2 * 65536 + 17
     K = 2
 
     @pytest.mark.parametrize("t", [1, 1 << (2 * K - 1)])

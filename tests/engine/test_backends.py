@@ -31,7 +31,6 @@ from repro.engine import (
     available_backends,
     backend_availability,
     get_backend,
-    trial_seed_plan,
 )
 from repro.rng import spawn
 from repro.streaming import run_online
@@ -142,22 +141,31 @@ RECOGNIZER_NAMES = ["quantum", "classical-blockwise", "classical-full"]
 RETIRED = ["multiprocess", "sharedmem", "gpu"]
 
 
-class TestExplicitSeeds:
+class TestSuffixes:
     @pytest.mark.parametrize(
         "backend", ["sequential", "batched", "multiprocess", "sharedmem", "gpu"]
     )
     @pytest.mark.parametrize("recognizer", RECOGNIZER_NAMES)
-    def test_empty_slice_counts_zero(self, backend, recognizer):
-        """``count_accepted_from_seeds(word, [])`` — the legal empty
-        continuation ``trial_seed_plan(seed, n)[n:]`` — is a no-op,
-        under the retired names too."""
+    def test_empty_suffix_counts_zero(self, backend, recognizer):
+        """``count_accepted(word, n, seed, start=n)`` — the legal empty
+        continuation of an already-complete run — is a no-op, under the
+        retired names too."""
         word = intersecting_nonmember(1, 2, np.random.default_rng(1))
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", DeprecationWarning)
             b = get_backend(backend)
-        plan = trial_seed_plan(9, 8)
-        assert b.count_accepted_from_seeds(word, plan[8:], recognizer) == 0
-        assert b.count_accepted_from_seeds(word, [], recognizer) == 0
+        assert b.count_accepted(word, 8, 9, recognizer=recognizer, start=8) == 0
+        assert b.count_accepted(word, 0, 9, recognizer=recognizer) == 0
+
+    @pytest.mark.parametrize("backend", ["sequential", "batched"])
+    @pytest.mark.parametrize("recognizer", RECOGNIZER_NAMES)
+    def test_start_outside_the_run_is_rejected(self, backend, recognizer):
+        word = intersecting_nonmember(1, 2, np.random.default_rng(1))
+        for start in (-1, 9):
+            with pytest.raises(ValueError, match="start"):
+                get_backend(backend).count_accepted(
+                    word, 8, 9, recognizer=recognizer, start=start
+                )
 
 
 @pytest.fixture

@@ -147,6 +147,40 @@ class TestCommands:
         assert "stderr = " in out and "Wilson 95% CI [" in out
 
 
+#: Word options that name no word, and the message word generation gives.
+BAD_WORD_OPTIONS = [
+    (["--k", "0"], "k must be >= 1"),
+    (["--kind", "intersecting", "--t", "99"], "t must lie in [0, 16]"),
+    (["--kind", "bogus"], "bogus"),
+]
+
+
+class TestBadWordOptions:
+    """A word the options cannot name is a usage error: one
+    ``<cmd>: <message>`` line on stderr and exit 2, no traceback."""
+
+    @pytest.mark.parametrize("options, message", BAD_WORD_OPTIONS)
+    @pytest.mark.parametrize(
+        "name, args",
+        [
+            ("sample", ["sample", "--trials", "10"]),
+            ("recognize", ["recognize"]),
+            ("lab run", ["lab", "run", "--trials", "10", "--store"]),
+        ],
+    )
+    def test_exits_2_with_one_line(
+        self, name, args, options, message, tmp_path, capsys
+    ):
+        if args[-1] == "--store":
+            args = args + [str(tmp_path / "store")]
+        assert main(args + options) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"{name}: ")
+        assert message in captured.err and len(captured.err.splitlines()) == 1
+        assert captured.out == ""
+        assert not (tmp_path / "store").exists()
+
+
 class TestLabCommands:
     def _run(self, tmp_path, *extra):
         return main(

@@ -82,33 +82,45 @@ class TestSpawnSeeds:
 
 
 class TestResolveTrialSeeds:
-    def test_defaults_to_spawn_seeds(self):
+    def test_rows_are_spawn_seeds(self):
         plan = rngmod.resolve_trial_seeds(3, 11)
-        assert plan.shape == (3, 4) and plan.dtype == np.uint32
-        assert rngmod.plan_ints(plan) == rngmod.spawn_seeds(
+        rows = plan.rows(0, len(plan))
+        assert rows.shape == (3, 4) and rows.dtype == np.uint32
+        assert rngmod.plan_ints(rows) == rngmod.spawn_seeds(
             np.random.default_rng(11), 3
         )
 
-    def test_explicit_seeds_pass_through(self):
-        assert rngmod.plan_ints(rngmod.resolve_trial_seeds(2, None, [4, 5])) == [4, 5]
+    def test_rows_are_addressed_from_start(self):
+        plan = rngmod.resolve_trial_seeds(9, 11, start=4)
+        assert len(plan) == 5
+        np.testing.assert_array_equal(
+            plan.rows(1, 3), rngmod.trial_plan(11, 9)[5:7]
+        )
 
-    def test_explicit_plan_words_pass_through(self):
-        plan = rngmod.trial_plan(3, 5)
-        assert rngmod.resolve_trial_seeds(5, None, plan) is plan
+    def test_rows_outside_the_plan_rejected(self):
+        plan = rngmod.resolve_trial_seeds(9, 11, start=4)
+        for lo, hi in [(-1, 2), (3, 2), (0, 6)]:
+            with pytest.raises(ValueError, match="plan rows"):
+                plan.rows(lo, hi)
 
-    def test_length_mismatch_rejected(self):
-        with pytest.raises(ValueError, match="trial seeds"):
-            rngmod.resolve_trial_seeds(3, None, [1, 2])
+    def test_generator_counter_advances_at_once(self):
+        """The counter moves when the plan is made, before any row is
+        derived, so a sampler that draws nothing still advances it."""
+        gen = np.random.default_rng(5)
+        rngmod.resolve_trial_seeds(7, gen, start=3)
+        assert gen.bit_generator.seed_seq.n_children_spawned == 7
 
-    def test_negative_trials_rejected(self):
-        with pytest.raises(ValueError):
-            rngmod.resolve_trial_seeds(-1, None)
+    def test_bad_bounds_rejected(self):
+        for trials, start in [(-1, 0), (3, 4), (3, -1)]:
+            with pytest.raises(ValueError, match="start"):
+                rngmod.resolve_trial_seeds(trials, None, start)
 
     def test_zero_trials_is_a_legal_empty_plan(self):
-        """A zero-length shard (an already-complete run's continuation)
-        resolves to the empty list instead of raising."""
-        assert rngmod.resolve_trial_seeds(0, None).shape == (0, 4)
-        assert rngmod.resolve_trial_seeds(0, None, []).shape == (0, 4)
+        """The continuation of an already-complete run resolves to an
+        empty plan instead of raising."""
+        assert len(rngmod.resolve_trial_seeds(0, None)) == 0
+        plan = rngmod.resolve_trial_seeds(5, None, start=5)
+        assert plan.rows(0, 0).shape == (0, 4)
 
 
 class TestHelpers:

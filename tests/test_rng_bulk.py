@@ -54,6 +54,13 @@ def numpy_children(seed, n):
     return rngmod.spawn(np.random.default_rng(seed), n)
 
 
+def plan_words(seeds):
+    """``(T, 4)`` plan words of 128-bit seeds, as :func:`rngmod.plan_ints`
+    inverts."""
+    raw = b"".join(int(s).to_bytes(16, "little") for s in seeds)
+    return np.frombuffer(raw, dtype="<u4").astype(np.uint32).reshape(-1, 4)
+
+
 class TestChildWords:
     @settings(max_examples=80, deadline=None)
     @given(parent=parents, lo=indices, n=st.integers(0, 5))
@@ -128,11 +135,18 @@ class TestTrialPlan:
 
     def test_plan_int_round_trip(self):
         seeds = rngmod.spawn_seeds(3, 6) + [0, 2**128 - 1]
-        assert rngmod.plan_ints(rngmod.plan_from_seeds(seeds)) == seeds
+        assert rngmod.plan_ints(plan_words(seeds)) == seeds
 
-    def test_plan_from_seeds_rejects_wide_ints(self):
-        with pytest.raises(ValueError, match="128-bit"):
-            rngmod.plan_from_seeds([2**128])
+    @pytest.mark.parametrize("start", [0, 5, 37])
+    def test_lazy_rows_match_the_eager_plan(self, start):
+        """Any split of a lazy plan into row ranges reassembles the
+        eager plan of the same trials."""
+        plan = rngmod.resolve_trial_seeds(40, 2**64 + 12345, start)
+        cuts = [0, 1, 2, (len(plan) + 1) // 2, len(plan)]
+        rows = [plan.rows(lo, hi) for lo, hi in zip(cuts, cuts[1:])]
+        np.testing.assert_array_equal(
+            np.concatenate(rows), rngmod.trial_plan(2**64 + 12345, 40, start)
+        )
 
 
 class TestSpawnBulk:
@@ -148,7 +162,7 @@ class TestSpawnBulk:
     )
     def test_draws_match_numpy(self, seeds, n, script):
         """Any interleaving of integers(0, bound) and random() on any child."""
-        bulk = rngmod.spawn_bulk(rngmod.plan_from_seeds(seeds), n)
+        bulk = rngmod.spawn_bulk(plan_words(seeds), n)
         kids = [numpy_children(seed, n) for seed in seeds]
         for child, bound in script:
             child %= n
@@ -193,16 +207,18 @@ class TestSpawnBulk:
         assert bound > 2**32
         self._three_draws_match_numpy(bound)
 
-    def test_bulk_draws_blocks_are_invisible(self, monkeypatch):
+    def test_row_blocks_are_invisible(self):
+        """Children spawned block by block draw what one batch draws."""
         plan = rngmod.trial_plan(11, 50)
 
-        def draw(a2, a3):
+        def draws(rows):
+            a2, a3 = rngmod.spawn_bulk(rows, 2)
             return a2.integers(257), a3.integers(8), a3.random()
 
-        whole = rngmod.bulk_draws(plan, 2, draw)
-        monkeypatch.setattr(rngmod, "DRAW_BLOCK_ROWS", 7)
-        for got, want in zip(rngmod.bulk_draws(plan, 2, draw), whole):
-            np.testing.assert_array_equal(got, want)
+        whole = draws(plan)
+        blocks = [draws(plan[lo : lo + 7]) for lo in range(0, 50, 7)]
+        for got, want in zip(zip(*blocks), whole):
+            np.testing.assert_array_equal(np.concatenate(got), want)
 
     @settings(max_examples=40, deadline=None)
     @given(
@@ -211,7 +227,7 @@ class TestSpawnBulk:
     )
     def test_child_subset_matches_numpy(self, seeds, bound):
         """``children=(1,)`` alone is child 1 of ``spawn(.., 2)``."""
-        (bulk,) = rngmod.spawn_bulk(rngmod.plan_from_seeds(seeds), 2, children=(1,))
+        (bulk,) = rngmod.spawn_bulk(plan_words(seeds), 2, children=(1,))
         kids = [numpy_children(seed, 2)[1] for seed in seeds]
         for _ in range(2):
             want = [k.integers(0, bound) for k in kids]
@@ -234,17 +250,12 @@ class TestSpawnBulk:
         np.testing.assert_array_equal(coin, [w[2] for w in want])
         assert buffered.any() and not buffered.all()
 
-    def test_bulk_draws_child_subset(self, monkeypatch):
+    def test_child_subset_draws_what_the_full_spawn_draws(self):
         plan = rngmod.trial_plan(11, 50)
-        _, js, coins = rngmod.bulk_draws(
-            plan, 2, lambda a2, a3: (a2.integers(257), a3.integers(8), a3.random())
-        )
-        monkeypatch.setattr(rngmod, "DRAW_BLOCK_ROWS", 7)
-        got = rngmod.bulk_draws(
-            plan, 2, lambda a3: (a3.integers(8), a3.random()), children=(1,)
-        )
-        np.testing.assert_array_equal(got[0], js)
-        np.testing.assert_array_equal(got[1], coins)
+        _, a3 = rngmod.spawn_bulk(plan, 2)
+        (alone,) = rngmod.spawn_bulk(plan, 2, children=(1,))
+        np.testing.assert_array_equal(alone.integers(8), a3.integers(8))
+        np.testing.assert_array_equal(alone.random(), a3.random())
 
     @pytest.mark.parametrize("children", [(2,), (-1,), (0, 2)])
     def test_child_subset_outside_range(self, children):
@@ -252,7 +263,5 @@ class TestSpawnBulk:
             rngmod.spawn_bulk(rngmod.trial_plan(1, 3), 2, children=children)
 
     def test_empty_plan(self):
-        (ts,) = rngmod.bulk_draws(
-            rngmod.trial_plan(1, 0), 1, lambda a2: (a2.integers(257),)
-        )
-        assert ts.shape == (0,)
+        (a2,) = rngmod.spawn_bulk(rngmod.trial_plan(1, 0), 1)
+        assert a2.integers(257).shape == (0,)
