@@ -491,15 +491,16 @@ def _fmt_seconds(value) -> str:
 
 
 def _cmd_lint(args: argparse.Namespace) -> int:
-    from .lint import LintConfig, lint_paths, rule_catalog
+    from .lint import lint_paths, rule_catalog
 
     if args.list_rules:
         for rule_id, summary in rule_catalog():
             print(f"{rule_id:<22} {summary}")
         return 0
-    config = LintConfig(select=args.rule or None)
     try:
-        report = lint_paths(args.paths, config=config, project=args.project)
+        report = lint_paths(
+            args.paths, select=args.rule or None, project=args.project
+        )
     except ValueError as exc:
         print(f"lint: {exc}", file=sys.stderr)
         return 2

@@ -2,9 +2,8 @@
 
 The contracts this reproduction stands on — same seed ⇒ byte-identical
 counts on every backend, per-row float reductions wherever coins
-compare exact floats, paired acquisition/release of the lab store's file
-locks and any ``SharedMemory`` segment — cannot be exhaustively
-enforced by tests: one stray ``np.random.default_rng()`` in a kernel or
+compare exact floats, paired acquisition/release of the lab store's
+file descriptors and locks — cannot be exhaustively enforced by tests: one stray ``np.random.default_rng()`` in a kernel or
 one unpaired close breaks them silently.  This package makes them
 machine-checked on every commit.
 
@@ -15,8 +14,9 @@ Entry points
   ``--project`` additionally builds the whole-program model
   (:mod:`repro.lint.project`) and runs the cross-module rules
   (seed-flow, async-blocking, lock-discipline);
-* Python: :func:`lint_paths` / :func:`lint_source` returning
-  :class:`LintReport` / :class:`Finding` lists;
+* Python: :func:`lint_paths` / :func:`lint_source` (``select=`` names
+  a rule subset) returning :class:`LintReport` / :class:`Finding`
+  lists;
 * suppression: ``# repro-lint: disable=rule-id -- reason`` on the
   offending line (stale or unknown suppressions are themselves
   findings).
@@ -31,7 +31,6 @@ from __future__ import annotations
 from . import rules  # noqa: F401  — registers the rule catalog on import
 from .framework import (
     Finding,
-    LintConfig,
     ModuleContext,
     ProjectRule,
     Rule,
@@ -39,7 +38,7 @@ from .framework import (
     registered_rules,
 )
 from .pragmas import Pragma, scan_pragmas
-from .project import ParsedModule, ProjectModel, build_project
+from .project import ProjectModel, build_project
 from .runner import JSON_VERSION, LintReport, lint_paths, lint_source
 
 
@@ -59,10 +58,8 @@ def rule_catalog() -> list[tuple[str, str]]:
 __all__ = [
     "Finding",
     "JSON_VERSION",
-    "LintConfig",
     "LintReport",
     "ModuleContext",
-    "ParsedModule",
     "Pragma",
     "ProjectModel",
     "ProjectRule",

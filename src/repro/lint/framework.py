@@ -1,4 +1,4 @@
-"""The checker framework: rules, findings, registry, configuration.
+"""The checker framework: rules, findings, registry, rule selection.
 
 ``repro.lint`` is a purpose-built static-analysis pass over this
 repository's own source: every rule encodes one of the invariants in
@@ -10,8 +10,9 @@ dependencies — so it runs everywhere the library runs, including CI.
 A rule is a subclass of :class:`Rule` registered with
 :func:`register_rule`; it receives one parsed module at a time as a
 :class:`ModuleContext` and yields :class:`Finding` objects.  Rules are
-pure functions of the AST + configuration: no imports of the checked
-code, no execution, so linting a broken tree can never run it.
+pure functions of the AST and their own module constants: no imports
+of the checked code, no execution, so linting a broken tree can never
+run it.
 
 See ``docs/LINT_RULES.md`` for the rule catalog and the pragma syntax.
 """
@@ -19,7 +20,8 @@ See ``docs/LINT_RULES.md`` for the rule catalog and the pragma syntax.
 from __future__ import annotations
 
 import ast
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 from typing import Any, Dict, Iterable, Iterator, List, Optional, Tuple, Type
 
 #: Rule id of the meta-finding emitted for suppressions that suppress
@@ -68,11 +70,11 @@ class Finding:
 
 @dataclass(frozen=True)
 class ModuleContext:
-    """Everything a rule may look at for one checked module.
+    """One parsed module: what every rule, file or project, looks at.
 
     ``path`` is the path as given to the runner (display identity);
     ``norm_path`` is its POSIX form, used for all allowlist matching so
-    configs behave identically across platforms and invocation styles
+    rules behave identically across platforms and invocation styles
     (``src/repro/rng.py`` and ``/abs/…/src/repro/rng.py`` both match
     the allowlist entry ``repro/rng.py``).
     """
@@ -81,7 +83,12 @@ class ModuleContext:
     norm_path: str
     tree: ast.Module
     source: str
-    options: Dict[str, Any]
+
+    @cached_property
+    def nodes(self) -> List[ast.AST]:
+        """Every node of :attr:`tree` in ``ast.walk`` order, walked once
+        and shared by every rule that scans the whole module."""
+        return list(ast.walk(self.tree))
 
     def matches(self, suffixes: Iterable[str]) -> bool:
         """True when this module's path matches any allowlist entry.
@@ -96,10 +103,6 @@ class ModuleContext:
             else self.norm_path.endswith(entry)
             for entry in suffixes
         )
-
-    def in_dirs(self, fragments: Iterable[str]) -> bool:
-        """True when any path fragment (``repro/quantum/``) occurs."""
-        return any(fragment in self.norm_path for fragment in fragments)
 
 
 class Rule:
@@ -155,15 +158,8 @@ class ProjectRule(Rule):
     def check(self, module: ModuleContext) -> Iterator[Finding]:
         raise TypeError(f"project rule {self.id!r} has no per-module check")
 
-    def check_project(
-        self, project: Any, options: Dict[str, Any]
-    ) -> Iterator[Finding]:
-        """Yield findings against a ``ProjectModel`` (see ``project.py``).
-
-        *options* plays the role ``ModuleContext.options`` plays for
-        file rules: the per-rule configuration dict from
-        :class:`LintConfig`.
-        """
+    def check_project(self, project: Any) -> Iterator[Finding]:
+        """Yield findings against a ``ProjectModel`` (see ``project.py``)."""
         raise NotImplementedError
 
     def finding_at(self, path: str, node: ast.AST, message: str) -> Finding:
@@ -196,37 +192,23 @@ def registered_rules() -> Dict[str, Type[Rule]]:
     return dict(_RULES)
 
 
-@dataclass
-class LintConfig:
-    """Per-rule options plus the selected rule subset.
+def resolve_rules(select: Optional[List[str]] = None) -> List[Rule]:
+    """Instances of the selected rules (``None`` = every registered rule).
 
-    ``options`` maps rule id -> option dict (each rule documents its
-    own keys); ``select`` names the enabled subset (``None`` = every
-    registered rule).  Unknown ids in ``select`` raise ``ValueError``
-    so a typo in ``--rule`` or CI config fails loudly instead of
-    silently checking nothing.
+    Unknown ids raise ``ValueError`` so a typo in ``--rule`` or CI
+    config fails loudly instead of silently checking nothing; repeated
+    ids run once, in the order first named.
     """
-
-    options: Dict[str, Dict[str, Any]] = field(default_factory=dict)
-    select: Optional[List[str]] = None
-
-    def resolve_rules(self) -> List[Rule]:
-        registry = registered_rules()
-        if self.select is None:
-            ids = sorted(registry)
-        else:
-            unknown = [r for r in self.select if r not in registry]
-            if unknown:
-                known = ", ".join(sorted(registry))
-                raise ValueError(
-                    f"unknown lint rule(s) {', '.join(sorted(unknown))}; "
-                    f"registered rules: {known}"
-                )
-            ids = list(dict.fromkeys(self.select))  # dedupe, keep order
-        return [registry[rule_id]() for rule_id in ids]
-
-    def options_for(self, rule_id: str) -> Dict[str, Any]:
-        return self.options.get(rule_id, {})
+    registry = registered_rules()
+    if select is None:
+        return [registry[rule_id]() for rule_id in sorted(registry)]
+    unknown = sorted(set(select) - set(registry))
+    if unknown:
+        raise ValueError(
+            f"unknown lint rule(s) {', '.join(unknown)}; "
+            f"registered rules: {', '.join(sorted(registry))}"
+        )
+    return [registry[rule_id]() for rule_id in dict.fromkeys(select)]
 
 
 # -- small AST helpers shared by the rule modules -----------------------
@@ -275,13 +257,3 @@ def iter_functions(
                 yield from walk(child, cls)
 
     yield from walk(tree, None)
-
-
-def function_arg_names(fn: ast.AST) -> List[str]:
-    """All parameter names of a function node, whatever their kind."""
-    args = fn.args
-    names = [a.arg for a in args.posonlyargs + args.args + args.kwonlyargs]
-    for extra in (args.vararg, args.kwarg):
-        if extra is not None:
-            names.append(extra.arg)
-    return names

@@ -60,6 +60,8 @@ def scan_pragmas(source: str) -> List[Pragma]:
     reports the parse failure separately.
     """
     pragmas: List[Pragma] = []
+    if "repro-lint" not in source:
+        return pragmas  # no comment can match; skip the tokenizer
     try:
         tokens = tokenize.generate_tokens(io.StringIO(source).readline)
         for tok in tokens:

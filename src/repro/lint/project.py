@@ -38,9 +38,9 @@ import ast
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
+from typing import Any, Dict, Iterable, Iterator, List, Optional, Set, Tuple
 
-from .framework import dotted_name
+from .framework import ModuleContext, dotted_name
 
 #: Edge kinds on :class:`CallSite`.  ``call`` — the function is
 #: actually invoked at the site; ``ref`` — the function object is
@@ -48,16 +48,6 @@ from .framework import dotted_name
 #: returned) or is nested in the referencing function.
 CALL = "call"
 REF = "ref"
-
-
-@dataclass(frozen=True)
-class ParsedModule:
-    """One parsed source file, as handed over by the runner."""
-
-    path: str
-    norm_path: str
-    tree: ast.Module
-    source: str
 
 
 @dataclass(frozen=True)
@@ -106,11 +96,6 @@ class FunctionInfo:
     calls: List[CallSite] = field(default_factory=list)
     with_spans: List[WithSpan] = field(default_factory=list)
 
-    def sites_for(self, target: str) -> Iterator[CallSite]:
-        for site in self.calls:
-            if target in site.targets:
-                yield site
-
 
 @dataclass
 class ClassInfo:
@@ -127,13 +112,10 @@ class ClassInfo:
 
 @dataclass
 class ModuleInfo:
-    """One module: identity, tree, import map, top-level definitions."""
+    """One module: dotted name, parse, import map, top-level definitions."""
 
     name: str
-    path: str
-    norm_path: str
-    tree: ast.Module
-    source: str
+    unit: ModuleContext
     is_package: bool
     imports: Dict[str, str] = field(default_factory=dict)  # alias -> fq name
     toplevel: Set[str] = field(default_factory=set)  # names defined here
@@ -309,24 +291,6 @@ class ProjectModel:
                     out.append(qualname)
                     break
         return sorted(out)
-
-    def reachable_from(
-        self, roots: Iterable[str], kinds: Sequence[str] = (CALL, REF)
-    ) -> Set[str]:
-        """Every function reachable from *roots* along the edge kinds."""
-        allowed = set(kinds)
-        seen: Set[str] = set()
-        frontier = [r for r in roots if r in self.functions]
-        while frontier:
-            qualname = frontier.pop()
-            if qualname in seen:
-                continue
-            seen.add(qualname)
-            for site in self.functions[qualname].calls:
-                if site.kind not in allowed:
-                    continue
-                frontier.extend(t for t in site.targets if t not in seen)
-        return seen
 
     def callers_of(self, qualname: str) -> List[Tuple[str, CallSite]]:
         return list(self.callers.get(qualname, ()))
@@ -555,6 +519,11 @@ class _FunctionScanner:
             self._visit(child)
 
 
+#: Nodes that may hold statements.  Definitions are statements and no
+#: expression holds one, so the symbol walk skips every expression.
+_BLOCKS = (ast.stmt, ast.excepthandler, ast.match_case)
+
+
 def _collect_symbols(model: ProjectModel, module: ModuleInfo) -> None:
     """Register every function and class of *module* under its qualname."""
 
@@ -566,8 +535,8 @@ def _collect_symbols(model: ProjectModel, module: ModuleInfo) -> None:
                     qualname=qualname,
                     name=child.name,
                     module=module.name,
-                    path=module.path,
-                    norm_path=module.norm_path,
+                    path=module.unit.path,
+                    norm_path=module.unit.norm_path,
                     node=child,
                     is_async=isinstance(child, ast.AsyncFunctionDef),
                     class_qualname=cls.qualname if cls is not None else None,
@@ -594,14 +563,14 @@ def _collect_symbols(model: ProjectModel, module: ModuleInfo) -> None:
                 if prefix == module.name:
                     module.toplevel.add(child.name)
                 walk(child, qualname, info_c)
-            else:
+            elif isinstance(child, _BLOCKS):
                 walk(child, prefix, cls)
 
-    walk(module.tree, module.name, None)
+    walk(module.unit.tree, module.name, None)
 
 
 def _collect_imports(module: ModuleInfo) -> None:
-    for node in ast.walk(module.tree):
+    for node in module.unit.nodes:
         if isinstance(node, ast.Import):
             for alias in node.names:
                 if alias.asname:
@@ -670,17 +639,14 @@ def _infer_attr_types(model: ProjectModel) -> None:
                         )
 
 
-def build_project(units: Iterable[ParsedModule]) -> ProjectModel:
+def build_project(units: Iterable[ModuleContext]) -> ProjectModel:
     """Assemble the :class:`ProjectModel` from already-parsed modules."""
     start = time.perf_counter()
     model = ProjectModel()
     for unit in units:
         module = ModuleInfo(
             name=_module_name(unit.path),
-            path=unit.path,
-            norm_path=unit.norm_path,
-            tree=unit.tree,
-            source=unit.source,
+            unit=unit,
             is_package=unit.norm_path.endswith("__init__.py"),
         )
         model.modules[module.name] = module

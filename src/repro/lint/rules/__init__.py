@@ -20,23 +20,3 @@ from . import (  # noqa: F401  — imported for their registration side effect
     telemetry,
     wallclock,
 )
-from .async_blocking import DEFAULT_BLOCKING_CALLS, DEFAULT_BLOCKING_ROOTS
-from .float_determinism import DEFAULT_PATHS
-from .lock_discipline import DEFAULT_GUARDED_TARGETS, DEFAULT_MUTATION_CALLS
-from .rng_discipline import DEFAULT_SEED_SITES
-from .seed_flow import DEFAULT_ENTRY_POINTS, DEFAULT_SOURCE_FUNCTIONS
-from .telemetry import METRIC_CALLS
-from .wallclock import DEFAULT_SANCTIONED
-
-__all__ = [
-    "DEFAULT_BLOCKING_CALLS",
-    "DEFAULT_BLOCKING_ROOTS",
-    "DEFAULT_ENTRY_POINTS",
-    "DEFAULT_GUARDED_TARGETS",
-    "DEFAULT_MUTATION_CALLS",
-    "DEFAULT_PATHS",
-    "DEFAULT_SANCTIONED",
-    "DEFAULT_SEED_SITES",
-    "DEFAULT_SOURCE_FUNCTIONS",
-    "METRIC_CALLS",
-]

@@ -14,14 +14,14 @@ another module.  The whole-program pass:
 
 1. seeds a **blocking set** with the known blocking primitives
    (``time.sleep``, ``open``, ``os.open/write/...``, ``subprocess.*``,
-   ``Path.read_text``-family; option ``blocking_calls`` /
-   ``blocking_attrs``) and the documented blocking roots (engine and
-   orchestrator runs, store scans/appends; option ``blocking_roots``);
+   ``Path.read_text``-family; :data:`BLOCKING_CALLS` /
+   :data:`BLOCKING_ATTRS`) and the documented blocking roots (engine
+   and orchestrator runs, store scans/appends; :data:`BLOCKING_ROOTS`);
 2. propagates blockingness up the ``call`` edges of the graph through
    synchronous project functions (a sync function that calls a
    blocking function is blocking);
 3. flags every **call** edge from a coroutine in the service layer
-   (option ``service_paths``) into the blocking set.
+   (:data:`SERVICE_PATHS`) into the blocking set.
 
 ``ref`` edges never propagate or fire: handing ``orchestrator.run``
 to ``run_in_executor`` (a reference, not a call) *is* the sanctioned
@@ -31,14 +31,14 @@ executor boundary, so the correct idiom passes by construction.
 from __future__ import annotations
 
 import ast
-from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple
+from typing import Dict, Iterator, Optional, Sequence
 
 from ..framework import Finding, ProjectRule, call_name, register_rule
-from ..project import CALL, ProjectModel, iter_own_nodes
+from ..project import CALL, FunctionInfo, ProjectModel, iter_own_nodes
 
 #: Blocking primitives matched on the exact dotted name at the call
 #: site (``open`` is the builtin).
-DEFAULT_BLOCKING_CALLS: Sequence[str] = (
+BLOCKING_CALLS = frozenset({
     "time.sleep",
     "open",
     "os.open",
@@ -52,22 +52,22 @@ DEFAULT_BLOCKING_CALLS: Sequence[str] = (
     "subprocess.Popen",
     "subprocess.check_output",
     "subprocess.check_call",
-)
+})
 
 #: Blocking primitives matched on the final attribute segment — the
 #: ``pathlib`` I/O family, whose receiver is some path expression.
-DEFAULT_BLOCKING_ATTRS: Sequence[str] = (
+BLOCKING_ATTRS = frozenset({
     "read_text",
     "write_text",
     "read_bytes",
     "write_bytes",
-)
+})
 
 #: Functions that are blocking *by contract*, whatever their bodies
 #: look like to the analysis: engine runs (NumPy compute) and the
 #: store/orchestrator surface.  Matched as whole dotted
 #: qualname segments.
-DEFAULT_BLOCKING_ROOTS: Sequence[str] = (
+BLOCKING_ROOTS: Sequence[str] = (
     "ExecutionEngine.estimate_acceptance",
     "ExecutionEngine.run_many",
     "Orchestrator.run",
@@ -83,7 +83,23 @@ DEFAULT_BLOCKING_ROOTS: Sequence[str] = (
 )
 
 #: Where the checked coroutines live.
-DEFAULT_SERVICE_PATHS: Sequence[str] = ("repro/service/",)
+SERVICE_PATHS: Sequence[str] = ("repro/service/",)
+
+
+def service_coroutines(project: ProjectModel) -> Iterator[FunctionInfo]:
+    """The coroutines under :data:`SERVICE_PATHS`, in qualname order."""
+    for fn in sorted(project.functions.values(), key=lambda f: f.qualname):
+        if fn.is_async and any(
+            fragment in fn.norm_path for fragment in SERVICE_PATHS
+        ):
+            yield fn
+
+
+def _is_primitive(name: str) -> bool:
+    """Does a call to the dotted *name* block by itself?"""
+    return name in BLOCKING_CALLS or (
+        "." in name and name.split(".")[-1] in BLOCKING_ATTRS
+    )
 
 
 @register_rule
@@ -94,46 +110,23 @@ class AsyncBlockingRule(ProjectRule):
         "(engine runs, store I/O, sleeps) through the executor pool"
     )
 
-    def check_project(
-        self, project: ProjectModel, options: Dict
-    ) -> Iterator[Finding]:
-        blocking_calls = set(
-            options.get("blocking_calls", DEFAULT_BLOCKING_CALLS)
-        )
-        blocking_attrs = set(
-            options.get("blocking_attrs", DEFAULT_BLOCKING_ATTRS)
-        )
-        blocking_roots = tuple(
-            options.get("blocking_roots", DEFAULT_BLOCKING_ROOTS)
-        )
-        service_paths = tuple(
-            options.get("service_paths", DEFAULT_SERVICE_PATHS)
-        )
+    def check_project(self, project: ProjectModel) -> Iterator[Finding]:
         # qualname -> human-readable witness of why it blocks.
         blocking: Dict[str, str] = {
             qualname: f"{qualname} (blocking by contract)"
-            for qualname in project.functions_matching(blocking_roots)
+            for qualname in project.functions_matching(BLOCKING_ROOTS)
         }
         for fn in project.functions.values():
-            primitive = self._direct_primitive(
-                fn.node, blocking_calls, blocking_attrs
-            )
+            primitive = self._direct_primitive(fn.node)
             if primitive is not None and fn.qualname not in blocking:
                 blocking[fn.qualname] = f"{primitive}() in {fn.qualname}"
         self._propagate(project, blocking)
-        for fn in sorted(project.functions.values(), key=lambda f: f.qualname):
-            if not fn.is_async or not any(
-                fragment in fn.norm_path for fragment in service_paths
-            ):
-                continue
+        for fn in service_coroutines(project):
             for site in fn.calls:
                 if site.kind != CALL:
                     continue
                 witness = None
-                if site.name in blocking_calls or (
-                    "." in site.name
-                    and site.name.split(".")[-1] in blocking_attrs
-                ):
+                if _is_primitive(site.name):
                     witness = f"{site.name}()"
                 else:
                     for target in site.targets:
@@ -152,20 +145,13 @@ class AsyncBlockingRule(ProjectRule):
                 )
 
     @staticmethod
-    def _direct_primitive(
-        fn_node: ast.AST, blocking_calls: Set[str], blocking_attrs: Set[str]
-    ) -> Optional[str]:
+    def _direct_primitive(fn_node: ast.AST) -> Optional[str]:
         """The first blocking primitive called directly, or ``None``."""
         for node in iter_own_nodes(fn_node):
-            if not isinstance(node, ast.Call):
-                continue
-            name = call_name(node)
-            if name is None:
-                continue
-            if name in blocking_calls:
-                return name
-            if "." in name and name.split(".")[-1] in blocking_attrs:
-                return name
+            if isinstance(node, ast.Call):
+                name = call_name(node)
+                if name is not None and _is_primitive(name):
+                    return name
         return None
 
     @staticmethod
@@ -176,23 +162,15 @@ class AsyncBlockingRule(ProjectRule):
         rather than stalls — so propagation stops at async functions;
         each service coroutine is judged on its own call edges instead.
         """
-        # Reverse edges once: callee -> sync callers through call edges.
-        callers: Dict[str, List[Tuple[str, str]]] = {}
-        for fn in project.functions.values():
-            if fn.is_async:
-                continue
-            for site in fn.calls:
-                if site.kind != CALL:
-                    continue
-                for target in site.targets:
-                    callers.setdefault(target, []).append(
-                        (fn.qualname, site.name)
-                    )
         frontier = list(blocking)
         while frontier:
             callee = frontier.pop()
-            for caller, via in callers.get(callee, ()):
-                if caller in blocking:
+            for caller, site in project.callers_of(callee):
+                if (
+                    caller in blocking
+                    or site.kind != CALL
+                    or project.functions[caller].is_async
+                ):
                     continue
                 blocking[caller] = f"{caller} -> {blocking[callee]}"
                 frontier.append(caller)

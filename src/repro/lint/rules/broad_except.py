@@ -3,7 +3,7 @@
 A ``except Exception`` (or bare ``except:`` / ``except BaseException``)
 hides exactly the failures this library's contracts are built to make
 loud: a seed-parity break surfaces as an assertion somewhere deep in a
-backend, a leaked shared-memory segment as an ``OSError`` at teardown.
+backend, a leaked descriptor as an ``OSError`` at teardown.
 Swallowed broadly, both degrade into silent wrong-ness.
 
 The *intentional* broad handlers carry line pragmas with reasons (the
@@ -42,7 +42,7 @@ class BroadExceptRule(Rule):
     )
 
     def check(self, module: ModuleContext) -> Iterator[Finding]:
-        for node in ast.walk(module.tree):
+        for node in module.nodes:
             if isinstance(node, ast.ExceptHandler) and _is_broad(node.type):
                 what = (
                     "bare `except:`"

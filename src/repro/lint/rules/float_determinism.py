@@ -11,8 +11,7 @@ which are bit-identical to the sequential path.
 
 The rule flags float-reduction calls carrying an ``axis`` argument —
 ``np.sum/arr.sum`` and the mean/prod/nansum family — inside the
-configured core paths (``repro/quantum/``, ``repro/core/`` by
-default).  Exact-integer packing helpers (``np.packbits``) and shape
+compute core (:data:`CORE_PATHS`: ``repro/quantum/``, ``repro/core/``).  Exact-integer packing helpers (``np.packbits``) and shape
 ops (``np.stack``) are not reductions and are not flagged.  A
 reduction that is genuinely diagnostic-only (never compared against
 coins) carries a line pragma with a reason.
@@ -26,7 +25,7 @@ from typing import Iterator, Sequence
 from ..framework import Finding, ModuleContext, Rule, register_rule
 
 #: Path fragments inside which the contract applies.
-DEFAULT_PATHS: Sequence[str] = ("repro/quantum/", "repro/core/")
+CORE_PATHS: Sequence[str] = ("repro/quantum/", "repro/core/")
 
 #: Reduction callees (attribute name) whose axis form reorders float
 #: additions relative to the per-row form.
@@ -51,10 +50,9 @@ class FloatDeterminismRule(Rule):
     )
 
     def check(self, module: ModuleContext) -> Iterator[Finding]:
-        paths = module.options.get("paths", DEFAULT_PATHS)
-        if not module.in_dirs(paths):
+        if not module.matches(CORE_PATHS):
             return
-        for node in ast.walk(module.tree):
+        for node in module.nodes:
             if not isinstance(node, ast.Call):
                 continue
             func = node.func

@@ -18,10 +18,10 @@ Neither is checkable per file: the lock may be (and in the mutation
 scenarios *is*) acquired in a caller in another module.  The analysis
 is a dominator check over the call graph:
 
-1. find every mutation primitive in the store modules (options
-   ``store_paths`` / ``mutation_calls``).  A site lexically inside a
-   ``with`` whose context constructs a lock (option ``lock_names``)
-   is satisfied locally;
+1. find every mutation primitive in the store modules
+   (:data:`STORE_PATHS` / :data:`MUTATION_CALLS`).  A site lexically
+   inside a ``with`` whose context constructs a lock
+   (:data:`LOCK_NAMES`) is satisfied locally;
 2. an unguarded site makes its enclosing function *lock-requiring*:
    every project call site of that function must itself sit inside a
    lock-holding ``with``, or the caller becomes lock-requiring in
@@ -29,45 +29,43 @@ is a dominator check over the call graph:
    guarded path — including one nobody calls — fires at the mutation
    site, naming the unguarded chain;
 3. independently, every call or reference from a service coroutine to
-   the orchestrator's run surface (option ``guarded_targets``) must
-   lie inside an ``async with`` over a per-key lock (option
-   ``key_lock_attrs``, matching the final attribute — ``entry.lock``).
+   the orchestrator's run surface (:data:`GUARDED_TARGETS`) must lie
+   inside an ``async with`` over a per-key lock (:data:`KEY_LOCK_ATTRS`,
+   matching the final attribute — ``entry.lock``).
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple
+from typing import Iterator, List, Optional, Sequence, Set
 
 from ..framework import Finding, ProjectRule, register_rule
 from ..project import CALL, FunctionInfo, ProjectModel
+from .async_blocking import service_coroutines
 
 #: Modules whose file mutations the store contract covers.
-DEFAULT_STORE_PATHS: Sequence[str] = (
+STORE_PATHS = (
     "repro/lab/store.py",
     "repro/lab/shards.py",  # pure today; covered so mutations can't drift in
 )
 
 #: Mutation primitives (exact dotted call names) that rewrite the log.
-DEFAULT_MUTATION_CALLS: Sequence[str] = ("os.write", "os.replace")
+MUTATION_CALLS = frozenset({"os.write", "os.replace"})
 
 #: Lock constructors whose ``with`` dominates a store mutation
 #: (matched on the final dotted segment of the context expression).
-DEFAULT_LOCK_NAMES: Sequence[str] = ("_StoreLock",)
-
-#: Where the checked service coroutines live.
-DEFAULT_SERVICE_PATHS: Sequence[str] = ("repro/service/",)
+LOCK_NAMES = frozenset({"_StoreLock"})
 
 #: Orchestrator surface the per-key lock must dominate in coroutines.
-DEFAULT_GUARDED_TARGETS: Sequence[str] = (
+GUARDED_TARGETS: Sequence[str] = (
     "Orchestrator.run",
     "Orchestrator.run_to_precision",
 )
 
 #: Final attribute segment(s) identifying the per-key lock object.
-DEFAULT_KEY_LOCK_ATTRS: Sequence[str] = ("lock",)
+KEY_LOCK_ATTRS = frozenset({"lock"})
 
 
-def _span_guards(fn: FunctionInfo, node, finals: Set[str]) -> bool:
+def _span_guards(fn: FunctionInfo, node, finals: frozenset) -> bool:
     """Is *node* inside a ``with`` whose guard name ends in *finals*?"""
     for span in fn.with_spans:
         if not span.covers(node):
@@ -86,48 +84,22 @@ class LockDisciplineRule(ProjectRule):
         "caller chain; service deepening holds the per-key lock"
     )
 
-    def check_project(
-        self, project: ProjectModel, options: Dict
-    ) -> Iterator[Finding]:
-        store_paths = tuple(options.get("store_paths", DEFAULT_STORE_PATHS))
-        mutation_calls = set(
-            options.get("mutation_calls", DEFAULT_MUTATION_CALLS)
-        )
-        lock_names = set(options.get("lock_names", DEFAULT_LOCK_NAMES))
-        service_paths = tuple(
-            options.get("service_paths", DEFAULT_SERVICE_PATHS)
-        )
-        guarded_targets = tuple(
-            options.get("guarded_targets", DEFAULT_GUARDED_TARGETS)
-        )
-        key_lock_attrs = set(
-            options.get("key_lock_attrs", DEFAULT_KEY_LOCK_ATTRS)
-        )
-        yield from self._check_store(
-            project, store_paths, mutation_calls, lock_names
-        )
-        yield from self._check_service(
-            project, service_paths, guarded_targets, key_lock_attrs
-        )
+    def check_project(self, project: ProjectModel) -> Iterator[Finding]:
+        yield from self._check_store(project)
+        yield from self._check_service(project)
 
     # -- store mutations dominated by the store lock -------------------
 
-    def _check_store(
-        self,
-        project: ProjectModel,
-        store_paths: Tuple[str, ...],
-        mutation_calls: Set[str],
-        lock_names: Set[str],
-    ) -> Iterator[Finding]:
+    def _check_store(self, project: ProjectModel) -> Iterator[Finding]:
         for fn in sorted(project.functions.values(), key=lambda f: f.qualname):
-            if not fn.norm_path.endswith(store_paths):
+            if not fn.norm_path.endswith(STORE_PATHS):
                 continue
             for site in fn.calls:
-                if site.kind != CALL or site.name not in mutation_calls:
+                if site.kind != CALL or site.name not in MUTATION_CALLS:
                     continue
-                if _span_guards(fn, site.node, lock_names):
+                if _span_guards(fn, site.node, LOCK_NAMES):
                     continue
-                chain = self._unguarded_chain(project, fn, lock_names)
+                chain = self._unguarded_chain(project, fn)
                 if chain is None:
                     continue  # every caller chain holds the lock
                 yield self.finding_at(
@@ -145,7 +117,6 @@ class LockDisciplineRule(ProjectRule):
         self,
         project: ProjectModel,
         fn: FunctionInfo,
-        lock_names: Set[str],
         _seen: Optional[Set[str]] = None,
     ) -> Optional[List[str]]:
         """A caller chain reaching *fn* with no lock held, or ``None``.
@@ -166,37 +137,27 @@ class LockDisciplineRule(ProjectRule):
             caller = project.functions.get(caller_qual)
             if caller is None:
                 continue
-            if _span_guards(caller, site.node, lock_names):
+            if _span_guards(caller, site.node, LOCK_NAMES):
                 continue
-            chain = self._unguarded_chain(project, caller, lock_names, seen)
+            chain = self._unguarded_chain(project, caller, seen)
             if chain is not None:
                 return chain + [fn.qualname]
         return None
 
     # -- service deepening holds the per-key lock ----------------------
 
-    def _check_service(
-        self,
-        project: ProjectModel,
-        service_paths: Tuple[str, ...],
-        guarded_targets: Tuple[str, ...],
-        key_lock_attrs: Set[str],
-    ) -> Iterator[Finding]:
-        guarded = set(project.functions_matching(guarded_targets))
+    def _check_service(self, project: ProjectModel) -> Iterator[Finding]:
+        guarded = set(project.functions_matching(GUARDED_TARGETS))
         if not guarded:
             return
-        for fn in sorted(project.functions.values(), key=lambda f: f.qualname):
-            if not fn.is_async or not any(
-                fragment in fn.norm_path for fragment in service_paths
-            ):
-                continue
+        for fn in service_coroutines(project):
             for site in fn.calls:
                 hit = next(
                     (t for t in site.targets if t in guarded), None
                 )
                 if hit is None:
                     continue
-                if _span_guards(fn, site.node, key_lock_attrs):
+                if _span_guards(fn, site.node, KEY_LOCK_ATTRS):
                     continue
                 yield self.finding_at(
                     fn.path,

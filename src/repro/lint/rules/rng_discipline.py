@@ -14,9 +14,9 @@ What the rule flags:
 * ``np.random.default_rng()`` **with no arguments** — fresh entropy —
   anywhere, allowlisted or not;
 * any ``np.random.*`` call (including seeded ``default_rng(seed)``,
-  ``Generator(...)``, ``SeedSequence(...)``) outside the configured
-  ``seed_sites`` allowlist — the sanctioned modules that turn plan
-  integers back into generators;
+  ``Generator(...)``, ``SeedSequence(...)``) outside :data:`SEED_SITES`
+  — the sanctioned modules that turn plan integers back into
+  generators;
 * legacy global-state APIs (``np.random.seed``, ``np.random.random``,
   ``np.random.RandomState``, …) everywhere, allowlist included;
 * ``import random`` / ``import secrets`` (and ``from`` forms).
@@ -32,12 +32,12 @@ from typing import Iterator, Sequence
 
 from ..framework import Finding, ModuleContext, Rule, call_name, register_rule
 
-#: Modules whose seeded-generator construction is sanctioned when no
-#: config overrides it: the rng plumbing itself, the engine backends
-#: that rebuild generators from spawned child seeds, the samplers that
-#: do the same from explicit trial seeds, and the CLI/spec word-material
-#: seeding sites.
-DEFAULT_SEED_SITES: Sequence[str] = (
+#: Modules whose seeded-generator construction is sanctioned: the rng
+#: plumbing itself, the engine backends that rebuild generators from
+#: spawned child seeds, the samplers that do the same from explicit
+#: trial seeds, and the CLI/spec word-material seeding sites.  Entries
+#: ending in ``/`` match as directory fragments, others as path suffixes.
+SEED_SITES: Sequence[str] = (
     "repro/rng.py",
     "repro/cli.py",
     "repro/engine/api.py",
@@ -77,9 +77,8 @@ class RngDisciplineRule(Rule):
     )
 
     def check(self, module: ModuleContext) -> Iterator[Finding]:
-        seed_sites = module.options.get("seed_sites", DEFAULT_SEED_SITES)
-        in_seed_site = module.matches(seed_sites)
-        for node in ast.walk(module.tree):
+        in_seed_site = module.matches(SEED_SITES)
+        for node in module.nodes:
             if isinstance(node, ast.Import):
                 for alias in node.names:
                     root = alias.name.split(".")[0]

@@ -15,7 +15,7 @@ backend.
 The analysis:
 
 1. collect the counting entry points (the ``count_accepted*`` methods
-   every backend implements; option ``entry_points``);
+   every backend implements, :data:`ENTRY_POINTS`);
 2. take everything reachable from them over the call graph — ``call``
    edges *and* ``ref`` edges, so functions fanned out through process
    pools and executors stay on the path;
@@ -27,7 +27,7 @@ The analysis:
    a literal, fresh OS entropy, or a value computed from nothing the
    plan handed in.
 
-``repro/rng.py`` (option ``source_modules``) is exempt: it *is* the
+``repro/rng.py`` (:data:`SOURCE_MODULES`) is exempt: it *is* the
 derivation layer the taint sources point at.
 """
 
@@ -42,7 +42,7 @@ from ..project import ProjectModel, iter_own_nodes
 #: The counting/sampling entry points: every backend's count methods
 #: (matched as whole dotted segments, so any class implementing the
 #: engine protocol is covered automatically).
-DEFAULT_ENTRY_POINTS: Sequence[str] = (
+ENTRY_POINTS: Sequence[str] = (
     "count_accepted",
     "count_accepted_many",
     "count_accepted_from_seeds",
@@ -51,17 +51,17 @@ DEFAULT_ENTRY_POINTS: Sequence[str] = (
 
 #: Functions whose results are sanctioned seed material (matched on
 #: the final dotted segment of the call).
-DEFAULT_SOURCE_FUNCTIONS: Sequence[str] = (
+SOURCE_FUNCTIONS = frozenset({
     "trial_seed_plan",
     "spawn_seeds",
     "spawn",
     "resolve_trial_seeds",
     "ensure_rng",
     "optional_rng",
-)
+})
 
 #: Modules exempt from the check: the derivation layer itself.
-DEFAULT_SOURCE_MODULES: Sequence[str] = ("repro/rng.py",)
+SOURCE_MODULES = ("repro/rng.py",)
 
 #: RNG constructors (final dotted segment).
 _RNG_CONSTRUCTORS = {"default_rng", "Generator", "SeedSequence", "RandomState"}
@@ -81,8 +81,7 @@ def _target_names(target: ast.expr) -> Iterator[str]:
 class _Taint:
     """Per-function taint environment for seed material."""
 
-    def __init__(self, fn_node: ast.AST, sources: Set[str]) -> None:
-        self.sources = sources
+    def __init__(self, fn_node: ast.AST) -> None:
         args = fn_node.args
         self.names: Set[str] = {
             a.arg
@@ -104,7 +103,7 @@ class _Taint:
                 return True
             if isinstance(node, ast.Call):
                 name = dotted_name(node.func)
-                if name is not None and name.split(".")[-1] in self.sources:
+                if name is not None and name.split(".")[-1] in SOURCE_FUNCTIONS:
                     return True
         return False
 
@@ -154,21 +153,14 @@ class SeedFlowRule(ProjectRule):
         "from seed material derived via the trial seed plan"
     )
 
-    def check_project(
-        self, project: ProjectModel, options: Dict
-    ) -> Iterator[Finding]:
-        entry_points = tuple(options.get("entry_points", DEFAULT_ENTRY_POINTS))
-        sources = set(options.get("source_functions", DEFAULT_SOURCE_FUNCTIONS))
-        source_modules = tuple(
-            options.get("source_modules", DEFAULT_SOURCE_MODULES)
-        )
-        entries = project.functions_matching(entry_points)
+    def check_project(self, project: ProjectModel) -> Iterator[Finding]:
+        entries = project.functions_matching(ENTRY_POINTS)
         origin = self._reach_with_origin(project, entries)
         for qualname in sorted(origin):
             fn = project.functions[qualname]
-            if fn.norm_path.endswith(source_modules):
+            if fn.norm_path.endswith(SOURCE_MODULES):
                 continue
-            taint = _Taint(fn.node, sources)
+            taint = _Taint(fn.node)
             for node in iter_own_nodes(fn.node):
                 if not isinstance(node, ast.Call):
                     continue

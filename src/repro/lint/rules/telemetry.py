@@ -40,7 +40,7 @@ class TelemetryDisciplineRule(Rule):
     )
 
     def check(self, module: ModuleContext) -> Iterator[Finding]:
-        for node in ast.walk(module.tree):
+        for node in module.nodes:
             if not isinstance(node, ast.Call):
                 continue
             name = call_name(node)

@@ -11,11 +11,9 @@ so only the wall-clock family is flagged.
 
 One sanction exists: exported telemetry documents legitimately carry a
 wall-clock timestamp so operators can align snapshots across hosts.
-:data:`DEFAULT_SANCTIONED` names the single module allowed to read the
-wall clock — :mod:`repro.obs.clock` — and everything else must go
-through its ``wall_time()``.  The ``sanctioned`` option (a list of
-path suffixes, like ``rng-discipline``'s ``seed_sites``) replaces the
-default for forks that relocate the clock module.
+:data:`SANCTIONED` names the single module allowed to read the wall
+clock — :mod:`repro.obs.clock` — and everything else must go through
+its ``wall_time()``.
 """
 
 from __future__ import annotations
@@ -44,7 +42,7 @@ _WALLCLOCK = {
 #: Path suffixes of the modules sanctioned to read the wall clock.
 #: Exactly one by design: the telemetry layer's clock module, whose
 #: ``wall_time()`` stamps exported documents and nothing else.
-DEFAULT_SANCTIONED = ("repro/obs/clock.py",)
+SANCTIONED = ("repro/obs/clock.py",)
 
 
 @register_rule
@@ -56,12 +54,11 @@ class WallClockRule(Rule):
     )
 
     def check(self, module: ModuleContext) -> Iterator[Finding]:
-        sanctioned = module.options.get("sanctioned", DEFAULT_SANCTIONED)
-        if module.matches(sanctioned):
+        if module.matches(SANCTIONED):
             # The clock module exists to read the wall clock; its
             # docstring binds it to export timestamps only.
             return
-        for node in ast.walk(module.tree):
+        for node in module.nodes:
             if isinstance(node, ast.Call):
                 name = call_name(node)
                 if name in _WALLCLOCK:

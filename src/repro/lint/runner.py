@@ -17,7 +17,7 @@ and the versioned JSON document CI archives).  Exit-code policy
 
 Project mode (``lint_paths(..., project=True)``) additionally builds
 the :class:`repro.lint.project.ProjectModel` over the parsed modules
-and runs every registered :class:`ProjectRule`.  Project findings join
+and runs the selected project rules.  Project findings join
 the per-file findings *before* pragma application, so one pragma
 grammar serves both scopes and staleness detection stays exact.
 """
@@ -29,18 +29,18 @@ import json
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Dict, Iterable, List, Optional, Sequence
+from typing import Any, Dict, Iterable, List, Optional, Tuple
 
 from .framework import (
     PARSE_ERROR,
     Finding,
-    LintConfig,
     ModuleContext,
     Rule,
     registered_rules,
+    resolve_rules,
 )
 from .pragmas import apply_pragmas, scan_pragmas
-from .project import ParsedModule, build_project
+from .project import build_project
 
 #: JSON schema version for the ``--json`` document; bump on breaking
 #: shape changes so CI consumers can pin.  v2 added the per-finding
@@ -88,6 +88,18 @@ class LintReport:
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), indent=2, sort_keys=True)
 
+    def _summary(self) -> str:
+        noun = "file" if self.files_checked == 1 else "files"
+        if self.ok:
+            return (
+                f"repro lint: {self.files_checked} {noun} clean "
+                f"({len(self.rules)} rules)"
+            )
+        return (
+            f"repro lint: {len(self.findings)} finding(s) in "
+            f"{self.files_checked} {noun} ({len(self.rules)} rules)"
+        )
+
     def render_human(self) -> str:
         lines = [f.render() for f in self.findings]
         if self.project is not None:
@@ -100,17 +112,7 @@ class LintReport:
                 f"built in {self.project['build_seconds']:.3f}s, "
                 f"checked in {self.project['check_seconds']:.3f}s"
             )
-        noun = "file" if self.files_checked == 1 else "files"
-        if self.ok:
-            lines.append(
-                f"repro lint: {self.files_checked} {noun} clean "
-                f"({len(self.rules)} rules)"
-            )
-        else:
-            lines.append(
-                f"repro lint: {len(self.findings)} finding(s) in "
-                f"{self.files_checked} {noun} ({len(self.rules)} rules)"
-            )
+        lines.append(self._summary())
         return "\n".join(lines)
 
     def render_github(self) -> str:
@@ -121,17 +123,7 @@ class LintReport:
         so the job log stays readable on its own.
         """
         lines = [_github_annotation(f) for f in self.findings]
-        noun = "file" if self.files_checked == 1 else "files"
-        if self.ok:
-            lines.append(
-                f"repro lint: {self.files_checked} {noun} clean "
-                f"({len(self.rules)} rules)"
-            )
-        else:
-            lines.append(
-                f"repro lint: {len(self.findings)} finding(s) in "
-                f"{self.files_checked} {noun} ({len(self.rules)} rules)"
-            )
+        lines.append(self._summary())
         return "\n".join(lines)
 
 
@@ -167,11 +159,71 @@ def _sort_key(finding: Finding):
     return (finding.path, finding.line, finding.col, finding.rule)
 
 
+def _lint_sources(
+    sources: Dict[str, str], rules: List[Rule], project: bool
+) -> Tuple[List[Finding], Optional[Dict[str, Any]]]:
+    """Parse each module once, run *rules*, apply each file's pragmas.
+
+    The one module-lint path behind :func:`lint_source` and
+    :func:`lint_paths`.  A module that does not parse yields a
+    ``parse-error`` finding and joins no analysis.  With *project*, the
+    parsed modules also feed the whole-program model and its rules;
+    their findings join the file findings *before* pragmas apply, so
+    one pragma grammar serves both scopes.  Returns the surviving
+    findings and the project stats (``None`` without *project*).
+    """
+    findings: List[Finding] = []
+    raw: Dict[str, List[Finding]] = {}
+    modules: List[ModuleContext] = []
+    for path, source in sources.items():
+        try:
+            tree = ast.parse(source, filename=path)
+        except SyntaxError as exc:
+            findings.append(
+                Finding(
+                    rule=PARSE_ERROR,
+                    path=path,
+                    line=exc.lineno or 1,
+                    col=(exc.offset or 0) + 1 if exc.offset else 1,
+                    message=f"file does not parse: {exc.msg}",
+                )
+            )
+            continue
+        module = ModuleContext(path, Path(path).as_posix(), tree, source)
+        modules.append(module)
+        raw[path] = [
+            finding
+            for rule in rules
+            if rule.scope == "file"
+            for finding in rule.check(module)
+        ]
+    stats = None
+    if project:
+        model = build_project(modules)
+        check_start = time.perf_counter()
+        for rule in rules:
+            if rule.scope == "project":
+                for finding in rule.check_project(model):
+                    raw[finding.path].append(finding)
+        stats = dict(model.stats)
+        stats["check_seconds"] = round(time.perf_counter() - check_start, 6)
+    known = set(registered_rules())
+    active = {rule.id for rule in rules}
+    for module in modules:
+        findings.extend(
+            apply_pragmas(
+                module.path,
+                sorted(raw[module.path], key=_sort_key),
+                scan_pragmas(module.source),
+                known_rules=known,
+                active_rules=active,
+            )
+        )
+    return sorted(findings, key=_sort_key), stats
+
+
 def lint_source(
-    source: str,
-    path: str,
-    config: Optional[LintConfig] = None,
-    rules: Optional[Sequence[Rule]] = None,
+    source: str, path: str, select: Optional[List[str]] = None
 ) -> List[Finding]:
     """Lint one in-memory module; the unit tests' front door.
 
@@ -180,41 +232,8 @@ def lint_source(
     project, so project-scoped rules are filtered out rather than run
     against a one-file graph that would under-approximate everything.
     """
-    config = config if config is not None else LintConfig()
-    resolved = list(rules) if rules is not None else config.resolve_rules()
-    resolved = [rule for rule in resolved if rule.scope == "file"]
-    norm = Path(path).as_posix()
-    try:
-        tree = ast.parse(source, filename=path)
-    except SyntaxError as exc:
-        return [
-            Finding(
-                rule=PARSE_ERROR,
-                path=path,
-                line=exc.lineno or 1,
-                col=(exc.offset or 0) + 1 if exc.offset else 1,
-                message=f"file does not parse: {exc.msg}",
-            )
-        ]
-    raw: List[Finding] = []
-    for rule in resolved:
-        module = ModuleContext(
-            path=path,
-            norm_path=norm,
-            tree=tree,
-            source=source,
-            options=config.options_for(rule.id),
-        )
-        raw.extend(rule.check(module))
-    raw.sort(key=_sort_key)
-    survived = apply_pragmas(
-        path,
-        raw,
-        scan_pragmas(source),
-        known_rules=set(registered_rules()),
-        active_rules={rule.id for rule in resolved},
-    )
-    return sorted(survived, key=_sort_key)
+    rules = [rule for rule in resolve_rules(select) if rule.scope == "file"]
+    return _lint_sources({path: source}, rules, project=False)[0]
 
 
 def discover_files(paths: Iterable[str]) -> List[Path]:
@@ -244,25 +263,25 @@ def discover_files(paths: Iterable[str]) -> List[Path]:
 
 def lint_paths(
     paths: Iterable[str],
-    config: Optional[LintConfig] = None,
+    select: Optional[List[str]] = None,
     project: bool = False,
 ) -> LintReport:
     """Lint every ``*.py`` file under *paths*; the CLI/CI entry point.
 
+    *select* names the rules to run (``None`` = every registered rule).
     With ``project=True`` the parsed modules additionally feed the
-    whole-program pass (:mod:`repro.lint.project`) and every
-    registered project rule runs over the resulting model.  Without
-    it, project rules are skipped — unless ``config.select`` names one
-    explicitly, which is an invocation error (the selection would
-    otherwise silently check nothing).
+    whole-program pass (:mod:`repro.lint.project`) and the selected
+    project rules run over the resulting model.  Without it, project
+    rules are skipped — unless *select* names one explicitly, which is
+    an invocation error (the selection would otherwise silently check
+    nothing).
     """
-    config = config if config is not None else LintConfig()
     path_list = [str(p) for p in paths]
-    rules = config.resolve_rules()  # ValueError on unknown selections
+    rules = resolve_rules(select)  # ValueError on unknown selections
     file_rules = [rule for rule in rules if rule.scope == "file"]
     project_rules = [rule for rule in rules if rule.scope == "project"]
     if not project:
-        if config.select is not None and project_rules:
+        if select is not None and project_rules:
             names = ", ".join(rule.id for rule in project_rules)
             raise ValueError(
                 f"rule(s) {names} are project-scoped; run with --project"
@@ -274,81 +293,28 @@ def lint_paths(
             "no Python files found under: " + ", ".join(path_list)
         )
     report = LintReport(
-        rules=[rule.id for rule in file_rules + project_rules]
+        rules=[rule.id for rule in file_rules + project_rules],
+        files_checked=len(files),
     )
-    units: List[ParsedModule] = []
     sources: Dict[str, str] = {}
-    per_file: Dict[str, List[Finding]] = {}
+    unreadable: List[Finding] = []
     for file_path in files:
-        path = str(file_path)
-        report.files_checked += 1
         try:
-            source = file_path.read_text(encoding="utf-8")
+            sources[str(file_path)] = file_path.read_text(encoding="utf-8")
         except (OSError, UnicodeDecodeError) as exc:
             # An unreadable file is unlintable, which must fail the
             # gate (like a parse failure), not shrink its coverage.
-            report.findings.append(
+            unreadable.append(
                 Finding(
                     rule=PARSE_ERROR,
-                    path=path,
+                    path=str(file_path),
                     line=1,
                     col=1,
                     message=f"file cannot be read: {exc}",
                 )
             )
-            continue
-        sources[path] = source
-        norm = file_path.as_posix()
-        try:
-            tree = ast.parse(source, filename=path)
-        except SyntaxError as exc:
-            report.findings.append(
-                Finding(
-                    rule=PARSE_ERROR,
-                    path=path,
-                    line=exc.lineno or 1,
-                    col=(exc.offset or 0) + 1 if exc.offset else 1,
-                    message=f"file does not parse: {exc.msg}",
-                )
-            )
-            continue
-        units.append(
-            ParsedModule(path=path, norm_path=norm, tree=tree, source=source)
-        )
-        bucket = per_file.setdefault(path, [])
-        for rule in file_rules:
-            module = ModuleContext(
-                path=path,
-                norm_path=norm,
-                tree=tree,
-                source=source,
-                options=config.options_for(rule.id),
-            )
-            bucket.extend(rule.check(module))
-    if project:
-        model = build_project(units)
-        check_start = time.perf_counter()
-        for rule in project_rules:
-            for finding in rule.check_project(
-                model, config.options_for(rule.id)
-            ):
-                per_file.setdefault(finding.path, []).append(finding)
-        report.project = dict(model.stats)
-        report.project["check_seconds"] = round(
-            time.perf_counter() - check_start, 6
-        )
-    known = set(registered_rules())
-    active = {rule.id for rule in file_rules + project_rules}
-    for path in sorted(per_file):
-        findings = sorted(per_file[path], key=_sort_key)
-        report.findings.extend(
-            apply_pragmas(
-                path,
-                findings,
-                scan_pragmas(sources.get(path, "")),
-                known_rules=known,
-                active_rules=active,
-            )
-        )
-    report.findings.sort(key=_sort_key)
+    findings, report.project = _lint_sources(
+        sources, file_rules + project_rules, project
+    )
+    report.findings = sorted(unreadable + findings, key=_sort_key)
     return report

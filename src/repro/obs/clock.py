@@ -16,7 +16,7 @@ clocks:
   hosts.  Its value must never flow back into seeds, keys, or counts.
 
 This module is the single entry on ``wallclock-hygiene``'s sanction
-list (:data:`repro.lint.rules.wallclock.DEFAULT_SANCTIONED`): a
+list (:data:`repro.lint.rules.wallclock.SANCTIONED`): a
 ``time.time()`` call anywhere else in ``src/repro`` still fails
 ``repro lint src``.
 """

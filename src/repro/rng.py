@@ -361,6 +361,8 @@ def resolve_trial_seeds(trials: int, rng: RngLike, start: int = 0) -> TrialPlan:
       advanced here by *trials* through numpy's own ``spawn`` — exactly
       where ``spawn_seeds(rng, trials)`` would leave it, even when the
       sampler then decides its trials without drawing a single row.
+      The counter is read-only, so it advances one tile of children at
+      a time: memory stays one tile's, whatever *trials* is.
 
     ``start == trials`` is legal and resolves to an empty plan: the
     continuation of an already-complete run is a no-op, not an error.
@@ -369,9 +371,12 @@ def resolve_trial_seeds(trials: int, rng: RngLike, start: int = 0) -> TrialPlan:
     parent = trial_parent(rng)
     first = 0
     if not isinstance(parent, int):
+        from .core.tiling import TILE_TRIALS
+
         seq = _seed_sequence_of(parent)
         first = seq.n_children_spawned
-        seq.spawn(trials)
+        for done in range(0, trials, TILE_TRIALS):
+            seq.spawn(min(TILE_TRIALS, trials - done))
     return TrialPlan(*_child_prefix(parent), first + start, trials - start)
 
 

@@ -6,13 +6,14 @@ live-tree gate in ``test_live_tree.py``.
 """
 
 import json
+import re
+from pathlib import Path
 
 import pytest
 
 from repro.cli import main
 from repro.lint import (
     JSON_VERSION,
-    LintConfig,
     default_rule_ids,
     lint_paths,
     lint_source,
@@ -40,13 +41,22 @@ class TestRegistry:
 
     def test_unknown_selection_raises(self):
         with pytest.raises(ValueError, match="no-such-rule"):
-            LintConfig(select=["no-such-rule"]).resolve_rules()
+            lint_source("x = 1\n", "src/repro/fake.py", select=["no-such-rule"])
 
-    def test_selection_dedupes_and_keeps_order(self):
-        rules = LintConfig(
-            select=["wallclock-hygiene", "broad-except", "wallclock-hygiene"]
-        ).resolve_rules()
-        assert [r.id for r in rules] == ["wallclock-hygiene", "broad-except"]
+    def test_selection_dedupes_and_keeps_order(self, tmp_path):
+        (tmp_path / "ok.py").write_text("x = 1\n", encoding="utf-8")
+        report = lint_paths(
+            [str(tmp_path)],
+            select=["wallclock-hygiene", "broad-except", "wallclock-hygiene"],
+        )
+        assert report.rules == ["wallclock-hygiene", "broad-except"]
+
+    def test_rule_catalog_doc_has_one_heading_per_rule(self):
+        doc = Path(__file__).parents[2] / "docs" / "LINT_RULES.md"
+        headings = re.findall(
+            r"^### `([^`]+)`", doc.read_text(encoding="utf-8"), re.M
+        )
+        assert sorted(headings) == default_rule_ids()
 
 
 class TestPragmas:
@@ -171,9 +181,7 @@ class TestPragmas:
             "import time\n"
             "a = time.time()  # repro-lint: disable=wallclock-hygiene -- test\n"
         )
-        findings = lint_source(
-            src, "src/repro/fake.py", config=LintConfig(select=["broad-except"])
-        )
+        findings = lint_source(src, "src/repro/fake.py", select=["broad-except"])
         assert findings == []
 
 
@@ -233,9 +241,7 @@ class TestReport:
     def test_project_rule_selection_requires_project_mode(self, tmp_path):
         (tmp_path / "ok.py").write_text("x = 1\n", encoding="utf-8")
         with pytest.raises(ValueError, match="project-scoped"):
-            lint_paths(
-                [str(tmp_path)], config=LintConfig(select=["seed-flow"])
-            )
+            lint_paths([str(tmp_path)], select=["seed-flow"])
 
     def test_github_format_escapes_and_annotates(self, tmp_path):
         target = tmp_path / "bad.py"

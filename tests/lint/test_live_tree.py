@@ -6,47 +6,65 @@ axis-reduction in the compute core, a blanket ``except``, or an
 unpaired acquisition turns this suite red.  The mutation
 tests prove the gate actually bites by re-linting real modules with a
 violation injected.
+
+The live tree is linted once per module (one file pass, one project
+pass), and the project mutation tests re-parse only the module they
+mutate: every other module keeps the parse the fixture made.
 """
 
-import shutil
+import ast
 from pathlib import Path
 
 import pytest
 
 import repro
-from repro.lint import LintConfig, default_rule_ids, lint_paths, lint_source
+from repro.lint import (
+    ModuleContext,
+    build_project,
+    default_rule_ids,
+    lint_paths,
+    lint_source,
+    registered_rules,
+)
 
 PACKAGE_DIR = Path(repro.__file__).parent
 
 
-class TestLiveTree:
-    def test_src_tree_is_violation_free(self):
-        report = lint_paths([str(PACKAGE_DIR)])
-        assert report.findings == [], "\n" + report.render_human()
-        assert report.files_checked > 50  # the whole package, not a subdir
+@pytest.fixture(scope="module")
+def file_report():
+    return lint_paths([str(PACKAGE_DIR)])
 
-    def test_all_rules_enabled_none_advisory(self):
+
+@pytest.fixture(scope="module")
+def project_report():
+    return lint_paths([str(PACKAGE_DIR)], project=True)
+
+
+class TestLiveTree:
+    def test_src_tree_is_violation_free(self, file_report):
+        assert file_report.findings == [], "\n" + file_report.render_human()
+        assert file_report.files_checked > 50  # the whole package, not a subdir
+
+    def test_all_rules_enabled_none_advisory(self, file_report, project_report):
         """A default run enables every file rule; a ``--project`` run
         enables the full registry.  No rule is opt-in."""
-        report = lint_paths([str(PACKAGE_DIR)])
-        assert len(report.rules) >= 5
-        project_report = lint_paths([str(PACKAGE_DIR)], project=True)
+        assert len(file_report.rules) >= 5
         assert set(project_report.rules) == set(default_rule_ids())
-        assert set(report.rules) < set(project_report.rules)
+        assert set(file_report.rules) < set(project_report.rules)
 
-    def test_src_tree_passes_the_whole_program_pass(self):
-        report = lint_paths([str(PACKAGE_DIR)], project=True)
-        assert report.findings == [], "\n" + report.render_human()
+    def test_src_tree_passes_the_whole_program_pass(self, project_report):
+        assert project_report.findings == [], (
+            "\n" + project_report.render_human()
+        )
         assert {"seed-flow", "async-blocking", "lock-discipline"} <= set(
-            report.rules
+            project_report.rules
         )
 
-    def test_project_analysis_is_not_vacuous(self):
+    def test_project_analysis_is_not_vacuous(self, project_report):
         """A clean project pass is only meaningful if the graph really
         covers the tree: every backend entry point resolved, edges in
         the hundreds, and the service/orchestrator spine connected."""
-        report = lint_paths([str(PACKAGE_DIR)], project=True)
-        stats = report.project
+        stats = project_report.project
         assert stats is not None
         assert stats["modules"] > 80
         assert stats["functions"] > 500
@@ -57,25 +75,30 @@ class TestLiveTree:
 
 
 @pytest.fixture(scope="module")
-def tree_copy(tmp_path_factory):
-    """A pristine copy of ``src/repro`` for whole-tree mutations."""
-    root = tmp_path_factory.mktemp("live") / "repro"
-    shutil.copytree(
-        PACKAGE_DIR, root, ignore=shutil.ignore_patterns("__pycache__")
+def live_modules():
+    """Every module of the live tree, parsed once: path -> context."""
+    modules = {}
+    for path in sorted(PACKAGE_DIR.rglob("*.py")):
+        source = path.read_text(encoding="utf-8")
+        modules[str(path)] = ModuleContext(
+            str(path), path.as_posix(), ast.parse(source), source
+        )
+    return modules
+
+
+def mutate_project(
+    live_modules: dict, rel: str, old: str, new: str, rule_id: str
+) -> list:
+    """Findings of project rule *rule_id* with one live module mutated."""
+    path = str(PACKAGE_DIR / rel)
+    module = live_modules[path]
+    assert old in module.source, f"mutation anchor vanished from {rel}"
+    source = module.source.replace(old, new, 1)
+    mutated = ModuleContext(path, module.norm_path, ast.parse(source), source)
+    model = build_project(
+        mutated if unit is module else unit for unit in live_modules.values()
     )
-    return root
-
-
-def mutate_project(tree_copy: Path, rel: str, old: str, new: str) -> list:
-    """Project-lint the copied tree with one mutation applied."""
-    target = tree_copy / rel
-    original = target.read_text(encoding="utf-8")
-    assert old in original, f"mutation anchor vanished from {rel}"
-    target.write_text(original.replace(old, new, 1), encoding="utf-8")
-    try:
-        return lint_paths([str(tree_copy)], project=True).findings
-    finally:
-        target.write_text(original, encoding="utf-8")
+    return list(registered_rules()[rule_id]().check_project(model))
 
 
 def mutate(module: Path, old: str, new: str) -> list:
@@ -146,6 +169,14 @@ class TestMutationsAreCaught:
         findings = lint_source(injected, str(module))
         assert any(f.rule == "resource-discipline" for f in findings)
 
+    def test_dynamic_span_name_in_engine_is_caught(self):
+        findings = mutate(
+            PACKAGE_DIR / "engine" / "telemetry.py",
+            '"engine.backend.count",',
+            'f"engine.{backend}.count",',
+        )
+        assert any(f.rule == "telemetry-discipline" for f in findings)
+
 
 class TestProjectMutationsAreCaught:
     """Each whole-program rule bites on the bug class it encodes,
@@ -153,60 +184,67 @@ class TestProjectMutationsAreCaught:
     rules are structurally blind to."""
 
     def test_literal_seed_inside_a_sanctioned_seed_site_is_caught(
-        self, tree_copy
+        self, live_modules
     ):
         """``sequential.py`` is an rng-discipline seed site, so the
         file rule passes this mutation; only the dataflow pass sees
         that the seed no longer derives from the plan."""
-        findings = mutate_project(
-            tree_copy,
-            "engine/sequential.py",
+        mutation = (
             "np.random.default_rng(s) for s in seeds",
             "np.random.default_rng(999) for s in seeds",
         )
-        assert any(f.rule == "seed-flow" for f in findings)
+        assert mutate_project(
+            live_modules, "engine/sequential.py", *mutation, "seed-flow"
+        )
+        findings = mutate(PACKAGE_DIR / "engine" / "sequential.py", *mutation)
         assert not any(f.rule == "rng-discipline" for f in findings)
 
-    def test_blocking_store_call_in_coroutine_is_caught(self, tree_copy):
-        findings = mutate_project(
-            tree_copy,
+    def test_blocking_store_call_in_coroutine_is_caught(self, live_modules):
+        assert mutate_project(
+            live_modules,
             "service/server.py",
             "        spec = ExperimentSpec.from_dict(spec_data)",
             "        spec = ExperimentSpec.from_dict(spec_data)\n"
             "        self.store.scan()",
+            "async-blocking",
         )
-        assert any(f.rule == "async-blocking" for f in findings)
 
-    def test_append_without_store_lock_is_caught(self, tree_copy):
-        findings = mutate_project(
-            tree_copy,
+    def test_append_without_store_lock_is_caught(self, live_modules):
+        assert mutate_project(
+            live_modules,
             "lab/store.py",
             "        with _StoreLock(self.path):\n"
             "            fd = os.open(",
             "        if True:\n"
             "            fd = os.open(",
+            "lock-discipline",
         )
-        assert any(f.rule == "lock-discipline" for f in findings)
 
-    def test_dispatch_outside_per_key_lock_is_caught(self, tree_copy):
-        findings = mutate_project(
-            tree_copy,
+    def test_dispatch_outside_per_key_lock_is_caught(self, live_modules):
+        assert mutate_project(
+            live_modules,
             "service/server.py",
             "            async with entry.lock:\n"
             "                loop = asyncio.get_running_loop()",
             "            if True:\n"
             "                loop = asyncio.get_running_loop()",
+            "lock-discipline",
         )
-        assert any(f.rule == "lock-discipline" for f in findings)
 
 
-class TestConfigOverrides:
-    def test_seed_sites_are_configurable(self):
-        """A stricter config (no seed sites) flags the engine's own
-        generator construction — proving the allowlist is load-bearing."""
-        config = LintConfig(
+class TestSeedSites:
+    def test_seed_sites_are_load_bearing(self):
+        """The engine's own generator construction fires once its
+        module sits outside the seed sites — the allowlist is what
+        keeps the live tree clean."""
+        source = (PACKAGE_DIR / "engine" / "sequential.py").read_text(
+            encoding="utf-8"
+        )
+        assert lint_source(
+            source, str(PACKAGE_DIR / "engine" / "seedless.py"),
             select=["rng-discipline"],
-            options={"rng-discipline": {"seed_sites": ()}},
         )
-        report = lint_paths([str(PACKAGE_DIR / "engine")], config=config)
-        assert any(f.rule == "rng-discipline" for f in report.findings)
+        assert not lint_source(
+            source, str(PACKAGE_DIR / "engine" / "sequential.py"),
+            select=["rng-discipline"],
+        )

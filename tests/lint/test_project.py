@@ -12,13 +12,8 @@ from pathlib import Path
 
 import pytest
 
-from repro.lint.project import (
-    CALL,
-    REF,
-    ParsedModule,
-    build_project,
-    iter_own_nodes,
-)
+from repro.lint import ModuleContext
+from repro.lint.project import CALL, REF, build_project, iter_own_nodes
 
 
 def build(tmp_path: Path, files: dict):
@@ -31,7 +26,7 @@ def build(tmp_path: Path, files: dict):
     for path in sorted(tmp_path.rglob("*.py")):
         source = path.read_text(encoding="utf-8")
         units.append(
-            ParsedModule(
+            ModuleContext(
                 path=str(path),
                 norm_path=path.as_posix(),
                 tree=ast.parse(source),
@@ -261,7 +256,7 @@ class TestGraphQueries:
             "pkg.store.Store.append"
         ]
 
-    def test_reachable_from_filters_by_edge_kind(self, tmp_path):
+    def test_handed_off_function_is_a_ref_edge_not_a_call(self, tmp_path):
         model = build(
             tmp_path,
             {
@@ -276,10 +271,15 @@ class TestGraphQueries:
                 ),
             },
         )
-        calls_only = model.reachable_from(["pkg.m.a"], kinds=(CALL,))
-        assert calls_only == {"pkg.m.a", "pkg.m.b"}
-        both = model.reachable_from(["pkg.m.a"], kinds=(CALL, REF))
-        assert both == {"pkg.m.a", "pkg.m.b", "pkg.m.c"}
+        def edges(caller):
+            return {
+                (target, site.kind)
+                for site in model.functions[caller].calls
+                for target in site.targets
+            }
+
+        assert edges("pkg.m.a") == {("pkg.m.b", CALL)}
+        assert edges("pkg.m.b") == {("pkg.m.c", REF)}
 
     def test_nested_function_is_linked_by_containment_ref(self, tmp_path):
         model = build(
@@ -295,10 +295,8 @@ class TestGraphQueries:
             },
         )
         assert "pkg.m.outer.inner" in model.functions
-        assert model.reachable_from(["pkg.m.outer"]) == {
-            "pkg.m.outer",
-            "pkg.m.outer.inner",
-        }
+        edges = {(s.targets, s.kind) for s in model.functions["pkg.m.outer"].calls}
+        assert edges == {(("pkg.m.outer.inner",), REF)}
 
 
 class TestWithSpans:

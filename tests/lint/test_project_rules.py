@@ -1,7 +1,7 @@
 """Per-rule semantics of the whole-program pass, on fixture projects.
 
 Each fixture is a miniature ``repro``-shaped tree written to disk (the
-path-based options — service layer under ``repro/service/``, the store
+path-based constants — service layer under ``repro/service/``, the store
 at ``repro/lab/store.py`` — key off the layout).  Every rule gets both
 directions: the violation fires, and the sanctioned idiom stays
 silent.  The live-tree mutation gates are in ``test_live_tree.py``.
@@ -10,16 +10,15 @@ silent.  The live-tree mutation gates are in ``test_live_tree.py``.
 import textwrap
 from pathlib import Path
 
-from repro.lint import LintConfig, lint_paths
+from repro.lint import lint_paths
 
 
-def run_lint(tmp_path: Path, files: dict, select=None, options=None):
+def run_lint(tmp_path: Path, files: dict, select=None):
     for rel, source in files.items():
         target = tmp_path / rel
         target.parent.mkdir(parents=True, exist_ok=True)
         target.write_text(textwrap.dedent(source), encoding="utf-8")
-    config = LintConfig(select=select, options=options or {})
-    report = lint_paths([str(tmp_path)], config=config, project=True)
+    report = lint_paths([str(tmp_path)], select=select, project=True)
     return report.findings
 
 

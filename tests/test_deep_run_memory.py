@@ -10,6 +10,7 @@ The bound is a constant: it must hold at any depth, not scale with it.
 
 import tracemalloc
 
+import numpy as np
 import pytest
 
 from repro.engine import ExecutionEngine
@@ -60,3 +61,21 @@ def test_fresh_lab_run_peak_is_bounded(spec, tmp_path):
     assert result[0].source == "fresh" and result[0].trials_executed == TRIALS
     assert peak < PEAK_BOUND_BYTES
 
+
+def test_generator_parent_peak_is_bounded(spec):
+    """A ``Generator`` parent's spawn counter advances one tile of
+    children at a time: the run never holds every child at once."""
+    engine = ExecutionEngine("batched")
+    trials = 1 << 14  # 4 tiles; ~6 MB of children if spawned at once
+    parent = np.random.default_rng(spec.seed)
+    seq = parent.bit_generator.seed_seq
+    n0 = seq.n_children_spawned
+    result = []
+    peak = _peak_bytes(
+        lambda: result.append(
+            engine.estimate_acceptance(spec.resolve_word(), trials, rng=parent)
+        )
+    )
+    assert 0 < result[0].accepted < trials
+    assert seq.n_children_spawned == n0 + trials
+    assert peak < PEAK_BOUND_BYTES
