@@ -621,8 +621,8 @@ def test_store_fleet_scale(tmp_path):
       full-file scans (index lookup + seek only).
 
     Always enforced, smoke included: the store accounts for every
-    seeded experiment, a TTL-0 eviction tombstones exactly every key,
-    and the compaction after it leaves an empty store.
+    seeded experiment, a TTL-0 eviction drops exactly every key, and
+    the compaction after it leaves an empty store.
     """
     from repro.lab import ResultStore
     from repro.lab.store import LabRecord
@@ -675,8 +675,8 @@ def test_store_fleet_scale(tmp_path):
     evict_seconds = time.perf_counter() - start
 
     # The invariants that hold at every scale: an evict-everything pass
-    # tombstones every key exactly once, and compaction then empties
-    # the store.
+    # drops every key exactly once, and the store is empty after the
+    # compaction that follows.
     assert len(evicted) == len(set(evicted)) == keys
     store.compact()
     assert store.status().experiments == 0

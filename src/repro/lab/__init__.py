@@ -21,7 +21,7 @@ Layers:
   index (pure logic shared by store, tests, and tools);
 * :mod:`repro.lab.store` — :class:`ResultStore`, the durable sharded
   checkpoint log (atomic appends, corruption-tolerant reads, schema
-  versioning, verified indexes, tombstone eviction).  A root still in
+  versioning, verified indexes, eviction by shard rewrite).  A root still in
   the flat pre-shard layout raises :class:`UnmigratedStoreError` until
   ``python -m repro lab compact`` migrates it;
 * :mod:`repro.lab.orchestrator` — :class:`Orchestrator`, the
@@ -35,7 +35,6 @@ Entry points: ``Orchestrator(store).run(spec)`` from code,
 from .spec import ExperimentSpec, WORD_FAMILIES
 from .shards import ShardIndex, shard_prefix
 from .store import (
-    ControlRecord,
     LabRecord,
     ResultStore,
     SCHEMA_VERSION,
@@ -53,7 +52,6 @@ from .orchestrator import (
 __all__ = [
     "ExperimentSpec",
     "WORD_FAMILIES",
-    "ControlRecord",
     "LabRecord",
     "ResultStore",
     "SCHEMA_VERSION",

@@ -81,8 +81,8 @@ class PrecisionRunResult:
 class MaintenanceReport:
     """Outcome of one background store-maintenance pass."""
 
-    evicted_keys: int  # tombstones appended this pass
-    removed_lines: int  # lines reclaimed by compaction
+    evicted_keys: int  # keys the eviction rewrites dropped this pass
+    removed_lines: int  # lines reclaimed by the compaction after eviction
     shards: int
     indexed_shards: int  # shards whose sidecar index is fresh (== shards after a pass)
     experiments: int
@@ -314,10 +314,11 @@ class Orchestrator:
     ) -> MaintenanceReport:
         """One background maintenance pass: evict, compact, summarize.
 
-        Eviction appends TTL/LRU tombstones; compaction reclaims the
-        bytes and rebuilds every shard's sidecar index.  Each shard
-        compacts under its own lock, so concurrent :meth:`run` appends
-        are never blocked — this is the op the service exposes.
+        Eviction rewrites the shards that hold TTL/LRU victims without
+        them; compaction then rewrites every shard and rebuilds its
+        sidecar index.  Each shard is rewritten under its own lock, so
+        concurrent :meth:`run` appends are never blocked — this is the
+        op the service exposes.
         """
         start = time.perf_counter()
         with span("lab.maintain"):

@@ -116,25 +116,19 @@ class ShardIndex:
     *shorter* than ``indexed_bytes`` can only mean the index is stale
     (truncation, replacement by older code): the whole document is
     discarded.  Keys this build does not write (the ``leases`` snapshot
-    of older builds) are ignored on read.
+    and the build time older builds wrote) are ignored on read.
     """
 
     indexed_bytes: int
     lines: int
-    built_stamp: float
     entries: Dict[str, IndexEntry] = field(default_factory=dict)
     version: int = INDEX_VERSION
-
-    def stored_trials(self) -> int:
-        """Sum of deepest-checkpoint depths — the status fast path."""
-        return sum(entry.trials for entry in self.entries.values())
 
     def to_document(self) -> Dict[str, Any]:
         return {
             "version": self.version,
             "indexed_bytes": self.indexed_bytes,
             "lines": self.lines,
-            "built_stamp": self.built_stamp,
             "entries": {
                 key: entry.to_document() for key, entry in self.entries.items()
             },
@@ -149,7 +143,6 @@ class ShardIndex:
             version = int(data["version"])
             indexed_bytes = int(data["indexed_bytes"])
             lines = int(data["lines"])
-            built_stamp = float(data["built_stamp"])
             raw_entries = data["entries"]
         except (KeyError, TypeError, ValueError):
             return None
@@ -163,12 +156,7 @@ class ShardIndex:
             if entry is None:
                 return None  # one bad entry poisons the document
             entries[str(key)] = entry
-        return cls(
-            indexed_bytes=indexed_bytes,
-            lines=lines,
-            built_stamp=built_stamp,
-            entries=entries,
-        )
+        return cls(indexed_bytes=indexed_bytes, lines=lines, entries=entries)
 
 
 def index_path(shard_dir: Path) -> Path:

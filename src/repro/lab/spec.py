@@ -146,9 +146,19 @@ class ExperimentSpec:
 
     @property
     def key(self) -> str:
-        """Content-hash key: SHA-256 of the canonical identity JSON."""
+        """Content-hash key: SHA-256 of the canonical identity JSON.
+
+        Computed once per instance and cached like :meth:`resolve_word`
+        (outside the dataclass fields), so a query that reads it at
+        several layers hashes the word once.
+        """
+        cached = self.__dict__.get("_key")
+        if cached is not None:
+            return cached
         canon = json.dumps(self.identity(), sort_keys=True, separators=(",", ":"))
-        return hashlib.sha256(canon.encode("ascii")).hexdigest()
+        key = hashlib.sha256(canon.encode("ascii")).hexdigest()
+        object.__setattr__(self, "_key", key)
+        return key
 
     @property
     def shard(self) -> str:

@@ -6,18 +6,14 @@ One :class:`ResultStore` owns a directory.  Keys route to
 ``results.jsonl`` (the pre-shard layout) is refused with
 :class:`UnmigratedStoreError` until ``repro lab compact`` (or
 :meth:`ResultStore.migrate`) moves it into the shards.  Every data line
-is one of:
-
-* a :class:`LabRecord` — a *cumulative checkpoint*: "after ``trials``
-  trials of the run keyed ``key``, ``accepted`` of them accepted".
-  Checkpoints form a per-key deepening ladder (1 000, 10 000, ...) and
-  any rung can later serve — or seed the continuation of — a request
-  at that depth;
-* a :class:`ControlRecord` — an eviction ``tombstone``: it masks every
-  earlier checkpoint of its key until compaction removes both.  Readers
-  that predate control records skip them as unreadable lines, and so
-  does this one for control kinds it does not know (the ``claim`` /
-  ``release`` lease lines older builds wrote) — compaction drops them.
+is a :class:`LabRecord` — a *cumulative checkpoint*: "after ``trials``
+trials of the run keyed ``key``, ``accepted`` of them accepted".
+Checkpoints form a per-key deepening ladder (1 000, 10 000, ...) and
+any rung can later serve — or seed the continuation of — a request at
+that depth.  Nothing else is ever written: eviction rewrites the shard
+without its victims.  The control lines older builds wrote (eviction
+tombstones, ``claim`` / ``release`` leases) miss the checkpoint fields,
+so they read as unreadable lines and compaction drops them.
 
 Durability properties:
 
@@ -41,8 +37,8 @@ Durability properties:
   cost a re-scan, never a wrong rung.
 
 Locking contract (enforced by the ``lock-discipline`` project rule):
-every mutation of a data file — the ``os.write`` appends (checkpoints,
-tombstones), the compaction's ``os.replace`` publishes of the data file
+every mutation of a data file — the ``os.write`` appends, the
+compaction's (and eviction's) ``os.replace`` publishes of the data file
 and its index — executes under that file's sidecar
 :class:`_StoreLock`.  No path takes two shard locks at once; only the
 migration nests one (flat file, then each shard in turn), so there is
@@ -55,7 +51,7 @@ import json
 import os
 from dataclasses import asdict, dataclass
 from pathlib import Path
-from typing import Any, Dict, Iterable, List, Optional, Tuple, Union
+from typing import Any, Dict, Iterable, List, Optional, Set, Tuple, Union
 
 from ..obs import get_registry
 from ..obs.clock import perf_counter, wall_time
@@ -108,14 +104,7 @@ class LabRecord:
             data = json.loads(line)
         except json.JSONDecodeError:
             return None
-        if not isinstance(data, dict):
-            return None
-        return cls.from_data(data)
-
-    @classmethod
-    def from_data(cls, data: Dict[str, Any]) -> Optional["LabRecord"]:
-        """Validate one decoded line object; ``None`` when unreadable."""
-        if any(f not in data for f in _REQUIRED):
+        if not isinstance(data, dict) or any(f not in data for f in _REQUIRED):
             return None
         if not isinstance(data["schema"], int) or data["schema"] > SCHEMA_VERSION:
             return None
@@ -155,85 +144,11 @@ class UnmigratedStoreError(ValueError):
         )
 
 
-@dataclass(frozen=True)
-class ControlRecord:
-    """One append-only eviction tombstone.
-
-    Control lines share the data files with checkpoints but carry a
-    ``control`` kind (always ``"tombstone"``) instead of counts.
-    ``stamp`` is a wall-clock export timestamp; it never feeds seeds,
-    keys, or counts.
-    """
-
-    control: str
-    key: str
-    stamp: float
-    schema: int = SCHEMA_VERSION
-
-    def to_line(self) -> str:
-        return json.dumps(asdict(self), sort_keys=True, allow_nan=False) + "\n"
-
-    @classmethod
-    def from_data(cls, data: Dict[str, Any]) -> Optional["ControlRecord"]:
-        """Validate one decoded control line; ``None`` when unreadable."""
-        schema = data.get("schema")
-        if not isinstance(schema, int) or schema > SCHEMA_VERSION:
-            return None
-        try:
-            record = cls(
-                control=str(data["control"]),
-                key=str(data["key"]),
-                stamp=float(data["stamp"]),
-                schema=schema,
-            )
-        except (KeyError, TypeError, ValueError):
-            return None
-        if record.control != "tombstone" or not record.key or record.stamp < 0.0:
-            return None
-        return record
-
-
-#: One parsed data line: a checkpoint or a control record.
-StoreEvent = Union[LabRecord, ControlRecord]
-
-
-def _parse_line(line: str) -> Optional[StoreEvent]:
-    """Classify one line; ``None`` counts as corrupt."""
-    try:
-        data = json.loads(line)
-    except json.JSONDecodeError:
-        return None
-    if not isinstance(data, dict):
-        return None
-    if "control" in data:
-        return ControlRecord.from_data(data)
-    return LabRecord.from_data(data)
-
-
-def _apply_controls(events: Iterable[StoreEvent]) -> Tuple[List[LabRecord], int]:
-    """Fold tombstones over an event stream, in order.
-
-    A tombstone masks every *earlier* checkpoint of its key (later
-    re-computed checkpoints serve again — eviction forgets, it does
-    not ban).  Returns ``(visible records, masked count)``.
-    """
-    records: List[LabRecord] = []
-    masked = 0
-    for event in events:
-        if isinstance(event, LabRecord):
-            records.append(event)
-            continue
-        kept = [r for r in records if r.key != event.key]
-        masked += len(records) - len(kept)
-        records = kept
-    return records, masked
-
-
-def _read_events(path: Path, start: int = 0) -> Tuple[List[StoreEvent], int]:
+def _read_records(path: Path, start: int = 0) -> Tuple[List[LabRecord], int]:
     """Parse a data file (or its tail from byte *start*).
 
     Unreadable lines are counted, never raised: every failure mode
-    down to a vanished file reads as "no events".
+    down to a vanished file reads as "no records".
     """
     try:
         with open(path, "rb") as fh:
@@ -242,17 +157,39 @@ def _read_events(path: Path, start: int = 0) -> Tuple[List[StoreEvent], int]:
             raw = fh.read()
     except OSError:
         return [], 0
-    events: List[StoreEvent] = []
+    records: List[LabRecord] = []
     corrupt = 0
     for line in raw.decode("utf-8", errors="replace").splitlines():
         if not line.strip():
             continue
-        event = _parse_line(line)
-        if event is None:
+        record = LabRecord.from_line(line)
+        if record is None:
             corrupt += 1
         else:
-            events.append(event)
-    return events, corrupt
+            records.append(record)
+    return records, corrupt
+
+
+def _index_tail(
+    data: Path, doc: ShardIndex
+) -> Optional[Tuple[List[LabRecord], int]]:
+    """The records appended after *doc*'s compaction; ``None`` if *doc* is void.
+
+    The one rule for trusting a shard index: the data file still holds
+    the ``indexed_bytes`` it describes.  A shorter file was truncated
+    or rewritten by other code, and the document is void.  Bytes past
+    ``indexed_bytes`` are the *tail*, returned as ``(records, corrupt
+    lines)``; with no tail, nothing beyond one ``stat`` is read.
+    """
+    try:
+        size = os.stat(data).st_size
+    except OSError:
+        size = 0
+    if size < doc.indexed_bytes:
+        return None
+    if size == doc.indexed_bytes:
+        return [], 0
+    return _read_records(data, start=doc.indexed_bytes)
 
 
 def _flock(fd: int, lock: bool) -> None:
@@ -312,7 +249,7 @@ class _Shard:
         The data file is opened *inside* the store lock so an append
         can never land on an inode a compaction is about to retire;
         one ``os.write`` keeps multi-line payloads (bulk imports,
-        tombstone batches, migrated records) contiguous.
+        migrated records) contiguous.
         """
         with _StoreLock(self.path):
             fd = os.open(self.path, os.O_WRONLY | os.O_CREAT | os.O_APPEND, 0o644)
@@ -325,26 +262,26 @@ class _Shard:
 
 @dataclass(frozen=True)
 class StoreScan:
-    """One full read of the store: visible records plus scan stats.
+    """One full read of the store: its records plus scan stats.
 
     Returned by :meth:`ResultStore.scan` so corruption reporting is
     per-call state: a caller's count can never be clobbered by a later
-    query's internal re-scan.  ``masked_records`` counts checkpoints
-    hidden by tombstones.
+    query's internal re-scan.
     """
 
     records: List[LabRecord]
     corrupt_lines: int
-    masked_records: int = 0
 
 
 @dataclass(frozen=True)
 class StoreStatus:
     """Summary counts for status surfaces (CLI, service stats).
 
-    ``source`` says how the numbers were produced: ``"index"`` (every
-    shard served by its sidecar index — the sub-second path),
-    ``"scan"`` (no index helped) or ``"mixed"``.
+    ``indexed_shards`` counts shards whose index covers the whole data
+    file.  ``source`` says how the numbers were produced: ``"index"``
+    (every shard served by its sidecar index alone — the sub-second
+    path), ``"scan"`` (none was: each needed a tail read or a full
+    scan) or ``"mixed"``.
     """
 
     experiments: int
@@ -412,7 +349,7 @@ class ResultStore:
 
     # -- reading -------------------------------------------------------
 
-    def _scan_file(self, path: Path) -> Tuple[List[StoreEvent], int]:
+    def _scan_file(self, path: Path) -> Tuple[List[LabRecord], int]:
         """One *full* read of one data file — the scan choke point.
 
         Every whole-file read in the store funnels through here, so
@@ -422,10 +359,10 @@ class ResultStore:
         if not path.exists():
             return [], 0
         get_registry().counter("lab.store.file_scans", shard=path.parent.name).inc()
-        return _read_events(path)
+        return _read_records(path)
 
     def scan(self) -> StoreScan:
-        """One full read: visible checkpoints plus this scan's stats.
+        """One full read: every checkpoint plus this scan's stats.
 
         Reads every shard in prefix order; within a file, append order
         is preserved — and a key's checkpoints all live in one shard,
@@ -435,14 +372,13 @@ class ResultStore:
         :attr:`StoreScan.corrupt_lines` — per-call state, immune to
         later queries re-scanning the files.
         """
-        events: List[StoreEvent] = []
+        records: List[LabRecord] = []
         corrupt = 0
         for data in self._data_files():
             found, bad = self._scan_file(data)
-            events.extend(found)
+            records.extend(found)
             corrupt += bad
-        records, masked = _apply_controls(events)
-        return StoreScan(records=records, corrupt_lines=corrupt, masked_records=masked)
+        return StoreScan(records=records, corrupt_lines=corrupt)
 
     def checkpoints(
         self, key: str, records: Optional[List[LabRecord]] = None
@@ -464,9 +400,8 @@ class ResultStore:
         return [by_trials[t] for t in sorted(by_trials)]
 
     def _key_records(self, key: str) -> List[LabRecord]:
-        """Visible records for one key: a scan of its shard only."""
-        events, _ = self._scan_file(self.shard_path(key))
-        records, _ = _apply_controls(events)
+        """Records for one key: a scan of its shard only."""
+        records, _ = self._scan_file(self.shard_path(key))
         return [r for r in records if r.key == key]
 
     def deepest(self, key: str) -> Optional[LabRecord]:
@@ -495,13 +430,8 @@ class ResultStore:
                 registry.counter("lab.store.index.misses").inc()
                 return _INDEX_MISS
             return None  # no shard file at all: definitively nothing stored
-        try:
-            size = os.stat(data).st_size
-        except OSError:
-            size = 0
-        if size < doc.indexed_bytes:
-            # The file shrank below what the index describes — a
-            # truncation or an old-code rewrite.  The document is void.
+        tail = _index_tail(data, doc)
+        if tail is None:
             registry.counter("lab.store.index.discarded").inc()
             return _INDEX_MISS
         current: Optional[LabRecord] = None
@@ -511,17 +441,13 @@ class ResultStore:
             if current is None:
                 registry.counter("lab.store.index.discarded").inc()
                 return _INDEX_MISS
-        if size > doc.indexed_bytes:
-            # Post-compaction tail: scan only the appended bytes and
-            # fold this key's events on top of the indexed answer.
-            tail_events, _ = _read_events(data, start=doc.indexed_bytes)
-            for event in tail_events:
-                if event.key != key:
-                    continue
-                if isinstance(event, ControlRecord):
-                    current = None  # a tombstone
-                elif current is None or event.trials >= current.trials:
-                    current = event
+        # Post-compaction tail: this key's appends fold on top of the
+        # indexed answer.
+        for record in tail[0]:
+            if record.key == key and (
+                current is None or record.trials >= current.trials
+            ):
+                current = record
         registry.counter("lab.store.index.hits").inc()
         return current
 
@@ -559,39 +485,43 @@ class ResultStore:
         return deepest
 
     def status(self) -> StoreStatus:
-        """Store-wide summary, served from shard indexes where fresh.
+        """Store-wide summary, served from shard indexes where usable.
 
-        A shard whose index covers exactly the data file's bytes is
-        summarized from the index alone (no file scan); dirty shards
-        are scanned.  On a fully compacted store this is pure index
-        reads — the ``lab status`` sub-second-at-10^5-keys path.
+        A shard with a usable index is summarized from the index plus
+        its post-compaction tail (no full scan); only a shard with no
+        usable index is scanned.  On a fully compacted store this is
+        pure index reads — the ``lab status`` sub-second-at-10^5-keys
+        path.
         """
         deepest: Dict[str, int] = {}
         checkpoints = 0
         corrupt = 0
         indexed = 0
-        scanned = 0
-        for shard_dir in self._shard_dirs():
+        scanned = 0  # shards read past their index: a tail or a full scan
+        shard_dirs = self._shard_dirs()
+        for shard_dir in shard_dirs:
             data = shard_dir / DATA_NAME
             doc = load_index(shard_dir)
-            try:
-                size = os.stat(data).st_size
-            except OSError:
-                size = 0
-            if doc is not None and size == doc.indexed_bytes:
-                indexed += 1
+            tail = None if doc is None else _index_tail(data, doc)
+            if tail is not None:
+                records, bad = tail
                 checkpoints += doc.lines
                 for key, entry in doc.entries.items():
                     deepest[key] = entry.trials
+                if records or bad:
+                    scanned += 1
+                else:
+                    indexed += 1
             elif data.exists():
                 scanned += 1
-                events, bad = self._scan_file(data)
-                records, _ = _apply_controls(events)
-                corrupt += bad
-                checkpoints += len(records)
-                for record in records:
-                    if record.trials >= deepest.get(record.key, 0):
-                        deepest[record.key] = record.trials
+                records, bad = self._scan_file(data)
+            else:
+                continue
+            corrupt += bad
+            checkpoints += len(records)
+            for record in records:
+                if record.trials >= deepest.get(record.key, 0):
+                    deepest[record.key] = record.trials
         if indexed and scanned:
             source = "mixed"
         elif indexed:
@@ -603,7 +533,7 @@ class ResultStore:
             checkpoints=checkpoints,
             corrupt_lines=corrupt,
             stored_trials=sum(deepest.values()),
-            shards=len(self._shard_dirs()),
+            shards=len(shard_dirs),
             indexed_shards=indexed,
             source=source,
         )
@@ -651,7 +581,7 @@ class ResultStore:
         max_keys: Optional[int] = None,
         now: Optional[float] = None,
     ) -> List[str]:
-        """Append eviction tombstones per TTL and/or LRU policy.
+        """Drop whole keys per TTL and/or LRU policy; returns the keys dropped.
 
         Only *indexed* keys are candidates — a key's age is its index
         stamp (when its deepest rung last changed), so nothing is
@@ -659,8 +589,10 @@ class ResultStore:
         always protected: keys with post-compaction tail checkpoints,
         and (for LRU) the newest keys up to *max_keys*.
 
-        Returns the evicted keys.  Eviction is append-only — the bytes
-        are reclaimed by the next :meth:`compact`.
+        Each victim's shard is rewritten without it, through the
+        compaction path and under the shard lock.  A victim that gained
+        a checkpoint between selection and the rewrite is kept, and is
+        not returned.
         """
         if ttl_seconds is None and max_keys is None:
             return []
@@ -670,92 +602,70 @@ class ResultStore:
             raise ValueError("max_keys must be non-negative")
         now = wall_time() if now is None else float(now)
         start = perf_counter()
-        candidates: List[Tuple[float, str, str]] = []  # (stamp, key, prefix)
+        candidates: List[Tuple[float, str, Path]] = []  # (stamp, key, shard)
         total_keys = 0
         for shard_dir in self._shard_dirs():
             data = shard_dir / DATA_NAME
-            events, _ = self._scan_file(data)
-            records, _ = _apply_controls(events)
-            live = {record.key for record in records}
-            total_keys += len(live)
             doc = load_index(shard_dir)
-            if doc is None:
+            tail = None if doc is None else _index_tail(data, doc)
+            if tail is None:
+                # No trustworthy ages here: the keys count, none ages.
+                records, _ = self._scan_file(data)
+                total_keys += len({record.key for record in records})
                 continue
-            try:
-                size = os.stat(data).st_size
-            except OSError:
-                continue
-            if size < doc.indexed_bytes:
-                continue  # stale index: no trustworthy ages in this shard
-            tail_events, _ = _read_events(data, start=doc.indexed_bytes)
             # Post-compaction checkpoints make a key "newest" (no index
             # stamp yet → not evictable).
-            tail_keys = {
-                event.key
-                for event in tail_events
-                if isinstance(event, LabRecord)
-            }
-            for key in live - tail_keys:
-                entry = doc.entries.get(key)
-                if entry is not None:
-                    candidates.append((entry.stamp, key, shard_dir.name))
-        chosen: Dict[str, str] = {}
+            tail_keys = {record.key for record in tail[0]}
+            total_keys += len(tail_keys.union(doc.entries))
+            for key, entry in doc.entries.items():
+                if key not in tail_keys:
+                    candidates.append((entry.stamp, key, shard_dir))
+        chosen: Set[str] = set()
         if ttl_seconds is not None:
-            for stamp, key, prefix in candidates:
+            for stamp, key, _ in candidates:
                 if now - stamp >= ttl_seconds:
-                    chosen[key] = prefix
+                    chosen.add(key)
         if max_keys is not None and total_keys - len(chosen) > max_keys:
-            for stamp, key, prefix in sorted(candidates):
+            for stamp, key, _ in sorted(candidates):
                 if total_keys - len(chosen) <= max_keys:
                     break
-                if key not in chosen:
-                    chosen[key] = prefix
-        by_prefix: Dict[str, List[str]] = {}
-        for key, prefix in chosen.items():
-            by_prefix.setdefault(prefix, []).append(key)
+                chosen.add(key)
+        victims: Dict[Path, Dict[str, float]] = {}
+        for stamp, key, shard_dir in candidates:
+            if key in chosen:
+                victims.setdefault(shard_dir, {})[key] = stamp
         registry = get_registry()
-        for prefix in sorted(by_prefix):
-            keys = sorted(by_prefix[prefix])
-            self._shard_for_prefix(prefix).append_payload(
-                b"".join(
-                    ControlRecord(control="tombstone", key=key, stamp=now)
-                    .to_line()
-                    .encode("utf-8")
-                    for key in keys
-                )
+        evicted: List[str] = []
+        for shard_dir in sorted(victims):
+            _, dropped = self._compact_shard(shard_dir, now, victims[shard_dir])
+            registry.counter("lab.store.evictions", shard=shard_dir.name).inc(
+                len(dropped)
             )
-            registry.counter("lab.store.evictions", shard=prefix).inc(len(keys))
+            evicted.extend(dropped)
         registry.histogram("lab.store.evict.seconds").observe(
             perf_counter() - start
         )
-        return sorted(chosen)
+        return sorted(evicted)
 
     # -- compaction and migration --------------------------------------
 
-    def compact(
-        self, prefix: Optional[str] = None, *, now: Optional[float] = None
-    ) -> int:
-        """Rewrite data files atomically and rebuild their indexes.
+    def compact(self, *, now: Optional[float] = None) -> int:
+        """Rewrite every shard's data file atomically and rebuild its index.
 
-        Per shard: drops unreadable lines, applies tombstones (the
-        masked checkpoints and the tombstones themselves are physically
-        removed), collapses duplicate depths to the latest append —
-        the (key, trials) deepening ladder itself is load-bearing and
-        kept — and publishes a fresh sidecar index via temp file +
-        ``os.replace``.  With *prefix* only that shard is compacted
-        (the live background maintenance op — appends to other shards
-        are never blocked); without it, every shard is compacted.
+        Per shard: drops unreadable lines, collapses duplicate depths
+        to the latest append — the (key, trials) deepening ladder
+        itself is load-bearing and kept — and publishes a fresh sidecar
+        index via temp file + ``os.replace``.  Each shard compacts under
+        its own lock, so appends to other shards are never blocked.
 
         Returns the number of lines removed.  A crash at any point
         leaves either the old or the new inode — never a torn file.
         """
         now = wall_time() if now is None else float(now)
-        if prefix is None:
-            shard_dirs = self._shard_dirs()
-        else:
-            shard_dir = self.shards_root / prefix
-            shard_dirs = [shard_dir] if shard_dir.is_dir() else []
-        return sum(self._compact_shard(shard_dir, now) for shard_dir in shard_dirs)
+        return sum(
+            self._compact_shard(shard_dir, now)[0]
+            for shard_dir in self._shard_dirs()
+        )
 
     @classmethod
     def migrate(cls, root: Union[str, Path]) -> int:
@@ -774,21 +684,36 @@ class ResultStore:
         cls(root).compact()
         return moved
 
-    def _compact_shard(self, shard_dir: Path, now: float) -> int:
-        """Compact one shard and publish its index, under its lock."""
+    def _compact_shard(
+        self,
+        shard_dir: Path,
+        now: float,
+        victims: Optional[Dict[str, float]] = None,
+    ) -> Tuple[int, List[str]]:
+        """Compact one shard and publish its index, under its lock.
+
+        *victims* maps keys to drop to the index stamps they were
+        selected at; a victim still goes only while its stamp is
+        unchanged and it has no tail checkpoint.  Returns ``(lines
+        removed, victims dropped)``.
+        """
         data = shard_dir / DATA_NAME
         if not data.exists():
-            return 0
+            return 0, []
         start = perf_counter()
         with _StoreLock(data):
-            events, corrupt = self._scan_file(data)
-            before = len(events) + corrupt
-            records, _ = _apply_controls(events)
-            kept: Dict[Tuple[str, int], LabRecord] = {}
-            for record in records:
-                kept[(record.key, record.trials)] = record
-            ordered = sorted(kept.values(), key=lambda r: (r.key, r.trials))
+            records, corrupt = self._scan_file(data)
+            before = len(records) + corrupt
             old_doc = load_index(shard_dir)
+            doomed = _unchanged_victims(data, old_doc, victims) if victims else set()
+            kept: Dict[Tuple[str, int], LabRecord] = {}
+            dropped: Set[str] = set()
+            for record in records:
+                if record.key in doomed:
+                    dropped.add(record.key)
+                else:
+                    kept[(record.key, record.trials)] = record
+            ordered = sorted(kept.values(), key=lambda r: (r.key, r.trials))
             entries: Dict[str, IndexEntry] = {}
             offset = 0
             tmp = data.with_suffix(".jsonl.tmp")
@@ -821,10 +746,7 @@ class ResultStore:
                 os.fsync(fh.fileno())
             os.replace(tmp, data)
             doc = ShardIndex(
-                indexed_bytes=offset,
-                lines=len(ordered),
-                built_stamp=now,
-                entries=entries,
+                indexed_bytes=offset, lines=len(ordered), entries=entries
             )
             index_tmp = index_path(shard_dir).with_suffix(".json.tmp")
             with open(index_tmp, "w", encoding="utf-8") as fh:
@@ -837,13 +759,34 @@ class ResultStore:
         registry.histogram("lab.store.compact.seconds").observe(
             perf_counter() - start
         )
-        return before - len(ordered)
+        return before - len(ordered), sorted(dropped)
+
+
+def _unchanged_victims(
+    data: Path, doc: Optional[ShardIndex], victims: Dict[str, float]
+) -> Set[str]:
+    """The *victims* still evictable, judged under the shard lock.
+
+    A victim stays when it gained a checkpoint after selection: one in
+    the tail, or one a compaction has since folded into the index (its
+    entry's stamp moved).  With no usable index, every victim stays.
+    """
+    tail = None if doc is None else _index_tail(data, doc)
+    if tail is None:
+        return set()
+    tail_keys = {record.key for record in tail[0]}
+    doomed = set()
+    for key, stamp in victims.items():
+        entry = doc.entries.get(key)
+        if entry is not None and entry.stamp == stamp and key not in tail_keys:
+            doomed.add(key)
+    return doomed
 
 
 def _absorb_legacy(root: Path) -> int:
-    """Move a flat pre-shard file's events into their shards.
+    """Move a flat pre-shard file's records into their shards.
 
-    Returns the number of events moved (unreadable lines are dropped).
+    Returns the number of records moved (unreadable lines are dropped).
     Shard appends happen *before* the flat file is removed, so a crash
     between the two duplicates records instead of losing them.  The
     flat file's lock is held throughout — the one place a shard lock
@@ -853,15 +796,15 @@ def _absorb_legacy(root: Path) -> int:
     if not legacy.exists():
         return 0
     with _StoreLock(legacy):
-        events, _ = _read_events(legacy)
+        records, _ = _read_records(legacy)
         by_prefix: Dict[str, List[bytes]] = {}
-        for event in events:
-            by_prefix.setdefault(shard_prefix(event.key), []).append(
-                event.to_line().encode("utf-8")
+        for record in records:
+            by_prefix.setdefault(shard_prefix(record.key), []).append(
+                record.to_line().encode("utf-8")
             )
         for prefix in sorted(by_prefix):
             _Shard(root / "shards" / prefix / DATA_NAME).append_payload(
                 b"".join(by_prefix[prefix])
             )
         os.remove(legacy)
-    return len(events)
+    return len(records)

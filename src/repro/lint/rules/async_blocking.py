@@ -19,7 +19,9 @@ another module.  The whole-program pass:
    and orchestrator runs, store scans/appends; :data:`BLOCKING_ROOTS`);
 2. propagates blockingness up the ``call`` edges of the graph through
    synchronous project functions (a sync function that calls a
-   blocking function is blocking);
+   blocking function is blocking).  Coroutines never join the set, not
+   even one that calls a primitive itself: awaiting it suspends, and
+   step 3 flags the primitive at its own call site;
 3. flags every **call** edge from a coroutine in the service layer
    (:data:`SERVICE_PATHS`) into the blocking set.
 
@@ -117,6 +119,10 @@ class AsyncBlockingRule(ProjectRule):
             for qualname in project.functions_matching(BLOCKING_ROOTS)
         }
         for fn in project.functions.values():
+            if fn.is_async:
+                # A coroutine is judged on its own call sites below;
+                # awaiting it suspends, so it never joins the set.
+                continue
             primitive = self._direct_primitive(fn.node)
             if primitive is not None and fn.qualname not in blocking:
                 blocking[fn.qualname] = f"{primitive}() in {fn.qualname}"

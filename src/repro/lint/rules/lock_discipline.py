@@ -3,8 +3,8 @@
 Two documented locking contracts (``docs/ARCHITECTURE.md``):
 
 * **store writers serialize on ``_StoreLock``** — every mutation of a
-  shard's ``results.jsonl`` (the ``os.write`` append of checkpoints
-  and tombstones, the ``os.replace`` compaction publish) must execute
+  shard's ``results.jsonl`` (the ``os.write`` append of checkpoints,
+  the ``os.replace`` compaction and eviction publish) must execute
   under the sidecar ``flock``;
   otherwise a concurrent compaction can retire the inode an appender
   holds and the append silently vanishes;

@@ -27,7 +27,6 @@ end to end:
 
 from .state import (
     StateVector,
-    BatchedStateVector,
     zero_state,
     basis_state,
     basis_indices,
@@ -57,7 +56,6 @@ from .optimize import optimize_circuit, optimization_report
 
 __all__ = [
     "StateVector",
-    "BatchedStateVector",
     "basis_indices",
     "bit_where",
     "zero_state",

@@ -6,10 +6,9 @@ length 2^n; basis index ``i`` assigns qubit ``q`` the bit
 probability computations are exact functions of the amplitudes; sampling
 is layered on top where experiments need empirical counts.
 
-Batched states (:class:`BatchedStateVector`) stack B independent trials
-as a ``(B, 2^n)`` array so one NumPy call advances every trial; the
+A batch of B independent trials is a plain ``(B, 2^n)`` array: the
 operators in :mod:`repro.quantum.operators` accept the leading batch
-axis transparently.
+axis transparently, so one NumPy call advances every trial.
 """
 
 from __future__ import annotations
@@ -175,89 +174,6 @@ class StateVector:
 
     def copy(self) -> "StateVector":
         return StateVector(self.amplitudes.copy(), check=False)
-
-
-class BatchedStateVector:
-    """B independent pure states stacked as a ``(B, 2^n)`` array.
-
-    The batch axis is the vectorization unit of the execution engine's
-    dense backend: one NumPy call advances all B trials.  Rows are
-    independent states (no entanglement across the batch axis); the
-    operators in :mod:`repro.quantum.operators` broadcast over it.
-    """
-
-    __slots__ = ("n_qubits", "batch", "amplitudes")
-
-    def __init__(self, amplitudes: np.ndarray, *, check: bool = True) -> None:
-        amplitudes = np.ascontiguousarray(amplitudes, dtype=np.complex128)
-        if amplitudes.ndim != 2:
-            raise QuantumError(
-                f"batched state needs a (B, 2^n) array, got ndim={amplitudes.ndim}"
-            )
-        n = int(np.log2(amplitudes.shape[1]))
-        if (1 << n) != amplitudes.shape[1]:
-            raise QuantumError(
-                f"amplitude row size {amplitudes.shape[1]} is not a power of 2"
-            )
-        if check:
-            norms = np.einsum("bi,bi->b", amplitudes.conj(), amplitudes).real
-            worst = float(np.max(np.abs(norms - 1.0))) if norms.size else 0.0
-            if worst > NORM_ATOL:
-                raise QuantumError(
-                    f"batched state has a non-normalized row (max drift {worst})"
-                )
-        self.n_qubits = n
-        self.batch = amplitudes.shape[0]
-        self.amplitudes = amplitudes
-
-    @classmethod
-    def zero(cls, batch: int, n_qubits: int) -> "BatchedStateVector":
-        """|0...0> replicated across the batch axis."""
-        if batch < 1:
-            raise QuantumError("batch size must be >= 1")
-        amps = np.zeros((batch, 1 << n_qubits), dtype=np.complex128)
-        amps[:, 0] = 1.0
-        return cls(amps, check=False)
-
-    @classmethod
-    def broadcast(cls, state: StateVector, batch: int) -> "BatchedStateVector":
-        """Tile one state into a batch of B identical rows."""
-        if batch < 1:
-            raise QuantumError("batch size must be >= 1")
-        return cls(np.tile(state.amplitudes, (batch, 1)), check=False)
-
-    def row(self, index: int) -> StateVector:
-        """Trial *index* as a standalone :class:`StateVector`."""
-        return StateVector(self.amplitudes[index].copy(), check=False)
-
-    def probabilities(self) -> np.ndarray:
-        """|amplitude|^2 per row: shape (B, 2^n)."""
-        return np.abs(self.amplitudes) ** 2
-
-    def probability_of_bit(self, qubit: int, value: int) -> np.ndarray:
-        """Per-trial probability that measuring *qubit* yields *value*: (B,).
-
-        Each row is reduced by its own 1-D sum over the gathered
-        columns — bit-identical to :meth:`StateVector.probability_of_bit`
-        row by row, where an ``axis=`` reduction is not (NumPy orders
-        the additions differently; see the float-determinism contract
-        in ``docs/ARCHITECTURE.md``).
-        """
-        if not 0 <= qubit < self.n_qubits:
-            raise QuantumError(f"qubit {qubit} out of range")
-        if value not in (0, 1):
-            raise QuantumError("measurement value must be 0 or 1")
-        ones = bit_where(self.amplitudes.shape[1], qubit)
-        mask = ones if value == 1 else ~ones
-        probs = np.abs(self.amplitudes[:, mask]) ** 2
-        return np.array([float(np.sum(probs[i])) for i in range(probs.shape[0])])
-
-    def norms(self) -> np.ndarray:
-        """Per-trial squared norms (drift diagnostics): (B,)."""
-        return np.einsum("bi,bi->b", self.amplitudes.conj(), self.amplitudes).real
-
-    def copy(self) -> "BatchedStateVector":
-        return BatchedStateVector(self.amplitudes.copy(), check=False)
 
 
 def global_phase_aligned(u: np.ndarray, v: np.ndarray) -> Optional[complex]:

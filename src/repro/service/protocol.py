@@ -17,10 +17,11 @@ v1 queries that still carry the retired ``max_batch_bytes`` field are
 served and the field is ignored, like any field the server does not
 read.
 
-The ``maintain`` op runs one store-maintenance pass (TTL/LRU eviction
-tombstones, then per-shard compaction and index rebuild) off the event
-loop and answers with the :class:`repro.lab.MaintenanceReport`
-document; both policy fields are optional (omitted = that policy off).
+The ``maintain`` op runs one store-maintenance pass (TTL/LRU eviction,
+which rewrites each victim's shard, then per-shard compaction and index
+rebuild) off the event loop and answers with the
+:class:`repro.lab.MaintenanceReport` document; both policy fields are
+optional (omitted = that policy off).
 
 Responses::
 

@@ -12,6 +12,26 @@ class TestKey:
         b = ExperimentSpec(family="member", k=1, trials=100, seed=7)
         assert a.key == b.key
 
+    def test_key_is_hashed_once_per_instance(self, monkeypatch):
+        spec = ExperimentSpec(family="member", k=1, trials=100, seed=7)
+        calls = []
+        identity = ExperimentSpec.identity
+
+        def counting(self):
+            calls.append(self)
+            return identity(self)
+
+        monkeypatch.setattr(ExperimentSpec, "identity", counting)
+        assert spec.key == spec.key == spec.key
+        assert len(calls) == 1
+        # Byte-identical to the keys stores already hold.
+        assert spec.key == (
+            "588450a1590b441292a1f27fbcadc9502be1ce522ab8818c095d69132858786d"
+        )
+        # The cache is not a field: equality and to_dict never see it.
+        assert spec == ExperimentSpec(family="member", k=1, trials=100, seed=7)
+        assert "_key" not in spec.to_dict()
+
     def test_trials_do_not_change_the_key(self):
         """Depth is not identity — that's what makes deepening a cache hit."""
         spec = ExperimentSpec(family="member", k=1, trials=100, seed=7)

@@ -2,10 +2,10 @@
 
 Unit-level companions to the torture suite — each test pins one piece
 of the store contract: key routing, the verified sidecar index and its
-O(1)-scans read path, tombstone masking, eviction, live per-shard
+O(1)-scans read path, eviction by shard rewrite, live per-shard
 compaction, the refusal and migration of flat pre-shard stores, the
-files older builds wrote (lease lines, lease-carrying indexes), and
-the reads-never-write guarantee.
+files older builds wrote (tombstone and lease lines, lease-carrying
+indexes), and the reads-never-write guarantee.
 """
 
 import json
@@ -13,7 +13,6 @@ import json
 import pytest
 
 from repro.lab import (
-    ControlRecord,
     ExperimentSpec,
     MaintenanceReport,
     Orchestrator,
@@ -24,7 +23,7 @@ from repro.lab import (
 from repro.lab.shards import index_path, load_index
 from repro.lab.store import DATA_NAME, LabRecord
 
-from torture import colliding_keys, make_record, seed_store
+from torture import colliding_keys, make_record, old_tombstone_line, seed_store
 
 
 def count_scans(monkeypatch):
@@ -102,6 +101,21 @@ class TestIndexReadPath:
         assert status.experiments == 12 and status.checkpoints == 24
         assert status.stored_trials == 12 * 200
 
+    def test_status_reads_only_the_tail_of_a_dirty_shard(
+        self, tmp_path, monkeypatch
+    ):
+        keys = colliding_keys(3)
+        seed_store(tmp_path, keys[:2], rungs=(100,))
+        store = ResultStore(tmp_path)
+        store.compact()
+        store.append(make_record(keys[0], 300))
+        store.append(make_record(keys[2], 100))  # new key, same shard
+        calls = count_scans(monkeypatch)
+        status = store.status()
+        assert calls == []  # index plus tail: no full-file scan
+        assert status.experiments == 3 and status.checkpoints == 4
+        assert status.stored_trials == 300 + 100 + 100
+
     def test_status_mixes_index_and_scan_for_dirty_shards(self, tmp_path):
         seed_store(tmp_path, ["mx-a", "mx-b"], rungs=(100,))
         store = ResultStore(tmp_path)
@@ -113,8 +127,17 @@ class TestIndexReadPath:
         assert status.stored_trials == 300
 
 
-class TestTombstonesAndEviction:
-    def test_ttl_eviction_masks_then_compaction_removes(self, tmp_path):
+def stored_keys(store):
+    """The keys with a line in the data files (one raw read per shard)."""
+    return {
+        json.loads(line)["key"]
+        for data in store.shards_root.glob(f"*/{DATA_NAME}")
+        for line in data.read_text(encoding="utf-8").splitlines()
+    }
+
+
+class TestEviction:
+    def test_ttl_eviction_rewrites_the_shard(self, tmp_path):
         seed_store(tmp_path, ["old-key", "new-key"], rungs=(100,))
         store = ResultStore(tmp_path)
         store.compact(now=1000.0)
@@ -123,17 +146,16 @@ class TestTombstonesAndEviction:
         store.compact(now=5000.0)
         evicted = store.evict(ttl_seconds=2000.0, now=6000.0)
         assert evicted == ["old-key"]  # 5000s old; new-key is 1000s old
+        assert stored_keys(store) == {"new-key"}  # gone from the file at once
         assert store.deepest("old-key") is None
         assert store.deepest("new-key") == make_record("new-key", 200)
-        masked = store.scan()
-        assert masked.masked_records == 1
-        store.compact(now=6000.0)
-        clean = store.scan()
-        assert clean.masked_records == 0  # tombstones physically removed
         # The survivor's full deepening ladder is kept; old-key is gone.
+        clean = store.scan()
         assert [(r.key, r.trials) for r in clean.records] == [
             ("new-key", 100), ("new-key", 200),
         ]
+        assert store.status().source == "index"
+        assert store.compact(now=6000.0) == 0  # nothing left to reclaim
 
     def test_lru_eviction_keeps_newest_max_keys(self, tmp_path):
         store = ResultStore(tmp_path)
@@ -142,6 +164,7 @@ class TestTombstonesAndEviction:
             store.compact(now=1000.0 * (i + 1))  # stamps 1000, 2000, ...
         evicted = store.evict(max_keys=2, now=10_000.0)
         assert sorted(evicted) == [f"lru-{i}" for i in range(4)]  # oldest four
+        assert stored_keys(store) == {"lru-4", "lru-5"}
         survivors = {r.key for r in store.scan().records}
         assert survivors == {"lru-4", "lru-5"}
 
@@ -149,7 +172,29 @@ class TestTombstonesAndEviction:
         store = ResultStore(tmp_path)
         store.append(make_record("fresh", 100))  # no index entry yet
         assert store.evict(ttl_seconds=0.0, now=1e12) == []
+        assert stored_keys(store) == {"fresh"}
         assert store.deepest("fresh") == make_record("fresh", 100)
+
+    def test_selection_reads_indexes_not_files(self, tmp_path, monkeypatch):
+        seed_store(tmp_path, [f"sel-{i}" for i in range(6)], rungs=(100,))
+        store = ResultStore(tmp_path)
+        store.compact(now=1000.0)
+        store.append(make_record("sel-0", 200))  # a tail in one shard
+        calls = count_scans(monkeypatch)
+        assert store.evict(ttl_seconds=5000.0, max_keys=6, now=2000.0) == []
+        assert calls == []  # nothing to drop: no shard was read in full
+
+    def test_lru_counts_keys_in_shards_without_an_index(self, tmp_path):
+        keys = ["nx-a", "nx-b", "nx-c"]
+        assert len({shard_prefix(key) for key in keys}) == 3
+        store = ResultStore(tmp_path)
+        for i, key in enumerate(keys):
+            store.append(make_record(key, 100))
+            store.compact(now=1000.0 * (i + 1))
+        index_path(store.shard_path("nx-c").parent).unlink()
+        # nx-c has no age, so it cannot go, but it counts toward the cap.
+        assert store.evict(max_keys=2, now=9000.0) == ["nx-a"]
+        assert stored_keys(store) == {"nx-b", "nx-c"}
 
     def test_stamp_carries_over_while_rung_unchanged(self, tmp_path):
         seed_store(tmp_path, ["stamp-key"], rungs=(100,))
@@ -158,6 +203,42 @@ class TestTombstonesAndEviction:
         store.compact(now=9000.0)  # nothing changed: age must not reset
         shard_dir = store.shards_root / shard_prefix("stamp-key")
         assert load_index(shard_dir).entries["stamp-key"].stamp == 1000.0
+        # So at t=9500 the key is 8500 s old, not 500 s.
+        assert store.evict(ttl_seconds=5000.0, now=9500.0) == ["stamp-key"]
+        assert stored_keys(store) == set()
+
+    @pytest.mark.parametrize("change", ["tail", "compacted", "stale-index"])
+    def test_victim_that_changed_since_selection_is_kept(
+        self, tmp_path, monkeypatch, change
+    ):
+        # The race: between selection and the rewrite, a victim gains a
+        # checkpoint (still in the tail, or folded into the index by a
+        # compaction, which moves its stamp), or the shard's index goes
+        # stale.  Such a victim stays, and evict does not report it.
+        keys = colliding_keys(2)
+        seed_store(tmp_path, keys, rungs=(100,))
+        store = ResultStore(tmp_path)
+        store.compact(now=1000.0)
+        rewrite = ResultStore._compact_shard
+
+        def interleave(self, shard_dir, now, victims=None):
+            if victims and change == "stale-index":
+                index_path(shard_dir).unlink()
+            elif victims:
+                store.append(make_record(keys[0], 200))
+                if change == "compacted":
+                    rewrite(self, shard_dir, 2000.0)
+            return rewrite(self, shard_dir, now, victims)
+
+        monkeypatch.setattr(ResultStore, "_compact_shard", interleave)
+        evicted = store.evict(ttl_seconds=0.0, now=5000.0)
+        if change == "stale-index":
+            assert evicted == [] and stored_keys(store) == set(keys)
+            return
+        assert evicted == [keys[1]]
+        assert stored_keys(store) == {keys[0]}
+        assert store.deepest(keys[0]) == make_record(keys[0], 200)
+        assert store.deepest(keys[1]) is None
 
 
 #: Lease lines as older builds wrote them (``claim`` / ``release``).
@@ -177,9 +258,7 @@ class TestOlderBuildFiles:
     @pytest.mark.parametrize(
         "line, visible, corrupt, removed",
         [
-            # A tombstone masks the record; compaction drops both.
-            (ControlRecord(control="tombstone", key="k", stamp=1.0).to_line(),
-             0, 0, 2),
+            (old_tombstone_line("k"), 1, 1, 1),
             (OLD_CLAIM_LINE, 1, 1, 1),
             (OLD_RELEASE_LINE, 1, 1, 1),
         ],
@@ -190,8 +269,10 @@ class TestOlderBuildFiles:
     ):
         # Graceful degradation: a control line misses the checkpoint
         # fields, so a reader that predates it skips it instead of
-        # misparsing.  This build reads the lease lines older builds
-        # wrote the same way, and compaction drops them.
+        # misparsing.  This build reads the tombstone and lease lines
+        # older builds wrote the same way, and compaction drops them.
+        # The record a tombstone hid serves again: it is still the
+        # exact count of its key's run.
         assert LabRecord.from_line(line) is None
         store = ResultStore(tmp_path)
         store.append(make_record("k", 100))
@@ -208,7 +289,7 @@ class TestOlderBuildFiles:
     ):
         # The shard layout older builds compacted to: records, then the
         # active lease lines, with the index covering both and carrying
-        # a ``leases`` snapshot.
+        # a ``leases`` snapshot and a ``built_stamp``.
         seed_store(tmp_path, ["held", "free"], rungs=(100, 200))
         store = ResultStore(tmp_path)
         store.compact(now=1000.0)
@@ -219,6 +300,7 @@ class TestOlderBuildFiles:
         doc = json.loads(index_path(shard_dir).read_text(encoding="utf-8"))
         doc["indexed_bytes"] = data.stat().st_size
         doc["leases"] = {"held": {"owner": "o", "stamp": 1.0, "ttl_s": 5.0}}
+        doc["built_stamp"] = 1000.0
         index_path(shard_dir).write_text(json.dumps(doc), encoding="utf-8")
         assert load_index(shard_dir) is not None
         calls = count_scans(monkeypatch)

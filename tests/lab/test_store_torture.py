@@ -30,12 +30,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.lab.shards import load_index, shard_prefix
-from repro.lab.store import DATA_NAME, ControlRecord, ResultStore
+from repro.lab.store import DATA_NAME, ResultStore
 
 from torture import (
     colliding_keys,
     index_matches_rescan,
     make_record,
+    old_tombstone_line,
     seed_store,
     storm_append,
     storm_compact,
@@ -48,8 +49,9 @@ def build_fuzz_shard(tmp_path):
     """One shard with ladders, an indexed region, and a live tail.
 
     Layout after this: compacted records (covered by the sidecar
-    index), then a tail of one deeper checkpoint and one tombstone — so
-    truncation cuts land in every structural region.
+    index), then a tail of one deeper checkpoint and one tombstone in
+    the format older builds wrote — so truncation cuts land in every
+    structural region.  Returns the tombstone line's bytes too.
     """
     root = tmp_path / "seed-store"
     keys = colliding_keys(3)
@@ -57,19 +59,23 @@ def build_fuzz_shard(tmp_path):
     store = ResultStore(root)
     store.compact(now=1000.0)
     store.append(make_record(keys[0], 400))
-    tombstone = ControlRecord(control="tombstone", key=keys[2], stamp=1000.0)
-    store._shard(keys[2]).append_payload(tombstone.to_line().encode("utf-8"))
+    tombstone = old_tombstone_line(keys[2]).encode("utf-8")
+    store._shard(keys[2]).append_payload(tombstone)
     shard_dir = store.shards_root / shard_prefix(keys[0])
     data = (shard_dir / DATA_NAME).read_bytes()
     index = (shard_dir / "index.json").read_bytes()
-    return keys, data, index
+    return keys, data, index, tombstone
 
 
-def check_truncated(store, keys, data, cut):
+def check_truncated(store, keys, data, tombstone, cut):
     """The three fuzz invariants against one truncated layout."""
     truncated = data[:cut]
     result = store.scan()  # must not raise, whatever the cut
     _, expected_corrupt = truncation_oracle(data, cut)
+    # The oracle reads every whole line as a record; the old-format
+    # tombstone, once whole, is one unreadable line.
+    if truncated.rstrip(b"\n").endswith(tombstone.rstrip(b"\n")):
+        expected_corrupt += 1
     assert result.corrupt_lines == expected_corrupt
     for record in result.records:
         assert record.to_line().encode("utf-8").rstrip(b"\n") in truncated
@@ -83,20 +89,20 @@ def check_truncated(store, keys, data, cut):
 
 class TestCrashConsistencyFuzz:
     def test_every_byte_offset_without_index(self, tmp_path):
-        keys, data, _ = build_fuzz_shard(tmp_path)
+        keys, data, _, tombstone = build_fuzz_shard(tmp_path)
         root = tmp_path / "cut-store"
         shard_dir = root / "shards" / shard_prefix(keys[0])
         shard_dir.mkdir(parents=True)
         store = ResultStore(root)
         for cut in range(len(data) + 1):
             (shard_dir / DATA_NAME).write_bytes(data[:cut])
-            check_truncated(store, keys, data, cut)
+            check_truncated(store, keys, data, tombstone, cut)
 
     def test_every_byte_offset_with_stale_index(self, tmp_path):
         # The full file's index sits beside every truncation: shorter
         # data must discard it (verified-or-discarded), cuts inside
         # the tail must merge only surviving tail bytes.
-        keys, data, index = build_fuzz_shard(tmp_path)
+        keys, data, index, tombstone = build_fuzz_shard(tmp_path)
         root = tmp_path / "cut-store"
         shard_dir = root / "shards" / shard_prefix(keys[0])
         shard_dir.mkdir(parents=True)
@@ -104,10 +110,10 @@ class TestCrashConsistencyFuzz:
         store = ResultStore(root)
         for cut in range(len(data) + 1):
             (shard_dir / DATA_NAME).write_bytes(data[:cut])
-            check_truncated(store, keys, data, cut)
+            check_truncated(store, keys, data, tombstone, cut)
 
     def test_truncation_oracle_is_exact(self, tmp_path):
-        keys, data, _ = build_fuzz_shard(tmp_path)
+        keys, data, _, _ = build_fuzz_shard(tmp_path)
         # Sanity for the oracle itself: full data has zero corruption,
         # any mid-line cut reports exactly one corrupt line.
         assert truncation_oracle(data, len(data)) == (data.count(b"\n"), 0)
@@ -160,7 +166,6 @@ class TestConcurrentStorm:
         root = tmp_path / "storm-store"
         keys = colliding_keys(12)
         keys, aged = keys[:8], keys[8:]
-        prefix = shard_prefix(keys[0])
         rungs_per_worker = [
             (100, 500), (200, 600), (300, 700), (400, 800),
         ]
@@ -175,7 +180,7 @@ class TestConcurrentStorm:
                 pool.submit(storm_append, str(root), keys, rungs)
                 for rungs in rungs_per_worker
             ]
-            futures.append(pool.submit(storm_compact, str(root), prefix, 15))
+            futures.append(pool.submit(storm_compact, str(root), 15))
             futures.append(pool.submit(storm_evict, str(root), 15, 3600.0))
             results = [f.result(timeout=120) for f in futures]
         evicted = results[-1] + store.evict(ttl_seconds=3600.0)

@@ -12,11 +12,12 @@ test modules own the invariants.
 
 from __future__ import annotations
 
+import json
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.lab.shards import shard_prefix
-from repro.lab.store import LabRecord, ResultStore, _read_events
+from repro.lab.store import LabRecord, ResultStore, _read_records
 
 
 def make_record(
@@ -67,6 +68,18 @@ def seed_store(
     return deepest
 
 
+def old_tombstone_line(key: str) -> str:
+    """An eviction tombstone as older builds appended it.
+
+    This build writes no control lines: it reads one as an unreadable
+    line, and compaction drops it.
+    """
+    return json.dumps(
+        {"control": "tombstone", "key": key, "schema": 1, "stamp": 1000.0},
+        sort_keys=True,
+    ) + "\n"
+
+
 def line_boundaries(data: bytes) -> List[int]:
     """Byte offsets at which *data* ends a complete line (0 included)."""
     offsets = [0]
@@ -110,12 +123,12 @@ def storm_append(root: str, keys: Sequence[str], rungs: Sequence[int]) -> int:
     return written
 
 
-def storm_compact(root: str, prefix: Optional[str], rounds: int) -> int:
+def storm_compact(root: str, rounds: int) -> int:
     """Compactor process: repeated live compactions, total lines removed."""
     store = ResultStore(root)
     removed = 0
     for _ in range(rounds):
-        removed += store.compact(prefix)
+        removed += store.compact()
     return removed
 
 
@@ -150,13 +163,11 @@ def index_matches_rescan(store: ResultStore) -> Tuple[bool, str]:
                 continue  # tail present: index is allowed to lag
         except OSError:
             continue
-        events, _ = _read_events(data)
+        records, _ = _read_records(data)
         live: Dict[str, LabRecord] = {}
-        for event in events:
-            if isinstance(event, LabRecord) and (
-                event.key not in live or event.trials >= live[event.key].trials
-            ):
-                live[event.key] = event
+        for record in records:
+            if record.key not in live or record.trials >= live[record.key].trials:
+                live[record.key] = record
         if set(doc.entries) != set(live):
             return False, (
                 f"shard {shard_dir.name}: index keys {sorted(doc.entries)} "

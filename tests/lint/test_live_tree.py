@@ -119,11 +119,11 @@ class TestMutationsAreCaught:
         )
         assert any(f.rule == "rng-discipline" for f in findings)
 
-    def test_axis_reduction_in_state_is_caught(self):
+    def test_axis_reduction_in_marked_probabilities_is_caught(self):
         findings = mutate(
-            PACKAGE_DIR / "quantum" / "state.py",
-            "probs = np.abs(self.amplitudes[:, mask]) ** 2",
-            "return np.sum(np.abs(self.amplitudes[:, mask]) ** 2, axis=1)",
+            PACKAGE_DIR / "quantum" / "grover.py",
+            "return np.array([float(np.sum(probs[i])) for i in range(batch.shape[0])])",
+            "return np.sum(probs, axis=1)",
         )
         assert any(f.rule == "float-determinism" for f in findings)
 

@@ -226,6 +226,25 @@ class TestAsyncBlocking:
             select=["async-blocking"],
         )
         assert findings == []
+        # A coroutine that blocks is flagged at its own primitive, and
+        # the coroutine awaiting it is not.
+        findings = run_lint(
+            tmp_path / "blocking",
+            {
+                "repro/__init__.py": "",
+                "repro/service/__init__.py": "",
+                "repro/service/server.py": (
+                    "import time\n"
+                    "async def helper():\n"
+                    "    time.sleep(0.1)\n"
+                    "async def handle():\n"
+                    "    await helper()\n"
+                ),
+            },
+            select=["async-blocking"],
+        )
+        (finding,) = findings
+        assert finding.line == 3 and "time.sleep" in finding.message
 
     def test_blocking_outside_service_layer_is_fine(self, tmp_path):
         findings = run_lint(

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from repro.errors import QuantumError
-from repro.quantum import A3Registers, BatchedStateVector, StateVector
+from repro.quantum import A3Registers
 from repro.quantum.grover import marked_probability
 from repro.quantum.operators import (
     RxOperator,
@@ -86,43 +86,6 @@ def test_operator_rejects_bad_batch_shape():
         SkOperator(regs).apply(
             np.zeros((1, 2, regs.dimension), dtype=np.complex128)
         )
-
-
-class TestBatchedStateVector:
-    def test_zero_and_broadcast(self):
-        b = BatchedStateVector.zero(3, 2)
-        assert b.batch == 3 and b.n_qubits == 2
-        assert np.all(b.amplitudes[:, 0] == 1.0)
-        single = StateVector.zero(2)
-        tiled = BatchedStateVector.broadcast(single, 4)
-        assert tiled.batch == 4
-        np.testing.assert_array_equal(tiled.amplitudes[2], single.amplitudes)
-
-    def test_probability_of_bit_per_row(self, rng):
-        regs = A3Registers(1)
-        amps = random_batch(regs, 3, rng)
-        batch = BatchedStateVector(amps)
-        per_row = batch.probability_of_bit(regs.l_qubit, 1)
-        for i in range(3):
-            expected = StateVector(amps[i]).probability_of_bit(regs.l_qubit, 1)
-            assert per_row[i] == pytest.approx(expected, abs=1e-12)
-
-    def test_row_roundtrip(self, rng):
-        amps = random_batch(A3Registers(1), 2, rng)
-        batch = BatchedStateVector(amps)
-        assert batch.row(1).fidelity(StateVector(amps[1])) == pytest.approx(1.0)
-
-    def test_norm_check(self):
-        bad = np.ones((2, 4), dtype=np.complex128)
-        with pytest.raises(QuantumError):
-            BatchedStateVector(bad)
-        assert BatchedStateVector(bad, check=False).batch == 2
-
-    def test_shape_validation(self):
-        with pytest.raises(QuantumError):
-            BatchedStateVector(np.ones(4, dtype=np.complex128))
-        with pytest.raises(QuantumError):
-            BatchedStateVector(np.ones((2, 3), dtype=np.complex128))
 
 
 class TestIndexCaches:
