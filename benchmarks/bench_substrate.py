@@ -175,20 +175,35 @@ def _lint_summary() -> dict:
 
 
 def _bench_commit():
-    """Short git head for history lines; ``None`` outside a checkout."""
+    """Short git head for history lines; ``None`` outside a checkout.
+
+    A work tree with uncommitted changes gets ``-dirty`` appended, so a
+    record made before committing does not name its base commit.  The
+    two record files this module rewrites are not counted.
+    """
     import subprocess
 
+    def git(*args):
+        return subprocess.run(
+            ["git", *args],
+            capture_output=True,
+            text=True,
+            cwd=ENGINE_RECORD.parent,
+            timeout=10,
+        ).stdout.strip()
+
     try:
-        return (
-            subprocess.run(
-                ["git", "rev-parse", "--short", "HEAD"],
-                capture_output=True,
-                text=True,
-                cwd=ENGINE_RECORD.parent,
-                timeout=10,
-            ).stdout.strip()
-            or None
-        )
+        head = git("rev-parse", "--short", "HEAD")
+        if head and git(
+            "status",
+            "--porcelain",
+            "--",
+            ".",
+            f":(exclude){ENGINE_RECORD.name}",
+            f":(exclude){ENGINE_HISTORY.name}",
+        ):
+            head += "-dirty"
+        return head or None
     except Exception:  # repro-lint: disable=broad-except -- probe boundary: any git failure (missing repo, missing binary, timeout) just means "commit unknown"
         return None
 
@@ -263,7 +278,7 @@ def test_engine_backend_throughput():
     across PRs.
     """
     from repro.core import intersecting_nonmember, member
-    from repro.engine import RECOGNIZERS, ExecutionEngine, available_backends
+    from repro.engine import BACKENDS, RECOGNIZERS, ExecutionEngine
     from repro.obs import get_registry
 
     # Start from a clean registry so the telemetry section reflects
@@ -297,7 +312,7 @@ def test_engine_backend_throughput():
         section = record["recognizers"][recognizer] = {"backends": {}}
         counts = {}
         raw_seconds = {}
-        for name in available_backends():
+        for name in BACKENDS:
             engine = ExecutionEngine(name)
             start = time.perf_counter()
             estimates = engine.run_many(words, trials, rng=2006, recognizer=recognizer)
@@ -312,7 +327,7 @@ def test_engine_backend_throughput():
             }
 
         # The seeding contract: backend choice never changes the statistics.
-        for name in available_backends():
+        for name in BACKENDS:
             assert counts[name] == counts["sequential"], (recognizer, name)
 
         # Raw timings for the ratio: the rounded "seconds" fields

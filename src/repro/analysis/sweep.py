@@ -3,7 +3,7 @@
 Benchmarks sweep k, t, r, block sizes...; this helper keeps the loops
 uniform and the results keyed.  Acceptance sweeps — the sampled kind
 that dominated wall-clock before the engine existed — go through
-:func:`acceptance_sweep`, which hands the trial loop to a pluggable
+:func:`acceptance_sweep`, which hands the trial loop to a
 :mod:`repro.engine` backend.
 """
 
@@ -93,7 +93,7 @@ def acceptance_sweep(
         if not isinstance(backend, str):
             # An instance cannot be serialized into a spec.
             raise ValueError(
-                "store= requires backend to be a registry name (specs "
+                "store= requires backend to be a backend name (specs "
                 "record names, not backend instances)"
             )
         backend_name = backend

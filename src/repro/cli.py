@@ -6,7 +6,7 @@ Commands
 * ``recognize``   — stream a word (or a generated instance) through the
   quantum and classical recognizers and report decisions + space.
 * ``sample``      — estimate acceptance probabilities by repeated
-  trials through the execution engine (pluggable backend).
+  trials through the execution engine (``batched`` or ``sequential``).
 * ``separation``  — print the headline E5 table for a k-range.
 * ``grover``      — the BBHT success-probability table for one k.
 * ``comm``        — quantum vs classical communication costs for DISJ.
@@ -41,8 +41,7 @@ from .errors import ReproError
 
 def _cmd_info(args: argparse.Namespace) -> int:
     from . import __version__
-    from .engine import RECOGNIZERS, available_backends
-    from .engine.api import RETIRED_BACKENDS
+    from .engine import BACKENDS, RECOGNIZERS
 
     print(f"repro {__version__}")
     print(
@@ -55,8 +54,7 @@ def _cmd_info(args: argparse.Namespace) -> int:
         "  Theorem 3.6   classical online lower bound Omega(n^{1/3})\n"
         "  Prop. 3.7     classical online upper bound O(n^{1/3})\n"
         "\n"
-        f"Engine backends (--backend): {', '.join(available_backends())}\n"
-        f"  retired names, run as batched: {', '.join(sorted(RETIRED_BACKENDS))}\n"
+        f"Engine backends (--backend): {', '.join(BACKENDS)}\n"
         f"Recognizers (--recognizer):  {', '.join(RECOGNIZERS)}\n"
         "Service: `repro serve` shares one store/engine across concurrent\n"
         "  clients (request coalescing, precision mode); `repro query`\n"
@@ -134,20 +132,13 @@ def _word_or_usage(args: argparse.Namespace, command: str) -> Optional[str]:
 
 
 def _backend_arg(text: str) -> str:
-    """``--backend`` values: a registered engine backend or retired name.
+    """``--backend`` values: one of :data:`repro.engine.api.BACKENDS`."""
+    from .engine import validate_backend
 
-    Validated against the live registry (not a frozen ``choices=``
-    list); a retired name (``multiprocess``, ``sharedmem``, ``gpu``)
-    runs as ``batched``.
-    """
-    from .engine import available_backends, backend_availability
-
-    if text in backend_availability():
-        return text
-    raise argparse.ArgumentTypeError(
-        f"unknown backend {text!r}; registered backends: "
-        f"{', '.join(available_backends())}"
-    )
+    try:
+        return validate_backend(text)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
 
 
 def _add_trace_arg(parser: argparse.ArgumentParser) -> None:
@@ -277,8 +268,11 @@ def _cmd_lab_report(args: argparse.Namespace) -> int:
 
     for key in sorted(latest):
         record = latest[key]
+        # ``backend`` is provenance, not identity, and older builds
+        # stored names no longer accepted: label the spec without it.
+        spec_fields = {f: v for f, v in record.spec.items() if f != "backend"}
         try:
-            label = ExperimentSpec.from_dict(record.spec).describe()
+            label = ExperimentSpec.from_dict(spec_fields).describe()
         except (TypeError, ValueError):
             label = "(unreadable spec)"
         est = AcceptanceEstimate(
@@ -606,8 +600,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--backend",
         default="batched",
         type=_backend_arg,
-        help="execution backend (sequential | batched; the retired "
-        "names multiprocess, sharedmem and gpu run as batched)",
+        help="execution backend (batched | sequential)",
     )
     samp.add_argument(
         "--recognizer",

@@ -106,21 +106,6 @@ def exact_a3_detection_for_blocks(k: int, blocks: list[str], j: int) -> float:
     return marked_probability(vec, regs)
 
 
-def exact_a3_output_one_probability(word: str) -> float:
-    """Exact Pr[A3 outputs 1] on a condition-(i) word (averaged over j).
-
-    All 2^k iteration counts come out of one walk of the block sequence
-    (bit-identical to, and much faster than, 2^k calls to
-    :func:`exact_a3_detection_for_blocks`).
-    """
-    parsed = parse_condition_i(word)
-    if parsed is None:
-        raise ValueError("word does not satisfy condition (i)")
-    k, blocks = parsed
-    js = np.arange(1 << k, dtype=np.int64)
-    return 1.0 - float(np.mean(batched_a3_detection(k, blocks, js)))
-
-
 def exact_a2_pass_probability(word: str) -> float:
     """Exact Pr_t[A2 outputs 1] on a condition-(i) word, at any k.
 
@@ -291,11 +276,18 @@ def exact_acceptance_probability(word: str) -> float:
 
     * malformed words: 0 (A1 is deterministic);
     * condition-(i) words: Pr[A2 passes] * Pr[A3 outputs 1] (the two
-      procedures' randomness is independent).
+      procedures' randomness is independent).  A2's factor is
+      :func:`exact_a2_pass_probability`'s root count; A3's averages the
+      detection probabilities of all 2^k iteration counts, which come
+      out of one walk of the block sequence (bit-identical to, and much
+      faster than, 2^k calls to :func:`exact_a3_detection_for_blocks`).
+      The word is parsed once for both.
     """
     parsed = parse_condition_i(word)
     if parsed is None:
         return 0.0
-    p_a2 = exact_a2_pass_probability(word)
-    p_a3 = exact_a3_output_one_probability(word)
+    k, blocks = parsed
+    p_a2 = a2_decision(k, blocks).pass_probability
+    js = np.arange(1 << k, dtype=np.int64)
+    p_a3 = 1.0 - float(np.mean(batched_a3_detection(k, blocks, js)))
     return p_a2 * p_a3

@@ -18,7 +18,7 @@ counter (2k + 1 bits), the block-index counter (k + 2 bits) and a
 
 from __future__ import annotations
 
-from typing import List, Protocol
+from typing import List
 
 from ..streaming.workspace import GrowingCounter, Workspace
 
@@ -27,18 +27,6 @@ _PHASE_HEADER = 0
 _PHASE_BLOCKS = 1
 _PHASE_DONE = 2
 _PHASE_BAD = 3
-
-
-class StructureSubscriber(Protocol):
-    """What a parser subscriber may implement (all methods optional)."""
-
-    def on_header(self, k: int) -> None: ...
-
-    def on_block_bit(self, block: int, position: int, bit: int) -> None: ...
-
-    def on_block_end(self, block: int) -> None: ...
-
-    def on_malformed(self) -> None: ...
 
 
 class BlockStreamParser:

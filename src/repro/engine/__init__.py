@@ -1,14 +1,11 @@
 """Batched execution engine for acceptance-probability experiments.
 
-See :mod:`repro.engine.api` for the contract.  Importing this package
-registers the two stock backends:
+See :mod:`repro.engine.api` for the contract.  There are two
+backends, named by :data:`repro.engine.api.BACKENDS`:
 
-* ``sequential`` — per-trial streaming passes (reference semantics);
 * ``batched``    — one A3 state walk and one A2 gcd decision per
-  word, deep runs decided in fixed-size tiles (:mod:`repro.core.tiling`).
-
-The retired names ``multiprocess``, ``sharedmem`` and ``gpu`` resolve
-to ``batched``.
+  word, deep runs decided in fixed-size tiles (:mod:`repro.core.tiling`);
+* ``sequential`` — per-trial streaming passes (reference semantics).
 
 Orthogonal to the backend axis, every backend samples any of the stock
 recognizers (``recognizer="quantum" | "classical-blockwise" |
@@ -22,13 +19,12 @@ acceptance counts — switching backend is purely a throughput decision.
 from .api import (
     AcceptanceEstimate,
     ExecutionBackend,
+    BACKENDS,
     ExecutionEngine,
     RECOGNIZERS,
-    available_backends,
-    backend_availability,
     get_backend,
-    register_backend,
     trial_seed_plan,
+    validate_backend,
     validate_recognizer,
 )
 from .sequential import SequentialBackend
@@ -37,13 +33,12 @@ from .batched import BatchedDenseBackend
 __all__ = [
     "AcceptanceEstimate",
     "ExecutionBackend",
+    "BACKENDS",
     "ExecutionEngine",
     "RECOGNIZERS",
-    "available_backends",
-    "backend_availability",
     "get_backend",
-    "register_backend",
     "trial_seed_plan",
+    "validate_backend",
     "validate_recognizer",
     "SequentialBackend",
     "BatchedDenseBackend",

@@ -11,9 +11,9 @@ the *how* vary per backend:
   walk for every iteration count and one A2 decision per word from
   its gcd polynomial (:mod:`repro.engine.batched`).
 
-The retired names ``multiprocess``, ``sharedmem`` and ``gpu`` resolve
-to ``batched`` (:data:`RETIRED_BACKENDS`), so stored specs and scripts
-naming them keep working with unchanged counts.
+:data:`BACKENDS` names exactly these two; :func:`validate_backend`
+rejects any other name wherever one is accepted (``get_backend``, the
+lab's ``ExperimentSpec``, the CLI's ``--backend``).
 
 Seeding is part of the API contract: ``run_many`` derives one child
 seed per word with :func:`repro.rng.spawn_seeds`, in word order, and
@@ -25,7 +25,6 @@ counts, and the batched backend is a pure speedup.
 from __future__ import annotations
 
 import time
-import warnings
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, Type, Union
@@ -41,6 +40,11 @@ from ..rng import RngLike, plan_ints, spawn_seeds, trial_parent, trial_plan
 #: "classical-blockwise" Proposition 3.7's, "classical-full" the
 #: full-storage baseline.
 RECOGNIZERS = ("quantum", "classical-blockwise", "classical-full")
+
+#: Backend names :func:`get_backend` resolves (the *how*): ``batched``
+#: is the vectorized path, ``sequential`` the per-trial reference it is
+#: checked against.
+BACKENDS = ("batched", "sequential")
 
 #: Recognizers whose machines consult no randomness at all.  No backend
 #: spawns per-trial children for these, so a parent generator shared
@@ -101,6 +105,15 @@ def validate_recognizer(recognizer: str) -> str:
     return recognizer
 
 
+def validate_backend(backend: str) -> str:
+    """Reject unknown backend names with a helpful message."""
+    if backend not in BACKENDS:
+        raise ValueError(
+            f"unknown backend {backend!r}; available: {', '.join(BACKENDS)}"
+        )
+    return backend
+
+
 @dataclass(frozen=True)
 class AcceptanceEstimate:
     """Result of sampling one word's acceptance probability.
@@ -157,7 +170,7 @@ class ExecutionBackend(ABC):
     loop.
     """
 
-    #: Registry key; subclasses set it and register via register_backend.
+    #: The :data:`BACKENDS` name; estimates report it as provenance.
     name: str = "abstract"
 
     @abstractmethod
@@ -205,81 +218,30 @@ class ExecutionBackend(ABC):
         ]
 
 
-_BACKENDS: Dict[str, Type[ExecutionBackend]] = {}
-
-
-def register_backend(cls: Type[ExecutionBackend]) -> Type[ExecutionBackend]:
-    """Class decorator adding a backend to the ``get_backend`` registry."""
-    if cls.name in _BACKENDS:
-        raise ValueError(f"backend {cls.name!r} registered twice")
-    _BACKENDS[cls.name] = cls
-    return cls
-
-
-def available_backends() -> List[str]:
-    """Registered backend names, stable order."""
-    return sorted(_BACKENDS)
-
-
-#: Retired backend names -> the backend that now serves them.  Stored
-#: specs, service requests and ``--backend`` scripts still name them;
-#: ``backend`` is provenance, not identity, so counts do not move.
-RETIRED_BACKENDS: Dict[str, str] = {
-    "multiprocess": "batched",
-    "sharedmem": "batched",
-    "gpu": "batched",
-}
-
-_warned_retired: set = set()
-
-
-def backend_availability() -> Dict[str, bool]:
-    """``{name: usable}`` for every name :func:`get_backend` accepts.
-
-    Registered backends and retired aliases alike run at full speed on
-    any host, so every value is ``True``;
-    the service's ``stats.backends`` field reports this mapping.
-    """
-    return {name: True for name in sorted([*_BACKENDS, *RETIRED_BACKENDS])}
-
-
 BackendSpec = Union[str, ExecutionBackend]
 
 
-def get_backend(spec: BackendSpec = "batched") -> ExecutionBackend:
-    """Resolve a backend name (or pass an instance through).
+def _backend_classes() -> Dict[str, Type[ExecutionBackend]]:
+    # Imported here: both modules subclass ExecutionBackend from this one.
+    from .batched import BatchedDenseBackend
+    from .sequential import SequentialBackend
 
-    A retired name (:data:`RETIRED_BACKENDS`) resolves to its successor
-    with one ``DeprecationWarning`` per name per process.
-    """
+    return {"batched": BatchedDenseBackend, "sequential": SequentialBackend}
+
+
+def get_backend(spec: BackendSpec = "batched") -> ExecutionBackend:
+    """Resolve a :data:`BACKENDS` name (or pass an instance through)."""
     if isinstance(spec, ExecutionBackend):
         return spec
-    if spec in RETIRED_BACKENDS:
-        if spec not in _warned_retired:
-            _warned_retired.add(spec)
-            warnings.warn(
-                f"backend {spec!r} is retired; running "
-                f"{RETIRED_BACKENDS[spec]!r} (identical counts)",
-                DeprecationWarning,
-                stacklevel=2,
-            )
-        spec = RETIRED_BACKENDS[spec]
-    try:
-        cls = _BACKENDS[spec]
-    except KeyError:
-        raise ValueError(
-            f"unknown backend {spec!r}; registered backends: "
-            f"{', '.join(available_backends())}"
-        ) from None
-    return cls()
+    return _backend_classes()[validate_backend(spec)]()
 
 
 class ExecutionEngine:
     """Front door: estimate acceptance probabilities through a backend.
 
     Args:
-        backend: a registry name (``"sequential"``, ``"batched"``) or
-            an :class:`ExecutionBackend` instance.
+        backend: a :data:`BACKENDS` name (``"batched"``,
+            ``"sequential"``) or an :class:`ExecutionBackend` instance.
 
     Seeding semantics: the ``rng`` passed to each call is the *parent*
     of the per-trial (and, for :meth:`run_many`, per-word) child

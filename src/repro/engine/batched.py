@@ -30,7 +30,7 @@ from typing import Any, Callable, Optional
 
 import numpy as np
 
-from .api import ExecutionBackend, register_backend, validate_recognizer
+from .api import ExecutionBackend, validate_recognizer
 from .telemetry import observe_backend_call
 
 
@@ -49,7 +49,6 @@ def _batch_sampler(recognizer: str) -> Callable[..., np.ndarray]:
     return sample_full_storage_acceptance_batch
 
 
-@register_backend
 class BatchedDenseBackend(ExecutionBackend):
     """Vectorized trials for the stock recognizers.
 

@@ -20,7 +20,6 @@ from ..rng import check_trial_bounds, spawn
 from .api import (
     DETERMINISTIC_RECOGNIZERS,
     ExecutionBackend,
-    register_backend,
     trial_seed_plan,
     validate_recognizer,
 )
@@ -73,7 +72,6 @@ def resolve_factory(
     return RECOGNIZER_FACTORIES[recognizer]
 
 
-@register_backend
 class SequentialBackend(ExecutionBackend):
     """Per-trial scalar simulation (the pre-engine semantics).
 

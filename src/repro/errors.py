@@ -37,14 +37,6 @@ class MachineError(ReproError):
     """Ill-formed Turing machine description."""
 
 
-class NonHaltingError(ReproError):
-    """A machine exceeded its step budget without halting."""
-
-    def __init__(self, steps: int) -> None:
-        super().__init__(f"machine did not halt within {steps} steps")
-        self.steps = steps
-
-
 class QuantumError(ReproError):
     """Invalid quantum state, gate, or circuit operation."""
 

@@ -123,11 +123,12 @@ class Orchestrator:
             ran).  A new cumulative checkpoint is appended on every
             non-cache outcome.
 
-        Failure modes: backend resolution raises ``ValueError`` for an
-        unknown name; store I/O errors (unwritable directory) propagate
-        as ``OSError``.  A corrupt store never raises here — unreadable
-        checkpoint lines are skipped by the reader, at worst costing a
-        re-run of trials that were already paid for.
+        Failure modes: an unknown backend name never gets here (the
+        spec rejects it at construction); store I/O errors (unwritable
+        directory) propagate as ``OSError``.  A corrupt store never
+        raises here — unreadable checkpoint lines are skipped by the
+        reader, at worst costing a re-run of trials that were already
+        paid for.
 
         >>> import tempfile
         >>> from repro.lab import ExperimentSpec, Orchestrator

@@ -31,7 +31,7 @@ from dataclasses import asdict, dataclass, replace
 from typing import Any, Dict, Optional
 
 from ..core.instances import MALFORMED_KINDS
-from ..engine.api import validate_recognizer
+from ..engine.api import validate_backend, validate_recognizer
 
 #: Word families a spec can name; "explicit" means the word string is
 #: carried in the spec itself.
@@ -56,13 +56,14 @@ class ExperimentSpec:
         word_seed: seed for the word generator.
         recognizer: which machine to sample (see
             :data:`repro.engine.RECOGNIZERS`).
-        backend: how missing trials execute — an execution detail,
+        backend: how missing trials execute (one of
+            :data:`repro.engine.api.BACKENDS`) — an execution detail,
             NOT identity.
         trials: requested depth — deepenable, NOT identity.
         seed: parent seed of the per-trial child streams — identity.
 
     Failure modes: construction raises ``ValueError`` for non-positive
-    trials, unknown recognizers/families, ``family="explicit"``
+    trials, unknown recognizers/backends/families, ``family="explicit"``
     without a word, or ``intersecting`` with ``t < 1``.
 
     Two specs are the same experiment exactly when their keys match:
@@ -94,6 +95,7 @@ class ExperimentSpec:
         if self.trials <= 0:
             raise ValueError("trials must be positive")
         validate_recognizer(self.recognizer)
+        validate_backend(self.backend)
         if self.word is not None:
             # An explicit word overrides the family axis entirely.
             object.__setattr__(self, "family", "explicit")

@@ -39,7 +39,6 @@ from functools import partial
 from pathlib import Path
 from typing import Any, Dict, List, Optional, Tuple, Union
 
-from ..engine.api import backend_availability
 from ..lab import ExperimentSpec, LabRunResult, Orchestrator, PrecisionRunResult, ResultStore
 from ..obs import COUNT_BUCKETS, clock, get_registry
 from .protocol import (
@@ -303,7 +302,6 @@ class AcceptanceService:
                 result["inflight"] = len(self._inflight)
                 result["inflight_keys"] = len(self._key_locks)
                 result["uptime_seconds"] = self.uptime_seconds()
-                result["backends"] = backend_availability()
                 return ok_response(request_id, result), False, op_label
             if op == "metrics":
                 return (

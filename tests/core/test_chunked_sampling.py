@@ -12,7 +12,6 @@ checked against the paper's exact acceptance probabilities.  The deterministic f
 tile; the engine's tiled runs still cover it.
 """
 
-import warnings
 from math import lgamma, log
 
 import numpy as np
@@ -212,13 +211,11 @@ class TestBackendTiling:
         )
         assert whole == split
 
-    def test_retired_multiprocess_tiles_like_batched(self, words, monkeypatch):
+    def test_tiled_run_many_matches_untiled(self, words, monkeypatch):
         word_list = list(words.values())
         plain = ExecutionEngine("batched").run_many(word_list, 60, rng=8)
         monkeypatch.setattr(tiling_mod, "TILE_TRIALS", 11)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DeprecationWarning)
-            tiled = ExecutionEngine("multiprocess").run_many(word_list, 60, rng=8)
+        tiled = ExecutionEngine("batched").run_many(word_list, 60, rng=8)
         assert [e.accepted for e in tiled] == [e.accepted for e in plain]
 
     @pytest.mark.parametrize("recognizer", RECOGNIZERS)

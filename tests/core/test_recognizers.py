@@ -43,6 +43,22 @@ class TestQuantumRecognizerTheorem34:
         p = exact_acceptance_probability(word)
         assert 1.0 - p >= 0.25
 
+    def test_exact_analysis_parses_the_word_once(self, monkeypatch):
+        """Both factors come from one parse (a k = 5 word is ~100k symbols)."""
+        from repro.core import quantum_recognizer
+
+        calls = []
+        parse = quantum_recognizer.parse_condition_i
+
+        def counting_parse(word):
+            calls.append(len(word))
+            return parse(word)
+
+        monkeypatch.setattr(quantum_recognizer, "parse_condition_i", counting_parse)
+        word = intersecting_nonmember(1, 2, np.random.default_rng(1))
+        exact_acceptance_probability(word)
+        assert len(calls) == 1
+
     def test_sampled_acceptance_matches_exact(self):
         word = intersecting_nonmember(1, 2, np.random.default_rng(1))
         exact = exact_acceptance_probability(word)

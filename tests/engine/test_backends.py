@@ -4,17 +4,11 @@ The engine's seeding contract says switching backend is purely a
 throughput decision — for a fixed seed, the sequential and
 batched-dense backends must produce the *same acceptance counts*,
 because the batched path replicates the sequential path's random draws
-generator for generator.  The retired names ``multiprocess``,
-``sharedmem`` and ``gpu`` resolve to ``batched`` and must keep those
-counts too.
+generator for generator.
 """
-
-import warnings
 
 import numpy as np
 import pytest
-
-import repro.engine.api as api
 
 from repro.core import (
     QuantumOnlineRecognizer,
@@ -24,12 +18,11 @@ from repro.core import (
 )
 from repro.core.quantum_recognizer import sample_acceptance_batch
 from repro.engine import (
+    BACKENDS,
     AcceptanceEstimate,
     BatchedDenseBackend,
     ExecutionEngine,
     SequentialBackend,
-    available_backends,
-    backend_availability,
     get_backend,
 )
 from repro.rng import spawn
@@ -92,12 +85,25 @@ class TestSequentialBatchedParity:
 
 
 class TestEngineApi:
-    def test_available_backends(self):
-        assert {"sequential", "batched"} <= set(available_backends())
+    def test_every_name_resolves_to_its_backend(self):
+        assert BACKENDS == ("batched", "sequential")
+        assert isinstance(get_backend("batched"), BatchedDenseBackend)
+        assert isinstance(get_backend("sequential"), SequentialBackend)
+        assert [get_backend(name).name for name in BACKENDS] == list(BACKENDS)
 
     def test_unknown_backend_rejected(self):
-        with pytest.raises(ValueError, match="unknown backend"):
+        with pytest.raises(ValueError, match="unknown backend 'warp-drive'"):
             ExecutionEngine("warp-drive")
+        with pytest.raises(ValueError, match="available: batched, sequential"):
+            get_backend("warp-drive")
+
+    def test_backends_take_no_options(self):
+        """Tiling is fixed (:data:`repro.core.tiling.TILE_TRIALS`), so no
+        backend has a constructor option to pass through."""
+        with pytest.raises(TypeError):
+            get_backend("batched", tile=1)
+        with pytest.raises(TypeError):
+            ExecutionEngine("sequential", tile=1)
 
     def test_backend_instance_passes_through(self):
         backend = SequentialBackend()
@@ -138,26 +144,20 @@ class TestEngineApi:
 
 
 RECOGNIZER_NAMES = ["quantum", "classical-blockwise", "classical-full"]
-RETIRED = ["multiprocess", "sharedmem", "gpu"]
 
 
 class TestSuffixes:
-    @pytest.mark.parametrize(
-        "backend", ["sequential", "batched", "multiprocess", "sharedmem", "gpu"]
-    )
+    @pytest.mark.parametrize("backend", BACKENDS)
     @pytest.mark.parametrize("recognizer", RECOGNIZER_NAMES)
     def test_empty_suffix_counts_zero(self, backend, recognizer):
         """``count_accepted(word, n, seed, start=n)`` — the legal empty
-        continuation of an already-complete run — is a no-op, under the
-        retired names too."""
+        continuation of an already-complete run — is a no-op."""
         word = intersecting_nonmember(1, 2, np.random.default_rng(1))
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DeprecationWarning)
-            b = get_backend(backend)
+        b = get_backend(backend)
         assert b.count_accepted(word, 8, 9, recognizer=recognizer, start=8) == 0
         assert b.count_accepted(word, 0, 9, recognizer=recognizer) == 0
 
-    @pytest.mark.parametrize("backend", ["sequential", "batched"])
+    @pytest.mark.parametrize("backend", BACKENDS)
     @pytest.mark.parametrize("recognizer", RECOGNIZER_NAMES)
     def test_start_outside_the_run_is_rejected(self, backend, recognizer):
         word = intersecting_nonmember(1, 2, np.random.default_rng(1))
@@ -168,97 +168,23 @@ class TestSuffixes:
                 )
 
 
-@pytest.fixture
-def fresh_retired_warnings(monkeypatch):
-    """Each test sees the retired names as not yet warned about."""
-    monkeypatch.setattr(api, "_warned_retired", set())
-
-
-class TestRetiredNames:
-    @pytest.mark.parametrize("name", RETIRED)
-    def test_resolves_to_batched_and_warns_once(self, name, fresh_retired_warnings):
-        with pytest.warns(DeprecationWarning, match=name) as record:
-            first = get_backend(name)
-        assert len(record) == 1
-        assert isinstance(first, BatchedDenseBackend)
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", DeprecationWarning)
-            assert isinstance(get_backend(name), BatchedDenseBackend)
-
-    def test_each_name_warns_separately(self, fresh_retired_warnings):
-        with pytest.warns(DeprecationWarning) as record:
-            get_backend("sharedmem")
-            get_backend("gpu")
-            get_backend("multiprocess")
-            get_backend("sharedmem")
-        assert len(record) == 3
-
-    @pytest.mark.parametrize("name", RETIRED)
+class TestWordFanout:
     @pytest.mark.parametrize("recognizer", RECOGNIZER_NAMES)
-    def test_word_fanout_matches_sequential(self, name, recognizer):
-        """The word list ``multiprocess`` used to fan out over a pool
-        keeps its counts under every retired name."""
+    def test_batched_run_many_matches_sequential(self, recognizer):
+        """``run_many`` over a word list: one spawned child per word,
+        the same counts on both backends."""
         words = [
             member(1, np.random.default_rng(1)),
             intersecting_nonmember(1, 2, np.random.default_rng(2)),
             member(1, np.random.default_rng(3)),
         ]
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DeprecationWarning)
-            retired = ExecutionEngine(name)
-        seq = ExecutionEngine("sequential")
-        got = retired.run_many(words, 90, rng=5, recognizer=recognizer)
-        want = seq.run_many(words, 90, rng=5, recognizer=recognizer)
-        assert [e.accepted for e in got] == [e.accepted for e in want]
-
-    @pytest.mark.parametrize("name", RETIRED)
-    @pytest.mark.parametrize("recognizer", RECOGNIZER_NAMES)
-    def test_counts_match_batched(self, name, recognizer):
-        word = intersecting_nonmember(1, 2, np.random.default_rng(4))
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DeprecationWarning)
-            retired = ExecutionEngine(name)
-        batched = ExecutionEngine("batched")
-        for call in ("estimate_acceptance", "run_many"):
-            arg = word if call == "estimate_acceptance" else [word, word]
-            got = getattr(retired, call)(arg, 50, rng=9, recognizer=recognizer)
-            want = getattr(batched, call)(arg, 50, rng=9, recognizer=recognizer)
-            if call == "estimate_acceptance":
-                got, want = [got], [want]
-            assert [e.accepted for e in got] == [e.accepted for e in want]
-            assert {e.backend for e in got} == {"batched"}
-
-    def test_not_listed_as_backends_but_reported_usable(self):
-        assert set(available_backends()) == {"sequential", "batched"}
-        availability = backend_availability()
-        assert set(availability) == {*available_backends(), *RETIRED}
-        assert all(ok is True for ok in availability.values())
-
-    @pytest.mark.parametrize("name", RETIRED)
-    def test_resolves_to_a_batched_instance(self, name):
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DeprecationWarning)
-            backend = get_backend(name)
-        assert isinstance(backend, BatchedDenseBackend)
-
-    def test_backends_take_no_options(self):
-        """Tiling is fixed (:data:`repro.core.tiling.TILE_TRIALS`), so no
-        backend has a constructor option to pass through."""
-        with pytest.raises(TypeError):
-            get_backend("batched", tile=1)
-        with pytest.raises(TypeError):
-            ExecutionEngine("sequential", tile=1)
-
-    @pytest.mark.parametrize("name", RETIRED)
-    def test_metrics_are_labelled_batched(self, name):
-        from repro.obs import get_registry
-
-        registry = get_registry()
-        registry.reset()
-        word = member(1, np.random.default_rng(2))
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DeprecationWarning)
-            ExecutionEngine(name).estimate_acceptance(word, 20, rng=1)
-        calls = registry.counters_with_prefix("engine.run.calls")
-        registry.reset()
-        assert calls == {"engine.run.calls{backend=batched,recognizer=quantum}": 1}
+        counts = {
+            name: [
+                e.accepted
+                for e in ExecutionEngine(name).run_many(
+                    words, 90, rng=5, recognizer=recognizer
+                )
+            ]
+            for name in BACKENDS
+        }
+        assert counts["batched"] == counts["sequential"]

@@ -2,14 +2,12 @@
 recognizers.
 
 The engine's seeding contract now covers three recognizers: for a fixed
-seed, every backend — sequential and batched-dense, plus the retired
-``multiprocess`` name — must return the same acceptance counts for
+seed, both backends — sequential and batched-dense — must return the
+same acceptance counts for
 ``recognizer="classical-blockwise"`` and ``"classical-full"`` just as it
 does for the quantum machine, because the batched classical paths
 replicate the streamed machines' random draws generator for generator.
 """
-
-import warnings
 
 import numpy as np
 import pytest
@@ -65,17 +63,15 @@ class TestClassicalBackendParity:
             assert a.accepted == b.accepted, f"{label}: {a.accepted} != {b.accepted}"
 
     @pytest.mark.parametrize("recognizer", CLASSICAL)
-    def test_retired_multiprocess_matches_sequential(self, recognizer):
+    def test_batched_run_many_matches_sequential(self, recognizer):
         words = [
             member(1, np.random.default_rng(1)),
             intersecting_nonmember(1, 2, np.random.default_rng(2)),
         ]
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DeprecationWarning)
-            mp = ExecutionEngine("multiprocess")
+        bat = ExecutionEngine("batched")
         seq = ExecutionEngine("sequential")
         assert [
-            e.accepted for e in mp.run_many(words, 60, rng=5, recognizer=recognizer)
+            e.accepted for e in bat.run_many(words, 60, rng=5, recognizer=recognizer)
         ] == [e.accepted for e in seq.run_many(words, 60, rng=5, recognizer=recognizer)]
 
     def test_blockwise_per_trial_decisions_match_streamed(self):

@@ -1,15 +1,13 @@
 """Addressing trials by ``(parent, start, trials)``: the slice contract
 the lab resumes through, and ``trial_seed_plan``, its public seed list."""
 
-import warnings
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core import intersecting_nonmember, malformed_nonmember
-from repro.engine import ExecutionEngine, get_backend, trial_seed_plan
+from repro.engine import BACKENDS, ExecutionEngine, get_backend, trial_seed_plan
 from repro.rng import ensure_rng, spawn_seeds
 
 RECOGNIZERS = ["quantum", "classical-blockwise", "classical-full"]
@@ -47,15 +45,11 @@ class TestPlan:
         with pytest.raises(ValueError):
             trial_seed_plan(9, 10, start=11)
 
-    @pytest.mark.parametrize(
-        "backend", ["sequential", "batched", "multiprocess", "sharedmem", "gpu"]
-    )
+    @pytest.mark.parametrize("backend", BACKENDS)
     @pytest.mark.parametrize("recognizer", RECOGNIZERS)
     def test_slices_reproduce_unsharded_counts(self, word, backend, recognizer):
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DeprecationWarning)
-            b = get_backend(backend)
-            engine = ExecutionEngine(backend)
+        b = get_backend(backend)
+        engine = ExecutionEngine(backend)
         whole = b.count_accepted(word, 90, 9, recognizer=recognizer)
         split = sum(
             b.count_accepted(word, hi, 9, recognizer=recognizer, start=lo)
@@ -179,24 +173,15 @@ class TestSharedGenerator:
         assert outcomes[0][1] == 140
 
 
-class TestRetiredMultiprocessSlices:
-    """``multiprocess`` resolves to ``batched``: suffixes under the
-    retired name count exactly what ``batched`` counts."""
-
-    @staticmethod
-    def _retired():
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DeprecationWarning)
-            return get_backend("multiprocess")
+class TestBatchedSlices:
+    """A ``batched`` suffix counts exactly what ``sequential`` counts on
+    the same trials."""
 
     @pytest.mark.parametrize("recognizer", RECOGNIZERS)
-    def test_suffixes_match_batched(self, word, recognizer):
-        inline = get_backend("batched").count_accepted(
+    def test_suffixes_match_sequential(self, word, recognizer):
+        reference = get_backend("sequential").count_accepted(
             word, 50, 9, recognizer=recognizer, start=10
         )
-        assert self._retired().count_accepted(
+        assert get_backend("batched").count_accepted(
             word, 50, 9, recognizer=recognizer, start=10
-        ) == inline
-
-    def test_empty_suffix_counts_zero(self, word):
-        assert self._retired().count_accepted(word, 50, 9, start=50) == 0
+        ) == reference

@@ -1,7 +1,5 @@
 """The streaming layer's engine entry points and the rewired sampler."""
 
-import warnings
-
 import numpy as np
 import pytest
 
@@ -21,18 +19,15 @@ def test_estimate_acceptance_backends_agree():
     assert a.accepted == b.accepted
 
 
-@pytest.mark.parametrize("retired", ["multiprocess", "sharedmem", "gpu"])
-def test_entry_points_accept_retired_backend_names(retired):
-    """Scripts that name a retired backend keep their counts."""
+def test_entry_points_take_a_backend_name():
+    """Naming ``sequential`` keeps the default (``batched``) counts."""
     words = [
         member(1, np.random.default_rng(0)),
         intersecting_nonmember(1, 1, np.random.default_rng(4)),
     ]
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", DeprecationWarning)
-        one = estimate_acceptance(words[1], 80, rng=21, backend=retired)
-        many = run_many(words, 40, rng=3, backend=retired)
-        swept = acceptance_sweep(list(enumerate(words)), 40, rng=3, backend=retired)
+    one = estimate_acceptance(words[1], 80, rng=21, backend="sequential")
+    many = run_many(words, 40, rng=3, backend="sequential")
+    swept = acceptance_sweep(list(enumerate(words)), 40, rng=3, backend="sequential")
     assert one.accepted == estimate_acceptance(words[1], 80, rng=21).accepted
     want = [e.accepted for e in run_many(words, 40, rng=3)]
     assert [e.accepted for e in many] == want

@@ -1,16 +1,14 @@
 """Orchestrator: cache hits serve with zero engine work, deepening is
 seed-exact, and the store is backend-blind."""
 
-import warnings
-
 import pytest
 
 import repro.core.tiling as tiling_mod
 import repro.lab.orchestrator as orchestrator_mod
 from repro.analysis import acceptance_sweep
 from repro.core import intersecting_nonmember, member
-from repro.engine import ExecutionEngine
-from repro.lab import ExperimentSpec, Orchestrator, ResultStore
+from repro.engine import BACKENDS, ExecutionEngine
+from repro.lab import ExperimentSpec, LabRecord, Orchestrator, ResultStore
 
 
 def _spec(**kw):
@@ -84,9 +82,7 @@ class TestRunFlow:
         # ... and the prefix depth is now itself a servable checkpoint.
         assert orch.run(_spec(trials=80)).source == "cache"
 
-    @pytest.mark.parametrize(
-        "backend", ["sequential", "batched", "multiprocess", "sharedmem", "gpu"]
-    )
+    @pytest.mark.parametrize("backend", BACKENDS)
     def test_every_backend_writes_and_reads_the_same_store(self, tmp_path, backend):
         seeded = Orchestrator(tmp_path)
         seeded.run(_spec(backend="batched"))
@@ -125,10 +121,10 @@ class TestSweepThroughStore:
 
     def test_store_sweep_rejects_backend_instances(self, tmp_path):
         """A backend instance can't be serialized into a spec, so the
-        sweep refuses rather than guessing a registry name."""
+        sweep refuses rather than guessing a backend name."""
         from repro.engine import BatchedDenseBackend
 
-        with pytest.raises(ValueError, match="registry name"):
+        with pytest.raises(ValueError, match="backend name"):
             acceptance_sweep(
                 [("m", "1#")], 10,
                 backend=BatchedDenseBackend(), store=tmp_path,
@@ -170,23 +166,49 @@ class TestTiledRuns:
         assert deep.estimate.accepted == fresh.accepted
 
 
-class TestRetiredBackendSpecs:
-    def test_retired_backend_deepening_matches_fresh(self, tmp_path):
-        """A spec naming the retired ``sharedmem`` backend still runs and
-        deepens (through ``batched``) with counts identical to a fresh
-        batched run."""
-        orch = Orchestrator(tmp_path)
-        spec = _spec(trials=60, backend="sharedmem")
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DeprecationWarning)
-            orch.run(spec)
-            deep = orch.run(spec.with_trials(180))
+class TestOlderBuildStores:
+    """Builds before the backend set shrank to :data:`BACKENDS` stored
+    other names in ``backend`` and ``spec["backend"]``.  The store only
+    echoes that field as provenance: nothing resolves it."""
+
+    OLD_NAME = "sharedmem"
+
+    def _old_store(self, root):
+        spec = _spec(trials=60)
+        shallow = ExecutionEngine("batched").estimate_acceptance(
+            spec.resolve_word(), 60, rng=spec.seed
+        )
+        stored_spec = dict(spec.to_dict(), backend=self.OLD_NAME)
+        ResultStore(root).append(
+            LabRecord(
+                key=spec.key,
+                spec=stored_spec,
+                trials=60,
+                accepted=shallow.accepted,
+                backend=self.OLD_NAME,
+            )
+        )
+        return spec
+
+    def test_old_checkpoint_deepens_like_fresh(self, tmp_path):
+        spec = self._old_store(tmp_path)
+        assert Orchestrator(tmp_path).run(spec).estimate.backend == self.OLD_NAME
+        deep = Orchestrator(tmp_path).run(spec.with_trials(180))
         fresh = ExecutionEngine("batched").estimate_acceptance(
             spec.resolve_word(), 180, rng=spec.seed
         )
         assert deep.source == "deepened" and deep.trials_executed == 120
         assert deep.estimate.accepted == fresh.accepted
         assert deep.estimate.backend == "batched"
+
+    def test_report_labels_the_old_record(self, tmp_path, capsys):
+        from repro.cli import main
+
+        spec = self._old_store(tmp_path)
+        assert main(["lab", "report", "--store", str(tmp_path)]) == 0
+        out = capsys.readouterr().out
+        assert spec.describe() in out
+        assert "(unreadable spec)" not in out
 
 
 class TestExactDepthRequests:

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.core import member
+from repro.engine import BACKENDS
 from repro.lab import ExperimentSpec, WORD_FAMILIES
 
 
@@ -41,7 +42,7 @@ class TestKey:
         """Counts are backend-invariant, so backends share cache entries."""
         keys = {
             ExperimentSpec(family="member", k=1, seed=7, backend=b).key
-            for b in ("sequential", "batched", "multiprocess")
+            for b in BACKENDS
         }
         assert len(keys) == 1
 
@@ -84,6 +85,12 @@ class TestValidation:
     def test_rejects_unknown_recognizer(self):
         with pytest.raises(ValueError, match="recognizer"):
             ExperimentSpec(recognizer="oracle")
+
+    def test_rejects_unknown_backend(self):
+        """Checked at construction, not when trials first run, so a
+        cached key cannot hide a bad name."""
+        with pytest.raises(ValueError, match="unknown backend 'bogus'"):
+            ExperimentSpec(backend="bogus")
 
     def test_rejects_intersecting_t_zero(self):
         with pytest.raises(ValueError, match="t >= 1"):

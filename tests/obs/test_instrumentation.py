@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core import member
-from repro.engine import ExecutionEngine, available_backends
+from repro.engine import BACKENDS, ExecutionEngine
 from repro.obs import get_recorder, get_registry, set_trace_mode, span
 from repro.obs.spans import _NULL_SPAN
 
@@ -41,7 +41,7 @@ class TestCountInvariance:
         import numpy as np
 
         word = member(1, np.random.default_rng(seed))
-        for backend in available_backends():
+        for backend in BACKENDS:
             counts = {}
             for mode in ("off", "summary", "full"):
                 set_trace_mode(mode)
@@ -64,7 +64,7 @@ class TestCountInvariance:
             backend: ExecutionEngine(backend)
             .estimate_acceptance(word, 40, rng=5)
             .accepted
-            for backend in available_backends()
+            for backend in BACKENDS
         }
         assert len(set(accepted.values())) == 1, accepted
 

@@ -188,15 +188,21 @@ def test_v1_query_carrying_retired_budget_field_is_served(client):
     assert result["accepted"] == direct.accepted
 
 
-@pytest.mark.parametrize("retired", ["multiprocess", "sharedmem", "gpu"])
-def test_query_naming_a_retired_backend_runs_batched(client, retired):
-    """Requests still naming a retired backend are served, counts unchanged."""
-    result = client.query(trials=250, backend=retired, **SPEC_KWARGS)
-    assert result.source == "fresh" and result.backend == "batched"
-    direct = ExecutionEngine("batched").estimate_acceptance(
-        ExperimentSpec(**SPEC_KWARGS).resolve_word(), 250, rng=SPEC_KWARGS["seed"]
-    )
-    assert result.accepted == direct.accepted
+def test_unknown_backend_is_a_bad_request_cached_or_not(client):
+    """The name is checked where the spec is built, so a cached key
+    cannot turn a bad ``backend`` into an ``ok`` answer."""
+    spec = ExperimentSpec(trials=60, **SPEC_KWARGS)
+    bogus = dict(spec.to_dict(), backend="bogus")
+    with pytest.raises(ServiceError) as exc_info:
+        client.query(bogus)
+    assert exc_info.value.kind == "bad-request"
+    assert "unknown backend 'bogus'" in str(exc_info.value)
+    assert client.query(trials=60, **SPEC_KWARGS).source == "fresh"
+    # 60 is a cache hit for the key; 50 and 90 would run trials.
+    for trials in (50, 60, 90):
+        with pytest.raises(ServiceError) as exc_info:
+            client.query(dict(bogus, trials=trials))
+        assert exc_info.value.kind == "bad-request"
 
 
 def test_bad_requests_leave_the_connection_usable(client):

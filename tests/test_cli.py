@@ -1,7 +1,5 @@
 """Unit tests for the command-line interface."""
 
-import warnings
-
 import pytest
 
 import repro.core.tiling as tiling_mod
@@ -105,41 +103,27 @@ class TestCommands:
         a, b = outputs
         assert a.split("accepted=")[1].split()[0] == b.split("accepted=")[1].split()[0]
 
-    @pytest.mark.parametrize("retired", ["gpu", "sharedmem", "multiprocess"])
-    def test_sample_retired_backend_prints_batched_count(self, capsys, retired):
-        args = ["sample", "--k", "1", "--kind", "intersecting", "--trials", "80"]
-        assert main(args + ["--backend", "batched"]) == 0
-        want = capsys.readouterr().out
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DeprecationWarning)
-            assert main(args + ["--backend", retired]) == 0
-        got = capsys.readouterr().out
-
-        def counts(out):
-            return [l for l in out.splitlines() if "accepted=" in l]
-
-        assert counts(got) == counts(want)
-        assert "backend=batched" in counts(got)[0]
-
-    def test_sample_retired_backend_tiles_like_batched(self, capsys, monkeypatch):
-        """A retired name runs ``batched``, tiling included: a tiled
-        ``sharedmem`` run prints the untiled ``batched`` count."""
+    def test_sample_tiled_batched_prints_the_untiled_count(self, capsys, monkeypatch):
+        """``batched`` tiles deep runs: a tiled run prints the count of
+        the untiled ``sequential`` reference."""
         args = ["sample", "--k", "1", "--kind", "intersecting", "--trials", "80",
                 "--seed", "3"]
-        assert main(args + ["--backend", "batched"]) == 0
+        assert main(args + ["--backend", "sequential"]) == 0
         want = [l for l in capsys.readouterr().out.splitlines() if "accepted=" in l]
         monkeypatch.setattr(tiling_mod, "TILE_TRIALS", 16)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DeprecationWarning)
-            assert main(args + ["--backend", "sharedmem"]) == 0
+        assert main(args + ["--backend", "batched"]) == 0
         got = [l for l in capsys.readouterr().out.splitlines() if "accepted=" in l]
-        assert got == want
+        assert [l.split("accepted=")[1] for l in got] == [
+            l.split("accepted=")[1] for l in want
+        ]
 
     def test_sample_unknown_backend_lists_registered(self, capsys):
-        with pytest.raises(SystemExit):
+        with pytest.raises(SystemExit) as exc_info:
             main(["sample", "--k", "1", "--backend", "tpu"])
-        err = capsys.readouterr().err
-        assert "unknown backend 'tpu'" in err and "sequential" in err
+        assert exc_info.value.code == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert "unknown backend 'tpu'; available: batched, sequential" in err
 
     def test_sample_reports_uncertainty(self, capsys):
         assert main(["sample", "--k", "1", "--trials", "50"]) == 0
