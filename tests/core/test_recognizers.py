@@ -15,8 +15,12 @@ from repro.core import (
     soundness_after,
 )
 from repro.core.amplification import copies_for_two_thirds, exact_amplified_acceptance
-from repro.core.quantum_recognizer import exact_acceptance_probability
-from repro.core.language import string_length
+from repro.core.quantum_recognizer import (
+    exact_a2_pass_probability,
+    exact_a3_detection_for_blocks,
+    exact_acceptance_probability,
+)
+from repro.core.language import parse_condition_i, string_length
 from repro.streaming import run_online
 
 
@@ -58,6 +62,32 @@ class TestQuantumRecognizerTheorem34:
         word = intersecting_nonmember(1, 2, np.random.default_rng(1))
         exact_acceptance_probability(word)
         assert len(calls) == 1
+
+    @pytest.mark.parametrize(
+        "flavour",
+        ["member", "intersect_t1", "intersect_big",
+         "x_copy_mismatch", "x_drift", "y_drift"],
+    )
+    @pytest.mark.parametrize("k", [1, 2])
+    def test_exact_analysis_is_the_product_of_its_factors(self, k, flavour):
+        """Bit-identical to A2's factor times A3's output-1 probability
+        averaged over per-j walks, so the one-parse form moves no table."""
+        rng = np.random.default_rng(40 + k)
+        if flavour == "member":
+            word = member(k, rng)
+        elif flavour == "intersect_t1":
+            word = intersecting_nonmember(k, 1, rng)
+        elif flavour == "intersect_big":
+            word = intersecting_nonmember(k, 1 << (2 * k), rng)
+        else:
+            word = malformed_nonmember(k, flavour, rng)
+        parsed_k, blocks = parse_condition_i(word)
+        detections = [
+            exact_a3_detection_for_blocks(parsed_k, blocks, j)
+            for j in range(1 << parsed_k)
+        ]
+        want = exact_a2_pass_probability(word) * (1.0 - float(np.mean(detections)))
+        assert exact_acceptance_probability(word) == want
 
     def test_sampled_acceptance_matches_exact(self):
         word = intersecting_nonmember(1, 2, np.random.default_rng(1))

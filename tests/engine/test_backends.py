@@ -7,6 +7,8 @@ because the batched path replicates the sequential path's random draws
 generator for generator.
 """
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -188,3 +190,25 @@ class TestWordFanout:
             for name in BACKENDS
         }
         assert counts["batched"] == counts["sequential"]
+
+
+#: Names older builds accepted as aliases of ``batched``.  They are now
+#: unknown names like any other: no alias table, no warning path.
+RETIRED = ["multiprocess", "sharedmem", "gpu"]
+
+
+class TestRetiredNames:
+    @pytest.mark.parametrize("name", RETIRED)
+    def test_get_backend_rejects_without_warning(self, name):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(
+                ValueError,
+                match=f"unknown backend '{name}'; available: batched, sequential",
+            ):
+                get_backend(name)
+
+    @pytest.mark.parametrize("name", RETIRED)
+    def test_engine_rejects(self, name):
+        with pytest.raises(ValueError, match=f"unknown backend '{name}'"):
+            ExecutionEngine(name)

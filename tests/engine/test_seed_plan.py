@@ -45,15 +45,26 @@ class TestPlan:
         with pytest.raises(ValueError):
             trial_seed_plan(9, 10, start=11)
 
+    @pytest.mark.parametrize(
+        "slices",
+        [
+            [(0, 17), (17, 60), (60, 90)],
+            [(0, 45), (45, 45), (45, 90)],
+            [(0, 1), (1, 89), (89, 90)],
+        ],
+        ids=["uneven", "empty-middle", "single-trial-ends"],
+    )
     @pytest.mark.parametrize("backend", BACKENDS)
     @pytest.mark.parametrize("recognizer", RECOGNIZERS)
-    def test_slices_reproduce_unsharded_counts(self, word, backend, recognizer):
+    def test_slices_reproduce_unsharded_counts(
+        self, word, backend, recognizer, slices
+    ):
         b = get_backend(backend)
         engine = ExecutionEngine(backend)
         whole = b.count_accepted(word, 90, 9, recognizer=recognizer)
         split = sum(
             b.count_accepted(word, hi, 9, recognizer=recognizer, start=lo)
-            for lo, hi in [(0, 17), (17, 60), (60, 90)]
+            for lo, hi in slices
         )
         direct = engine.estimate_acceptance(word, 90, rng=9, recognizer=recognizer)
         assert whole == split == direct.accepted

@@ -34,6 +34,18 @@ def test_entry_points_take_a_backend_name():
     assert [est.accepted for _, est in swept] == want
 
 
+@pytest.mark.parametrize("name", ["multiprocess", "sharedmem", "gpu"])
+def test_entry_points_reject_retired_backend_names(name):
+    """Names older builds ran as ``batched`` are unknown at every entry."""
+    words = [member(1, np.random.default_rng(0))]
+    with pytest.raises(ValueError, match=f"unknown backend '{name}'"):
+        estimate_acceptance(words[0], 10, rng=1, backend=name)
+    with pytest.raises(ValueError, match=f"unknown backend '{name}'"):
+        run_many(words, 10, rng=1, backend=name)
+    with pytest.raises(ValueError, match=f"unknown backend '{name}'"):
+        acceptance_sweep(list(enumerate(words)), 10, rng=1, backend=name)
+
+
 def test_run_many_orders_and_counts():
     words = [member(1, np.random.default_rng(i)) for i in (0, 1)]
     estimates = run_many(words, 30, rng=2, backend="batched")

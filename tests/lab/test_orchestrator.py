@@ -171,28 +171,30 @@ class TestOlderBuildStores:
     other names in ``backend`` and ``spec["backend"]``.  The store only
     echoes that field as provenance: nothing resolves it."""
 
-    OLD_NAME = "sharedmem"
+    @pytest.fixture(params=["multiprocess", "sharedmem", "gpu"])
+    def old_name(self, request):
+        return request.param
 
-    def _old_store(self, root):
+    def _old_store(self, root, old_name):
         spec = _spec(trials=60)
         shallow = ExecutionEngine("batched").estimate_acceptance(
             spec.resolve_word(), 60, rng=spec.seed
         )
-        stored_spec = dict(spec.to_dict(), backend=self.OLD_NAME)
+        stored_spec = dict(spec.to_dict(), backend=old_name)
         ResultStore(root).append(
             LabRecord(
                 key=spec.key,
                 spec=stored_spec,
                 trials=60,
                 accepted=shallow.accepted,
-                backend=self.OLD_NAME,
+                backend=old_name,
             )
         )
         return spec
 
-    def test_old_checkpoint_deepens_like_fresh(self, tmp_path):
-        spec = self._old_store(tmp_path)
-        assert Orchestrator(tmp_path).run(spec).estimate.backend == self.OLD_NAME
+    def test_old_checkpoint_deepens_like_fresh(self, tmp_path, old_name):
+        spec = self._old_store(tmp_path, old_name)
+        assert Orchestrator(tmp_path).run(spec).estimate.backend == old_name
         deep = Orchestrator(tmp_path).run(spec.with_trials(180))
         fresh = ExecutionEngine("batched").estimate_acceptance(
             spec.resolve_word(), 180, rng=spec.seed
@@ -201,10 +203,10 @@ class TestOlderBuildStores:
         assert deep.estimate.accepted == fresh.accepted
         assert deep.estimate.backend == "batched"
 
-    def test_report_labels_the_old_record(self, tmp_path, capsys):
+    def test_report_labels_the_old_record(self, tmp_path, capsys, old_name):
         from repro.cli import main
 
-        spec = self._old_store(tmp_path)
+        spec = self._old_store(tmp_path, old_name)
         assert main(["lab", "report", "--store", str(tmp_path)]) == 0
         out = capsys.readouterr().out
         assert spec.describe() in out

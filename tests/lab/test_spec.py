@@ -92,6 +92,12 @@ class TestValidation:
         with pytest.raises(ValueError, match="unknown backend 'bogus'"):
             ExperimentSpec(backend="bogus")
 
+    @pytest.mark.parametrize("name", ["multiprocess", "sharedmem", "gpu"])
+    def test_rejects_retired_backend(self, name):
+        """Names older builds ran as ``batched`` are unknown names now."""
+        with pytest.raises(ValueError, match=f"unknown backend '{name}'"):
+            ExperimentSpec(backend=name)
+
     def test_rejects_intersecting_t_zero(self):
         with pytest.raises(ValueError, match="t >= 1"):
             ExperimentSpec(family="intersecting", t=0)

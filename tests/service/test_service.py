@@ -205,6 +205,17 @@ def test_unknown_backend_is_a_bad_request_cached_or_not(client):
         assert exc_info.value.kind == "bad-request"
 
 
+@pytest.mark.parametrize("name", ["multiprocess", "sharedmem", "gpu"])
+def test_query_naming_a_retired_backend_is_a_bad_request(client, name):
+    """Older clients may still send a name earlier builds ran as
+    ``batched``; it is now unknown, and the connection stays usable."""
+    with pytest.raises(ServiceError) as exc_info:
+        client.query(dict(ExperimentSpec(**SPEC_KWARGS).to_dict(), backend=name))
+    assert exc_info.value.kind == "bad-request"
+    assert f"unknown backend '{name}'" in str(exc_info.value)
+    assert client.ping()
+
+
 def test_bad_requests_leave_the_connection_usable(client):
     with pytest.raises(ServiceError) as exc_info:
         client.query({"family": "member", "trials": -5})

@@ -125,6 +125,29 @@ class TestCommands:
         assert out == ""
         assert "unknown backend 'tpu'; available: batched, sequential" in err
 
+    @pytest.mark.parametrize(
+        "command",
+        [
+            ["sample", "--k", "1", "--kind", "intersecting", "--trials", "80"],
+            ["lab", "run", "--k", "1", "--trials", "10", "--store"],
+            ["query", "--port", "1", "--k", "1", "--trials", "10"],
+        ],
+        ids=["sample", "lab-run", "query"],
+    )
+    @pytest.mark.parametrize("name", ["multiprocess", "sharedmem", "gpu"])
+    def test_retired_backend_exits_2(self, command, name, tmp_path, capsys):
+        """Names older builds ran as ``batched`` fail at argument parsing:
+        nothing runs, nothing is stored, no server is contacted."""
+        store = tmp_path / "store"
+        argv = command + [str(store)] * (command[-1] == "--store")
+        with pytest.raises(SystemExit) as exc_info:
+            main(argv + ["--backend", name])
+        assert exc_info.value.code == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert f"unknown backend '{name}'" in err
+        assert not store.exists()
+
     def test_sample_reports_uncertainty(self, capsys):
         assert main(["sample", "--k", "1", "--trials", "50"]) == 0
         out = capsys.readouterr().out
