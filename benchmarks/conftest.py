@@ -1,9 +1,9 @@
 """Benchmark-suite plumbing: result capture shared by every experiment.
 
-Each ``bench_e*.py`` regenerates one experiment from DESIGN.md's index:
-it prints the paper-style table AND writes it to
-``benchmarks/results/<experiment>.txt`` so EXPERIMENTS.md quotes data
-produced by exactly this code.
+Each ``bench_e*.py`` regenerates one paper experiment (E1–E13, listed
+in ``benchmarks/README.md``): it prints the paper-style table AND
+writes it to ``benchmarks/results/<experiment>.txt``, so any quoted
+experiment data is produced by exactly this code.
 """
 
 from pathlib import Path

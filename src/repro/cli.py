@@ -141,6 +141,15 @@ def _backend_arg(text: str) -> str:
         raise argparse.ArgumentTypeError(str(exc)) from None
 
 
+def _add_recognizer_arg(parser: argparse.ArgumentParser, help_text: str) -> None:
+    """``--recognizer``: one of :data:`repro.engine.api.RECOGNIZERS`."""
+    from .engine import RECOGNIZERS
+
+    parser.add_argument(
+        "--recognizer", default="quantum", choices=RECOGNIZERS, help=help_text
+    )
+
+
 def _add_trace_arg(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--trace",
@@ -602,11 +611,9 @@ def build_parser() -> argparse.ArgumentParser:
         type=_backend_arg,
         help="execution backend (batched | sequential)",
     )
-    samp.add_argument(
-        "--recognizer",
-        default="quantum",
-        choices=["quantum", "classical-blockwise", "classical-full"],
-        help="which machine to sample (Theorem 3.4, Prop. 3.7, or the "
+    _add_recognizer_arg(
+        samp,
+        "which machine to sample (Theorem 3.4, Prop. 3.7, or the "
         "full-storage baseline)",
     )
     _add_trace_arg(samp)
@@ -693,12 +700,7 @@ def build_parser() -> argparse.ArgumentParser:
         type=_backend_arg,
         help="execution backend (does not affect counts or cache keys)",
     )
-    run.add_argument(
-        "--recognizer",
-        default="quantum",
-        choices=["quantum", "classical-blockwise", "classical-full"],
-        help="which machine to sample",
-    )
+    _add_recognizer_arg(run, "which machine to sample")
     run.add_argument("--store", default=store_default,
                      help="store directory (env REPRO_LAB_STORE)")
     _add_trace_arg(run)
@@ -733,12 +735,7 @@ def build_parser() -> argparse.ArgumentParser:
         type=_backend_arg,
         help="execution backend for any trials the service must run",
     )
-    query.add_argument(
-        "--recognizer",
-        default="quantum",
-        choices=["quantum", "classical-blockwise", "classical-full"],
-        help="which machine to sample",
-    )
+    _add_recognizer_arg(query, "which machine to sample")
     query.add_argument("--host", default="127.0.0.1")
     query.add_argument("--port", type=int, default=DEFAULT_PORT)
     query.add_argument("--timeout", type=float, default=600.0,

@@ -261,8 +261,9 @@ def a2_decision(k: int, blocks: Sequence[str], p: Optional[int] = None) -> A2Dec
     """A2's verdict on a condition-(i) word's *blocks* at every t of F_p.
 
     *p* is the A2 modulus, :func:`fingerprint_prime`\\ ``(k)`` when
-    omitted.  The decision is memoized on the block strings, so a
-    sampler that decides a word's trials tile by tile computes it once.
+    omitted.  The decision is memoized on the block strings, so
+    repeated runs on one word (a deepening, or the exact analysis
+    beside a sampled count) compute it once.
     """
     if p is None:
         p = fingerprint_prime(k)
@@ -282,9 +283,10 @@ def a2_passes_at_points(
     :func:`a2_decision` is evaluated at the points: one Horner pass
     over ``R``'s ``deg R + 1`` coefficients.
 
-    *p* is the A2 modulus, :func:`fingerprint_prime`\\ ``(k)``; callers
-    looping over chunk tiles pass it in so it is derived once per run,
-    not once per tile.
+    *p* is the A2 modulus, :func:`fingerprint_prime`\\ ``(k)`` when
+    omitted.  The samplers' draw schedule evaluates the decision
+    directly (:meth:`A2Decision.passes`) at points it draws in range;
+    this entry point checks the range first.
     """
     decision = a2_decision(k, blocks, p)
     ts = np.asarray(ts, dtype=np.int64)

@@ -21,8 +21,9 @@ parser, A2 is decided once per word from its gcd polynomial
 (:func:`repro.core.a2_fingerprint.a2_decision`), and the chunk
 matcher / full-storage comparisons collapse to a handful of NumPy
 reductions.  Trial randomness is the streamed machines' draw for draw
-(derived in bulk by :func:`repro.rng.spawn_bulk`), so acceptance
-decisions are identical, only faster.
+(derived in bulk by the draw schedule,
+:func:`repro.core.tiling.decide_in_tiles`), so acceptance decisions
+are identical, only faster.
 """
 
 from __future__ import annotations
@@ -31,24 +32,14 @@ from typing import Sequence
 
 import numpy as np
 
-from ..mathx.primes import fingerprint_prime
-from ..rng import (
-    check_trial_bounds,
-    ensure_rng,
-    resolve_trial_seeds,
-    spawn,
-    spawn_bulk,
-)
+from ..rng import check_trial_bounds, ensure_rng, resolve_trial_seeds, spawn
 from ..streaming.algorithm import OnlineAlgorithm
 from ..streaming.combinators import ParallelComposition
 from .a1_format import A1FormatCheck
-from .a2_fingerprint import (
-    MASK,
-    PASS_ALL,
-    A2FingerprintCheck,
-    a2_decision,
-    a2_passes_at_points,
-)
+from .a2_fingerprint import A2FingerprintCheck, a2_decision
+# perfbench/tracer.py wraps a2_passes_at_points here (its core.a2_sweep
+# layer), so it stays importable although this module no longer calls it.
+from .a2_fingerprint import a2_passes_at_points
 from .language import parse_condition_i
 from .structure import BlockStreamParser, block_type, round_index
 from .tiling import decide_in_tiles
@@ -251,19 +242,6 @@ def full_storage_accepts(word: str) -> bool:
     return consistent and not np.bitwise_and(x, y).any()
 
 
-def _decide_blockwise_tile(
-    k: int, blocks: Sequence[str], p: int, plan: np.ndarray
-) -> np.ndarray:
-    """A2 verdicts for one tile of trials, from their ``(rows, 4)`` plan words.
-
-    Each trial's one child (the streamed machine's
-    ``spawn(default_rng(seed), 1)``) comes from
-    :func:`repro.rng.spawn_bulk` and draws A2's ``t``.
-    """
-    (a2_rng,) = spawn_bulk(plan, 1)
-    return a2_passes_at_points(k, list(blocks), a2_rng.integers(p), p=p)
-
-
 def sample_blockwise_acceptance_batch(
     word: str,
     trials: int,
@@ -273,17 +251,15 @@ def sample_blockwise_acceptance_batch(
     """Per-trial accept decisions of Proposition 3.7's machine, batched.
 
     Draw-for-draw equivalent to ``trials`` sequential runs of
-    :class:`BlockwiseClassicalRecognizer` with the same seed: the same
-    child stream is derived per trial (in bulk, by
-    :func:`repro.rng.spawn_bulk`) and consulted in the same order (A2's
-    evaluation point t).  The deterministic A1/chunk-matching verdicts
-    and A2's per-word gcd decision
-    (:func:`repro.core.a2_fingerprint.a2_decision`) are computed once:
-    unless A2's verdict is a mask, no trial draws anything and the
-    verdict is broadcast.  Only trials ``start..trials`` of the run
-    parented by *rng* are decided, in fixed-size tiles that each derive
-    their own plan rows, with byte-identical counts
-    (:func:`repro.core.tiling.decide_in_tiles`).  Returns a boolean
+    :class:`BlockwiseClassicalRecognizer` with the same seed.  The
+    per-word verdicts are computed once: A1's parse, the deterministic
+    chunk match and A2's gcd decision
+    (:func:`repro.core.a2_fingerprint.a2_decision`).  The draw schedule,
+    :func:`repro.core.tiling.decide_in_tiles`, derives each trial's one
+    child (A2's evaluation point t) only when A2's verdict is a mask,
+    and otherwise broadcasts the verdict with no draws.  Only trials
+    ``start..trials`` of the run parented by *rng* are decided, in
+    fixed-size tiles with byte-identical counts.  Returns a boolean
     array of length ``trials - start``.
     """
     plan = resolve_trial_seeds(trials, rng, start)
@@ -296,13 +272,7 @@ def sample_blockwise_acceptance_batch(
         # The chunk matcher is deterministic, so the per-trial points
         # can never flip the (all-False) outcome — skip drawing them.
         return np.zeros(len(plan), dtype=bool)
-    p = fingerprint_prime(k)
-    outcome = a2_decision(k, blocks, p).outcome
-    if outcome != MASK:
-        return np.full(len(plan), outcome == PASS_ALL, dtype=bool)
-    return decide_in_tiles(
-        plan, lambda rows: _decide_blockwise_tile(k, blocks, p, rows)
-    )
+    return decide_in_tiles(plan, a2_decision(k, blocks))
 
 
 def sample_full_storage_acceptance_batch(

@@ -33,17 +33,13 @@ from ..quantum.operators import (
     initial_phi,
 )
 from ..quantum.registers import A3Registers
-from ..rng import ensure_rng, resolve_trial_seeds, spawn, spawn_bulk
+from ..rng import ensure_rng, resolve_trial_seeds, spawn
 from ..streaming.combinators import ParallelComposition
-from ..mathx.primes import fingerprint_prime
 from .a1_format import A1FormatCheck
-from .a2_fingerprint import (
-    FAIL_ALL,
-    MASK,
-    A2FingerprintCheck,
-    a2_decision,
-    a2_passes_at_points,
-)
+from .a2_fingerprint import FAIL_ALL, A2FingerprintCheck, a2_decision
+# perfbench/tracer.py wraps a2_passes_at_points here (its core.a2_sweep
+# layer), so it stays importable although this module no longer calls it.
+from .a2_fingerprint import a2_passes_at_points
 from .a3_grover import A3GroverProcedure
 from .language import parse_condition_i
 from .tiling import decide_in_tiles
@@ -186,40 +182,6 @@ def batched_a3_detection(k: int, blocks: list[str], js) -> np.ndarray:
     return detection[js]
 
 
-def _decide_quantum_tile(
-    k: int,
-    blocks: list[str],
-    p: int,
-    m: int,
-    plan: np.ndarray,
-    detection: np.ndarray,
-    a2_mask: bool,
-) -> np.ndarray:
-    """Accept decisions for one tile of trials, from their plan words.
-
-    *plan* holds the tile's ``(rows, 4)`` rows of the run's trial plan.
-    :func:`repro.rng.spawn_bulk` derives each trial's children, draw
-    for draw the streamed machine's ``spawn(default_rng(seed), 2)``:
-    child 0 draws A2's ``t``, child 1 A3's ``j`` and then its coin.
-    Unless A2's verdict is a mask (*a2_mask*), it passes at every ``t``
-    and child 0 is never derived.
-
-    *detection* is A3's detection probability for every iteration count
-    ``j`` in ``[0, m)``, evolved once per word by the caller; a trial's
-    is ``detection[j]``.
-    """
-    if a2_mask:
-        a2_rng, a3_rng = spawn_bulk(plan, 2)
-        a2_ok = a2_passes_at_points(k, blocks, a2_rng.integers(p), p=p)
-    else:
-        (a3_rng,) = spawn_bulk(plan, 2, children=(1,))
-        a2_ok = True
-    js = a3_rng.integers(m)
-    coins = a3_rng.random()
-    a3_ok = ~(coins < detection[js])  # b = 1 (intersection seen) rejects
-    return a2_ok & a3_ok
-
-
 def sample_acceptance_batch(
     word: str,
     trials: int,
@@ -231,22 +193,20 @@ def sample_acceptance_batch(
     Draw-for-draw equivalent to ``trials`` sequential runs of
     :class:`QuantumOnlineRecognizer` driven by
     :func:`repro.streaming.acceptance_probability_by_sampling` with the
-    same seed: the same child streams are derived (in bulk, by
-    :func:`repro.rng.spawn_bulk`) and consulted in the same order (A2's
-    t, A3's j, A3's measurement coin).  A2 is decided once per word from
-    its gcd polynomial (:func:`repro.core.a2_fingerprint.a2_decision`):
-    a fail-all word rejects every trial with no draws and no A3 walk, a
-    pass-all word draws only A3's child, and only a mask word draws t.
-    A3's detection probabilities for all 2^k iteration counts come out
-    of one walk of the block sequence (:func:`batched_a3_detection`).
+    same seed.  The per-word verdicts are computed once: A1's parse,
+    A2's gcd decision (:func:`repro.core.a2_fingerprint.a2_decision`)
+    and A3's detection probabilities for all 2^k iteration counts, from
+    one walk of the block sequence (:func:`batched_a3_detection`).  A
+    fail-all word rejects every trial with no draws and no A3 walk.
+    The draw schedule, :func:`repro.core.tiling.decide_in_tiles`, then
+    derives each trial's child streams in bulk and consults them in the
+    streamed machine's order (A2's t, A3's j, A3's measurement coin);
+    only a mask word draws t.
 
     Only trials ``start..trials`` of the run parented by *rng* are
     decided, so a run split at any points — e.g. the continuation
     ``repro.lab`` deepens with — decides exactly the trials of the
-    whole run.  They are decided in fixed-size tiles
-    (:func:`repro.core.tiling.decide_in_tiles`), each deriving its own
-    plan rows: a trial's decision depends only on its own row, so the
-    concatenated decisions are byte-identical to the untiled run.
+    whole run, in fixed-size tiles with byte-identical counts.
     Returns a boolean array of length ``trials - start``.
     """
     plan = resolve_trial_seeds(trials, rng, start)
@@ -256,19 +216,12 @@ def sample_acceptance_batch(
         # change the (all-False) outcome.
         return np.zeros(len(plan), dtype=bool)
     k, blocks = parsed
-    p = fingerprint_prime(k)
-    outcome = a2_decision(k, blocks, p).outcome
-    if outcome == FAIL_ALL:
+    a2 = a2_decision(k, blocks)
+    if a2.outcome == FAIL_ALL:
         # A2 rejects at every t, whatever the draws: skip them and A3.
         return np.zeros(len(plan), dtype=bool)
-    m = 1 << k
-    detection = batched_a3_detection(k, blocks, np.arange(m))
-    return decide_in_tiles(
-        plan,
-        lambda rows: _decide_quantum_tile(
-            k, blocks, p, m, rows, detection, outcome == MASK
-        ),
-    )
+    detection = batched_a3_detection(k, blocks, np.arange(1 << k))
+    return decide_in_tiles(plan, a2, detection)
 
 
 def exact_acceptance_probability(word: str) -> float:

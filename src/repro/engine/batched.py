@@ -19,9 +19,11 @@ Delegates to the core layer's batch paths, one per recognizer:
   the deterministic baseline decided once over packed uint64 lanes and
   broadcast across trials.
 
-Trial randomness is the sequential backend's draw for draw, derived in
-bulk (:mod:`repro.rng`), so the acceptance counts are identical, only
-faster.
+Both randomized samplers compute only per-word verdicts and hand them
+to one draw schedule (:func:`repro.core.tiling.decide_in_tiles`),
+which derives the trials' child streams in bulk (:mod:`repro.rng`) and
+draws them in the sequential backend's order, so the acceptance counts
+are identical, only faster.
 """
 
 from __future__ import annotations
@@ -52,9 +54,10 @@ def _batch_sampler(recognizer: str) -> Callable[..., np.ndarray]:
 class BatchedDenseBackend(ExecutionBackend):
     """Vectorized trials for the stock recognizers.
 
-    The randomized samplers decide deep runs in fixed-size tiles, each
-    deriving its own trial plan rows (see :mod:`repro.core.tiling`),
-    with counts byte-identical to the untiled run.
+    The randomized samplers decide deep runs through one draw schedule
+    in fixed-size tiles, each deriving its own trial plan rows (see
+    :mod:`repro.core.tiling`), with counts byte-identical to the
+    untiled run.
     """
 
     name = "batched"

@@ -33,18 +33,15 @@ from typing import Iterator, Sequence
 from ..framework import Finding, ModuleContext, Rule, call_name, register_rule
 
 #: Modules whose seeded-generator construction is sanctioned: the rng
-#: plumbing itself, the engine backends that rebuild generators from
-#: spawned child seeds, the samplers that do the same from explicit
-#: trial seeds, and the CLI/spec word-material seeding sites.  Entries
-#: ending in ``/`` match as directory fragments, others as path suffixes.
+#: plumbing itself (the batched samplers' bulk streams included), the
+#: sequential backend that rebuilds generators from spawned child
+#: seeds, and the CLI/spec word-material seeding sites.  Entries ending
+#: in ``/`` match as directory fragments, others as path suffixes.
 SEED_SITES: Sequence[str] = (
     "repro/rng.py",
     "repro/cli.py",
-    "repro/engine/api.py",
     "repro/engine/sequential.py",
     "repro/lab/spec.py",
-    "repro/core/quantum_recognizer.py",
-    "repro/core/classical_recognizer.py",
     # Benchmark drivers are experiment roots: they own their parent
     # seeds the same way the CLI does.  (The seed-flow project rule
     # still checks what any counting path builds generators *from*.)

@@ -17,8 +17,6 @@ from __future__ import annotations
 
 from functools import lru_cache
 
-from typing import Iterator
-
 # Deterministic for n < 3,317,044,064,679,887,385,961,981 (~3.3e24).
 _DETERMINISTIC_WITNESSES: tuple[int, ...] = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
@@ -131,12 +129,3 @@ def primes_up_to(limit: int) -> list[int]:
             sieve[i * i :: i] = bytearray(len(sieve[i * i :: i]))
         i += 1
     return [i for i, flag in enumerate(sieve) if flag]
-
-
-def iter_primes() -> Iterator[int]:
-    """Yield the primes 2, 3, 5, ... indefinitely."""
-    n = 2
-    while True:
-        if is_prime(n):
-            yield n
-        n += 1 if n == 2 else 2

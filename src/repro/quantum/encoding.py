@@ -76,8 +76,3 @@ def decode_circuit(tape: str, n_qubits: int) -> Circuit:
             )
         circuit.append(GateOp(c, a, b))
     return circuit
-
-
-def tape_length(circuit: Circuit) -> int:
-    """Length in tape symbols of the encoded circuit (for the 2^s step bound)."""
-    return len(encode_circuit(circuit))

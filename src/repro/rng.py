@@ -135,14 +135,6 @@ def coin(rng: np.random.Generator, p: float = 0.5) -> bool:
     return bool(rng.random() < p)
 
 
-def random_bitstring(rng: np.random.Generator, length: int, p_one: float = 0.5) -> str:
-    """A random {0,1}-string of the given *length*; each bit is 1 w.p. *p_one*."""
-    if length < 0:
-        raise ValueError("length must be non-negative")
-    bits = rng.random(length) < p_one
-    return "".join("1" if b else "0" for b in bits)
-
-
 def optional_rng(rng: RngLike, seed_offset: int = 0) -> np.random.Generator:
     """Like :func:`ensure_rng` but offsets the default seed.
 
@@ -325,7 +317,8 @@ class TrialPlan:
 
     Built by :func:`resolve_trial_seeds`, which has already mixed the
     parent's child prefix and settled where its children start, so
-    :meth:`rows` costs only the requested rows: a sampler derives each
+    :meth:`rows` costs only the requested rows: the samplers' draw
+    schedule (:func:`repro.core.tiling.decide_in_tiles`) derives each
     tile's rows inside its tile loop and never holds the whole plan.
     """
 

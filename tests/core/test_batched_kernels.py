@@ -3,8 +3,8 @@
 Four contracts under test:
 
 * **per-call caching** — ``fingerprint_prime`` and the per-size index
-  tables are derived once per ``sample_acceptance_batch`` call however
-  many tiles it splits into, and A3's detection table is evolved once
+  tables are derived once per sampler call however many tiles it
+  splits into, and A3's detection table is evolved once
   per call, so no j is evolved twice;
 * **the A3 kernel** — :func:`batched_a3_detection` is byte-equal to the
   per-j reference, its work is pinned (one shared trajectory, so linear,
@@ -18,7 +18,8 @@ Four contracts under test:
 * **draws only where A2's verdict needs them** — A2 is decided once per
   word, so a pass-all word derives only A3's child per trial, and a
   fail-all word (and every blockwise word but a mask one) draws
-  nothing.
+  nothing: one table of recognizer x A2 outcome, spying on the one
+  draw schedule (:func:`repro.core.tiling.decide_in_tiles`).
 """
 
 import numpy as np
@@ -27,11 +28,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import repro.core.a2_fingerprint as a2_mod
-import repro.core.classical_recognizer as classical_mod
 import repro.core.quantum_recognizer as quantum_mod
 import repro.core.tiling as tiling_mod
 import repro.rng as rng_mod
 from repro.core import intersecting_nonmember, member
+from repro.core.a2_fingerprint import FAIL_ALL, MASK, PASS_ALL
 from repro.core.classical_recognizer import sample_blockwise_acceptance_batch
 from repro.core.language import parse_condition_i
 from repro.core.quantum_recognizer import (
@@ -53,6 +54,9 @@ def words():
         # k = 1, x = 1000, y = 0110 with repetition 1's y drifted to
         # 0100: chunk-disjoint, and A2 passes only at t = 0.
         "y_drift": "1#" + "1000#0110#1000#" + "1000#0100#1000#",
+        # Repetition 1's x drifted to 0000: the difference is the
+        # constant 1, so A2 fails at every t.
+        "x_drift": "1#" + "1000#0110#1000#" + "0000#0110#1000#",
     }
 
 
@@ -124,8 +128,8 @@ class TestPerCallCaching:
             calls.append(k)
             return fingerprint_prime(k)
 
-        monkeypatch.setattr(quantum_mod, "fingerprint_prime", counted)
-        monkeypatch.setattr(classical_mod, "fingerprint_prime", counted)
+        # The samplers take A2's modulus from its decision (a2.p); the
+        # decision derives it from k.
         monkeypatch.setattr(a2_mod, "fingerprint_prime", counted)
         return calls
 
@@ -174,57 +178,65 @@ class TestPerCallCaching:
         assert seen  # the wrapper really intercepted the tiled run
 
 
-#: k = 1, x = 1000, y = 0110 with repetition 1's x drifted to 0000: the
-#: difference is the constant 1, so A2 fails at every t.
-X_DRIFT_AT_0 = "1#" + "1000#0110#1000#" + "0000#0110#1000#"
+#: recognizer x A2 outcome -> the children each tile spawns (None: the
+#: sampler decides every trial without a tile draw).  Child 0 draws A2's
+#: t, child 1 A3's j and coin (:mod:`repro.core.tiling`).  Two pass-all
+#: words: a member, and an intersecting word, whose A3 table is nonzero
+#: and which the blockwise chunk matcher rejects outright.
+DRAW_TABLE = [
+    ("quantum", "x_drift", FAIL_ALL, None),
+    ("quantum", "member", PASS_ALL, (1,)),
+    ("quantum", "intersecting", PASS_ALL, (1,)),
+    ("quantum", "y_drift", MASK, (0, 1)),
+    ("classical-blockwise", "x_drift", FAIL_ALL, None),
+    ("classical-blockwise", "member", PASS_ALL, None),
+    ("classical-blockwise", "intersecting", PASS_ALL, None),
+    ("classical-blockwise", "y_drift", MASK, (0,)),
+]
+SAMPLERS = {
+    "quantum": sample_acceptance_batch,
+    "classical-blockwise": sample_blockwise_acceptance_batch,
+}
 
 
 class TestDrawsFollowTheA2Verdict:
-    @staticmethod
-    def _no_draws(monkeypatch, module):
-        def refuse(*args, **kwargs):
-            raise AssertionError("per-trial draws were taken")
+    @pytest.mark.parametrize(
+        "recognizer, name, outcome, children",
+        DRAW_TABLE,
+        ids=[f"{recognizer}-{name}" for recognizer, name, _, _ in DRAW_TABLE],
+    )
+    def test_tiles_spawn_only_the_children_that_matter(
+        self, words, recognizer, name, outcome, children, monkeypatch
+    ):
+        word = words[name]
+        k, blocks = parse_condition_i(word)
+        assert a2_mod.a2_decision(k, blocks).outcome == outcome
+        spawned = []
+        spawn_bulk = rng_mod.spawn_bulk
 
-        monkeypatch.setattr(module, "spawn_bulk", refuse)
+        def spying(plan, n, which=None):
+            spawned.append((tuple(which), len(plan)))
+            return spawn_bulk(plan, n, which)
 
-    def test_blockwise_member_draws_nothing(self, words, monkeypatch):
-        self._no_draws(monkeypatch, classical_mod)
-        out = sample_blockwise_acceptance_batch(words["member"], 50, 3)
-        assert out.all() and out.size == 50
+        monkeypatch.setattr(tiling_mod, "spawn_bulk", spying)
+        monkeypatch.setattr(tiling_mod, "TILE_TRIALS", 16)
+        out = SAMPLERS[recognizer](word, 40, 5)
+        assert out.size == 40
+        if children is None:
+            assert spawned == []
+        else:
+            assert spawned == [(children, 16), (children, 16), (children, 8)]
+        if outcome == FAIL_ALL:
+            assert not out.any()
+        if name == "member":
+            assert out.all()
 
-    def test_blockwise_fail_all_draws_nothing(self, monkeypatch):
-        self._no_draws(monkeypatch, classical_mod)
-        assert not sample_blockwise_acceptance_batch(X_DRIFT_AT_0, 50, 3).any()
-
-    def test_quantum_fail_all_draws_nothing_and_skips_a3(self, monkeypatch):
-        self._no_draws(monkeypatch, quantum_mod)
-
+    def test_quantum_fail_all_skips_a3(self, words, monkeypatch):
         def refuse(*args):
             raise AssertionError("A3 was walked")
 
         monkeypatch.setattr(quantum_mod, "batched_a3_detection", refuse)
-        assert not sample_acceptance_batch(X_DRIFT_AT_0, 50, 3).any()
-
-    @pytest.mark.parametrize(
-        "name, children", [("intersecting", 1), ("member", 1), ("y_drift", 2)]
-    )
-    def test_quantum_tile_spawns_children_per_trial(
-        self, words, name, children, monkeypatch
-    ):
-        """A pass-all tile spawns one child per trial (A3's), a mask
-        tile both."""
-        spawned = []
-        spawn_bulk = rng_mod.spawn_bulk
-
-        def counting(plan, n, children=None):
-            out = spawn_bulk(plan, n, children)
-            spawned.append((len(out), out[0].size))
-            return out
-
-        monkeypatch.setattr(quantum_mod, "spawn_bulk", counting)
-        monkeypatch.setattr(tiling_mod, "TILE_TRIALS", 16)
-        sample_acceptance_batch(words[name], 40, 5)
-        assert spawned == [(children, 16), (children, 16), (children, 8)]
+        assert not sample_acceptance_batch(words["x_drift"], 50, 3).any()
 
 
 class TestA3Kernel:

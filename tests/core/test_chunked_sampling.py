@@ -19,21 +19,22 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import repro.core.classical_recognizer as classical_mod
-import repro.core.quantum_recognizer as quantum_mod
 import repro.core.tiling as tiling_mod
 from repro.core import intersecting_nonmember, member
+from repro.core.a2_fingerprint import MASK, a2_decision
 from repro.core.classical_recognizer import (
     sample_blockwise_acceptance_batch,
     sample_full_storage_acceptance_batch,
 )
+from repro.core.language import parse_condition_i
 from repro.core.quantum_recognizer import (
+    batched_a3_detection,
     exact_acceptance_probability,
     sample_acceptance_batch,
 )
 from repro.core.tiling import TILE_TRIALS, decide_in_tiles
 from repro.engine import ExecutionEngine, get_backend
-from repro.rng import resolve_trial_seeds, trial_plan
+from repro.rng import resolve_trial_seeds, spawn_bulk, trial_plan
 
 TILED_SAMPLERS = {
     "quantum": sample_acceptance_batch,
@@ -46,6 +47,11 @@ TILE_SIZES = [1, 7, 49, 50]
 #: disjoint chunk by chunk, and A2's gcd polynomial is X^2, so A2's
 #: verdict is the mask {t = 0} and the blockwise sampler draws t.
 Y_DRIFT_AT_2 = "1#" + "1000#0110#1000#" + "1000#0100#1000#"
+#: k = 1, x = 1000 and y = 1110 (they intersect at position 0), with
+#: repetition 1's y drifted to 1100: A2's verdict is the mask {t = 0}
+#: and A3's detection table is (0.25, 1), so both children's draws
+#: decide trials.
+INTERSECTING_DRIFT = "1#" + "1000#1110#1000#" + "1000#1100#1000#"
 
 
 @pytest.fixture(scope="module")
@@ -56,68 +62,71 @@ def words():
     }
 
 
+def _spy_spawns(monkeypatch):
+    """Record the plan rows and children of every tile's ``spawn_bulk``."""
+    spawned = []
+
+    def spying(plan, n, children=None):
+        spawned.append((np.array(plan), tuple(children)))
+        return spawn_bulk(plan, n, children)
+
+    monkeypatch.setattr(tiling_mod, "spawn_bulk", spying)
+    return spawned
+
+
+@pytest.fixture(scope="module")
+def mask_word():
+    """INTERSECTING_DRIFT's A2 verdict (a mask) and A3 detection table."""
+    k, blocks = parse_condition_i(INTERSECTING_DRIFT)
+    a2 = a2_decision(k, blocks)
+    assert a2.outcome == MASK
+    return a2, batched_a3_detection(k, blocks, np.arange(1 << k))
+
+
 class TestTilingHelpers:
     @pytest.mark.parametrize("tile", [1, 3, 9, 10])
-    def test_tiles_derive_the_plan_contiguously(self, tile, monkeypatch):
-        """Each tile is handed exactly its own rows of the plan."""
+    def test_tiles_derive_the_plan_contiguously(self, mask_word, tile, monkeypatch):
+        """Each tile spawns exactly its own rows of the plan."""
         monkeypatch.setattr(tiling_mod, "TILE_TRIALS", tile)
+        spawned = _spy_spawns(monkeypatch)
         whole = trial_plan(5, 14, start=4)
-        seen = []
-
-        def decide(rows):
-            seen.append(rows)
-            return np.zeros(len(rows), dtype=bool)
-
-        decide_in_tiles(resolve_trial_seeds(14, 5, start=4), decide)
+        decide_in_tiles(resolve_trial_seeds(14, 5, start=4), *mask_word)
+        seen = [rows for rows, _ in spawned]
         assert [len(rows) for rows in seen] == [
             min(tile, 10 - lo) for lo in range(0, 10, tile)
         ]
         np.testing.assert_array_equal(np.concatenate(seen), whole)
 
     @pytest.mark.parametrize("trials", [0, 6])
-    def test_empty_plan_is_empty(self, trials):
-        def refuse(rows):
-            raise AssertionError("an empty plan decided a tile")
-
-        out = decide_in_tiles(resolve_trial_seeds(trials, 1, start=trials), refuse)
+    def test_empty_plan_is_empty(self, mask_word, trials, monkeypatch):
+        spawned = _spy_spawns(monkeypatch)
+        out = decide_in_tiles(resolve_trial_seeds(trials, 1, start=trials), *mask_word)
         assert out.dtype == bool and out.size == 0
+        assert spawned == []
 
-    def test_decide_in_tiles_concatenates_tile_decisions(self, monkeypatch):
-        plan = resolve_trial_seeds(10, 3)
-        want = trial_plan(3, 10)[:, 0] % 2 == 0
-        seen = []
+    def test_decide_in_tiles_concatenates_tile_decisions(self, mask_word, monkeypatch):
+        """The tiles' decisions are one untiled draw over every row:
+        t from child 0, then j and the coin from child 1."""
+        a2, detection = mask_word
+        plan = resolve_trial_seeds(200, 3)
+        a2_rng, a3_rng = spawn_bulk(trial_plan(3, 200), 2)
+        js = a3_rng.integers(len(detection))
+        want = a2.passes(a2_rng.integers(a2.p)) & ~(a3_rng.random() < detection[js])
+        assert want.any() and not want.all()
+        spawned = _spy_spawns(monkeypatch)
+        monkeypatch.setattr(tiling_mod, "TILE_TRIALS", 30)
+        np.testing.assert_array_equal(decide_in_tiles(plan, a2, detection), want)
+        assert [len(rows) for rows, _ in spawned] == [30] * 6 + [20]
+        spawned.clear()
+        monkeypatch.setattr(tiling_mod, "TILE_TRIALS", 200)
+        np.testing.assert_array_equal(decide_in_tiles(plan, a2, detection), want)
+        assert [len(rows) for rows, _ in spawned] == [200]
 
-        def decide(rows):
-            seen.append(len(rows))
-            return rows[:, 0] % 2 == 0
-
-        monkeypatch.setattr(tiling_mod, "TILE_TRIALS", 3)
-        np.testing.assert_array_equal(decide_in_tiles(plan, decide), want)
-        assert seen == [3, 3, 3, 1]
-        seen.clear()
-        monkeypatch.setattr(tiling_mod, "TILE_TRIALS", 10)
-        np.testing.assert_array_equal(decide_in_tiles(plan, decide), want)
-        assert seen == [10]
-
-    @pytest.mark.parametrize(
-        "module, recognizer",
-        [(quantum_mod, "quantum"), (classical_mod, "classical-blockwise")],
-    )
-    def test_one_trial_past_the_constant_takes_two_tiles(
-        self, module, recognizer, monkeypatch
-    ):
+    @pytest.mark.parametrize("recognizer", sorted(TILED_SAMPLERS))
+    def test_one_trial_past_the_constant_takes_two_tiles(self, recognizer, monkeypatch):
         """At the real constant, ``TILE_TRIALS + 1`` trials are two
-        ``decide`` calls whose decisions equal one untiled call."""
-        tiles = []
-
-        def counting_tiles(plan, decide):
-            def counted(rows):
-                tiles.append(len(rows))
-                return decide(rows)
-
-            return decide_in_tiles(plan, counted)
-
-        monkeypatch.setattr(module, "decide_in_tiles", counting_tiles)
+        tiles whose decisions equal one untiled tile."""
+        spawned = _spy_spawns(monkeypatch)
         # The blockwise sampler decides a member (A2 passes at every t)
         # and an intersecting word (the chunk matcher rejects) without
         # a tile loop, so that one samples a drift word A2 passes only
@@ -129,11 +138,11 @@ class TestTilingHelpers:
         sampler = TILED_SAMPLERS[recognizer]
         trials = TILE_TRIALS + 1
         tiled = sampler(word, trials, 12)
-        assert tiles == [TILE_TRIALS, 1]
-        tiles.clear()
+        assert [len(rows) for rows, _ in spawned] == [TILE_TRIALS, 1]
+        spawned.clear()
         monkeypatch.setattr(tiling_mod, "TILE_TRIALS", trials + 1)
         untiled = sampler(word, trials, 12)
-        assert tiles == [trials]
+        assert [len(rows) for rows, _ in spawned] == [trials]
         np.testing.assert_array_equal(tiled, untiled)
 
 

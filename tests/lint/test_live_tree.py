@@ -119,6 +119,25 @@ class TestMutationsAreCaught:
         )
         assert any(f.rule == "rng-discipline" for f in findings)
 
+    @pytest.mark.parametrize(
+        "rel",
+        [
+            "core/tiling.py",
+            "core/quantum_recognizer.py",
+            "core/classical_recognizer.py",
+            "engine/api.py",
+        ],
+    )
+    def test_seeded_rng_outside_the_seed_sites_is_caught(self, rel):
+        """The batched samplers draw only through ``repro.rng``'s bulk
+        streams, so even a seeded generator built there is a finding."""
+        findings = mutate(
+            PACKAGE_DIR / rel,
+            "import numpy as np",
+            "import numpy as np\n_rogue = np.random.default_rng(0)",
+        )
+        assert any(f.rule == "rng-discipline" for f in findings)
+
     def test_axis_reduction_in_marked_probabilities_is_caught(self):
         findings = mutate(
             PACKAGE_DIR / "quantum" / "grover.py",

@@ -69,7 +69,3 @@ class TestSearch:
         assert primes.primes_up_to(1) == []
         assert primes.primes_up_to(2) == [2]
         assert primes.primes_up_to(30) == [2, 3, 5, 7, 11, 13, 17, 19, 23, 29]
-
-    def test_iter_primes_prefix(self):
-        it = primes.iter_primes()
-        assert [next(it) for _ in range(6)] == [2, 3, 5, 7, 11, 13]

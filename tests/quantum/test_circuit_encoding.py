@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from repro.errors import EncodingError, QuantumError
 from repro.quantum import Circuit, GateOp, decode_circuit, encode_circuit
 from repro.quantum.circuit import GATE_CNOT, GATE_H, GATE_T
-from repro.quantum.encoding import tape_length
 from repro.quantum.gates import S, X, Z
 from repro.quantum.state import global_phase_aligned
 
@@ -137,7 +136,3 @@ class TestEncoding:
         c = Circuit(3).h(0).cnot(0, 2).t(2).h(1)
         decoded = decode_circuit(encode_circuit(c), 3)
         assert np.allclose(c.run_from_zero(), decoded.run_from_zero(), atol=1e-12)
-
-    def test_tape_length(self):
-        c = Circuit(2).h(0)
-        assert tape_length(c) == len(encode_circuit(c))

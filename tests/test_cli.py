@@ -4,6 +4,10 @@ import pytest
 
 import repro.core.tiling as tiling_mod
 from repro.cli import build_parser, main
+from repro.engine.api import RECOGNIZERS
+
+#: The subcommands taking ``--recognizer``.
+RECOGNIZER_COMMANDS = [["sample"], ["lab", "run"], ["query"]]
 
 
 class TestParser:
@@ -16,6 +20,20 @@ class TestParser:
         for cmd in ("info", "recognize", "separation", "grover", "comm", "qfa"):
             args = parser.parse_args([cmd])
             assert args.command == cmd
+
+    @pytest.mark.parametrize("command", RECOGNIZER_COMMANDS, ids=" ".join)
+    def test_recognizer_flag_takes_every_engine_recognizer(self, command):
+        parser = build_parser()
+        assert parser.parse_args(command).recognizer == "quantum"
+        for name in RECOGNIZERS:
+            assert parser.parse_args(command + ["--recognizer", name]).recognizer == name
+
+    @pytest.mark.parametrize("command", RECOGNIZER_COMMANDS, ids=" ".join)
+    def test_unknown_recognizer_exits_2(self, command, capsys):
+        with pytest.raises(SystemExit) as exc_info:
+            build_parser().parse_args(command + ["--recognizer", "classical-gpu"])
+        assert exc_info.value.code == 2
+        assert "invalid choice: 'classical-gpu'" in capsys.readouterr().err
 
 
 class TestCommands:

@@ -134,14 +134,6 @@ class TestHelpers:
         assert rngmod.coin(g, 1.0) is True
         assert rngmod.coin(g, 0.0) is False
 
-    def test_random_bitstring_length_and_alphabet(self):
-        s = rngmod.random_bitstring(np.random.default_rng(0), 100)
-        assert len(s) == 100 and set(s) <= {"0", "1"}
-
-    def test_random_bitstring_bias(self):
-        s = rngmod.random_bitstring(np.random.default_rng(0), 2000, p_one=0.9)
-        assert s.count("1") > 1600
-
     def test_optional_rng_offset_differs(self):
         a = rngmod.optional_rng(None, 0).random()
         b = rngmod.optional_rng(None, 1).random()
