@@ -104,9 +104,6 @@ def parse_ldisj(word: str) -> Optional[LDISJInstance]:
         bx, by, bz = blocks[3 * r : 3 * r + 3]
         if bx != x or by != y or bz != x:
             return None
-        for b in (bx, by, bz):
-            if b.strip("01"):
-                return None
     return LDISJInstance(k=k, x=x, y=y)
 
 
@@ -133,9 +130,10 @@ def parse_condition_i(word: str) -> Optional[tuple[int, list[str]]]:
     if len(fields) != 3 * reps + 1 or fields[-1] != "":
         return None
     blocks = fields[:-1]
-    for b in blocks:
-        if len(b) != n or b.strip("01"):
-            return None
+    # The word is over {0, 1, #}, so a block between two '#'s is over
+    # {0, 1}: only its length can be wrong.
+    if any(len(b) != n for b in blocks):
+        return None
     return k, blocks
 
 

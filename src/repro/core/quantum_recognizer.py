@@ -23,7 +23,9 @@ from typing import Optional
 
 import numpy as np
 
-from ..quantum.grover import marked_probabilities, marked_probability
+from ..errors import QuantumError
+from ..quantum.gates import walsh_hadamard_in_place
+from ..quantum.grover import marked_probability
 from ..quantum.operators import (
     RxOperator,
     SkOperator,
@@ -121,24 +123,56 @@ def exact_a2_pass_probability(word: str) -> float:
 # ---------------------------------------------------------------------------
 
 
+def _block_bits(block: str, n: int) -> np.ndarray:
+    """*block* as its ``n`` bits, or a :class:`QuantumError` if it is not n bits."""
+    bits = np.frombuffer(block.encode("ascii", "replace"), dtype=np.uint8) - ord("0")
+    if bits.size != n or bits.max(initial=0) > 1:
+        raise QuantumError(f"A3 blocks must be {n}-bit strings")
+    return bits.astype(np.intp)
+
+
+def _round_gather(x: np.ndarray, y: np.ndarray, z: np.ndarray):
+    """One round's ``V_z W_y V_x`` as a signed gather over the flat h rows.
+
+    Entry ``h * N + i`` of the result is entry ``(h ^ x_i ^ z_i) * N + i``
+    of the input times ``(-1)^{(h ^ z_i) and y_i}``: ``V_x`` and ``V_z``
+    are copies, and ``W_y`` flips the sign of what sits at h = 1 between
+    them.
+    """
+    n = x.size
+    idx = np.arange(n)
+    swap = x ^ z
+    perm = np.concatenate((swap * n + idx, (1 - swap) * n + idx))
+    flips = np.concatenate((z & y, (1 - z) & y))
+    return perm, np.where(flips == 1, -1.0, 1.0)
+
+
 def batched_a3_detection(k: int, blocks: list[str], js) -> np.ndarray:
     """Exact Pr[b = 1] of A3's final measurement for each j in *js*.
 
     The batched counterpart of :func:`exact_a3_detection_for_blocks`.
-    Every trajectory still inside its Grover iterations at round ``r``
-    has had the same operators applied to the same ``|phi_k>``, so one
-    ``(1, 2^{2k+2})`` trajectory walks the block sequence once: each
-    round applies ``V_x``; at a requested ``j`` a copy branches through
-    ``R_y`` and is measured; while a larger ``j`` is still wanted the
-    round finishes its iteration with ``W_y, V_z, U_k, S_k, U_k``.  At
-    most two state rows are alive at once, and the walk stops after the
-    largest requested ``j``.  Each ``j`` undergoes float-for-float the
-    same operation sequence as a sequential run with that ``j`` (every
-    operator acts on rows independently), so the returned probabilities
-    are bit-identical to the per-trial path.  Operators are built once
-    per distinct block string.
+    Every j shares one trajectory up to its round, so the walk goes
+    through the blocks once and stops after the largest requested j: at
+    a requested j the round's ``R_y V_x`` branches off and is measured,
+    and while a larger j is wanted the round finishes its iteration.
+
+    The walk holds only the rows of ``|i>|h>|l>`` that can carry
+    amplitude.  ``R_y`` acts only on the measured branch, so the
+    trajectory keeps l = 0: a ``(2, N)`` array of its h rows.  A round's
+    ``V_x W_y V_z`` is one signed gather over them (tables built once per
+    distinct ``(x, y, z)``), and ``U_k S_k U_k`` runs on the rows that
+    are not all zero: one row on a consistent word, where ``V_x W_y V_x``
+    is the Grover oracle on h = 0
+    (:func:`repro.quantum.operators.vwv_phase_check`).  The branch's
+    l = 1 columns (0 at h = 0, ``y_i`` times the ``V_x`` image at h = 1)
+    are squared and summed in index order with the zeros, as
+    :func:`repro.quantum.grover.marked_probabilities` sums them.  Copies
+    and ±1 multiplies are exact, and the Walsh-Hadamard transform acts
+    on each row alone, so the probabilities are bit-identical to the
+    full-state operators'.  A j whose y block the stream never reaches
+    is never measured at l = 1: 0.0.
     """
-    regs = A3Registers(k)
+    n = A3Registers(k).string_length
     js = np.asarray(js, dtype=np.int64)
     if js.ndim != 1 or js.size == 0:
         raise ValueError("js must be a non-empty 1-D array")
@@ -147,38 +181,43 @@ def batched_a3_detection(k: int, blocks: list[str], js) -> np.ndarray:
     wanted = np.zeros(1 << k, dtype=bool)
     wanted[js] = True
     last = int(js.max())
-    state = initial_phi(regs)[None, :]
-    uk = UkOperator(regs)
-    sk = SkOperator(regs)
-    ops: dict[tuple[type, str], object] = {}
+    idx = np.arange(n)
+    bits: dict[str, np.ndarray] = {}
+    taps: dict[tuple[str, str], np.ndarray] = {}
+    gathers: dict[tuple[str, str, str], tuple[np.ndarray, np.ndarray]] = {}
+
+    def bit(s: str) -> np.ndarray:
+        if s not in bits:
+            bits[s] = _block_bits(s, n)
+        return bits[s]
+
+    # The trajectory's h = 0 and h = 1 rows, then one amplitude that
+    # stays 0: where a tap reads the columns R_y leaves empty.
+    buf = np.zeros(2 * n + 1, dtype=np.complex128)
+    flat = buf[:-1]
+    state = flat.reshape(2, n)
+    state[0] = 1.0 / np.sqrt(n)
+    squares = np.zeros(2 * n)  # the branch's l = 1 columns, squared
+    diffusion = np.where(idx != 0, -1.0, 1.0)  # S_k on one row
     detection = np.zeros(1 << k)
-
-    def op(cls, s: str):
-        key = (cls, s)
-        return ops.get(key) or ops.setdefault(key, cls(regs, s))
-
-    for b, s in enumerate(blocks[: 3 * (last + 1)]):
-        r, typ = b // 3, b % 3
-        if typ == 0:
-            # x block: V_x, for the iterating and the closing j alike.
-            state = op(VxOperator, s).apply(state)
-        elif typ == 1:
-            # y block: R_y branches off the closing j (a gather, so the
-            # trajectory is untouched); W_y continues the iteration.
-            if wanted[r]:
-                branch = op(RxOperator, s).apply(state)
-                detection[r] = marked_probabilities(branch, regs)[0]
-            if r < last:
-                state = op(WxOperator, s).apply(state)
-        elif r < last:
-            # z block: V_z then the diffusion closes a full iteration.
-            for step in (op(VxOperator, s), uk, sk, uk):
-                state = step.apply(state)
-    unclosed = 3 * np.arange(1 << k) + 1 >= len(blocks)
-    if unclosed[last]:
-        # The blocks ran out before the largest j reached its y block:
-        # every j still iterating then shares the final state.
-        detection[unclosed] = marked_probabilities(state, regs)[0]
+    for r in range(min(last + 1, (len(blocks) + 1) // 3)):
+        x, y = blocks[3 * r], blocks[3 * r + 1]
+        if wanted[r]:
+            if (x, y) not in taps:
+                taps[x, y] = np.where(bit(y) == 1, (1 - bit(x)) * n + idx, 2 * n)
+            squares[n:] = np.abs(buf[taps[x, y]]) ** 2
+            detection[r] = float(squares.sum())
+        if r == last or 3 * r + 2 >= len(blocks):
+            break
+        z = blocks[3 * r + 2]
+        if (x, y, z) not in gathers:
+            gathers[x, y, z] = _round_gather(bit(x), bit(y), bit(z))
+        perm, signs = gathers[x, y, z]
+        np.multiply(buf[perm], signs, out=flat)
+        live = state[0 if state[0].any() else 1 : 2 if state[1].any() else 1]
+        walsh_hadamard_in_place(live)
+        live *= diffusion
+        walsh_hadamard_in_place(live)
     return detection[js]
 
 
@@ -201,7 +240,8 @@ def sample_acceptance_batch(
     The draw schedule, :func:`repro.core.tiling.decide_in_tiles`, then
     derives each trial's child streams in bulk and consults them in the
     streamed machine's order (A2's t, A3's j, A3's measurement coin);
-    only a mask word draws t.
+    only a mask word draws t, and only a word whose detection table is
+    neither all 0.0 (a member) nor all >= 1.0 draws j and the coin.
 
     Only trials ``start..trials`` of the run parented by *rng* are
     decided, so a run split at any points — e.g. the continuation

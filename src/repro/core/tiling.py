@@ -10,16 +10,18 @@ layout serves both machines.
 :func:`decide_in_tiles` is that schedule.  It takes a word's per-word
 verdicts (A2's :class:`~repro.core.a2_fingerprint.A2Decision` and, for
 the quantum recognizer, A3's detection table) and derives only the
-children whose draws can change a decision.  A deep run is decided in
-contiguous tiles of :data:`TILE_TRIALS` trials.  Each tile derives its
-own rows of the run's trial plan (the ``(rows, 4)`` seed words of
-:class:`repro.rng.TrialPlan`), spawns and draws its trials' children,
-and decides them, so a run's working set is one tile's, whatever its
-depth: only the boolean decisions grow with the trial count.  Every
-trial's decision depends only on its own child seed (the per-trial
-streams are independent by the SeedSequence spawning contract), so
-tiling is invisible in the statistics: the concatenated decisions are
-byte-identical to one untiled batch, whatever the tile size.
+children whose draws can change a decision: A2's only for a mask
+verdict, A3's only for a table that is neither all 0.0 nor all >= 1.0.
+A deep run is decided in contiguous tiles of :data:`TILE_TRIALS`
+trials.  Each tile derives its own rows of the run's trial plan (the
+``(rows, 4)`` seed words of :class:`repro.rng.TrialPlan`), spawns and
+draws its trials' children, and decides them, so a run's working set
+is one tile's, whatever its depth: only the boolean decisions grow
+with the trial count.  Every trial's decision depends only on its own
+child seed (the per-trial streams are independent by the SeedSequence
+spawning contract), so tiling is invisible in the statistics: the
+concatenated decisions are byte-identical to one untiled batch,
+whatever the tile size.
 """
 
 from __future__ import annotations
@@ -45,13 +47,20 @@ def decide_in_tiles(
     *a2* is A2's verdict on the word at every ``t``.  *detection*, given
     for the quantum recognizer only, is A3's detection probability for
     each iteration count ``j`` in ``[0, len(detection))``; a trial
-    rejects when its coin falls below ``detection[j]``.  Child 0 is
-    derived only when A2's verdict is a mask, and child 1 only when
-    *detection* is given, so a fail-all word and a pass-all word
-    without A3 draw nothing.
+    rejects when its coin, drawn from ``[0, 1)``, falls below
+    ``detection[j]``.  Child 0 is derived only when A2's verdict is a
+    mask, and child 1 only when some coin can change a decision: not
+    when every entry is 0.0 (no coin falls below it, as on a member),
+    and not when every entry is at least 1.0 (every coin does, and every
+    trial rejects).  So a fail-all word and a pass-all word whose A3
+    verdict is fixed draw nothing.
     """
     trials = len(plan)
-    if a2.outcome == FAIL_ALL:
+    if detection is not None and not detection.any():
+        detection = None
+    if a2.outcome == FAIL_ALL or (
+        detection is not None and (detection >= 1.0).all()
+    ):
         return np.zeros(trials, dtype=bool)
     children = ((0,) if a2.outcome == MASK else ()) + (
         (1,) if detection is not None else ()

@@ -127,19 +127,32 @@ def kron_all(*gates: np.ndarray) -> np.ndarray:
 
 
 def walsh_hadamard_in_place(block) -> None:
-    """Fast Walsh-Hadamard transform along axis -1, normalized by 1/sqrt(2)
-    per stage — i.e. H^{(x)tensor m} applied to each row of ``block`` whose
-    last axis has length 2^m.  Runs in O(N log N), fully vectorized.
+    """Fast Walsh-Hadamard transform along axis -1: H^{(x)m} applied to
+    each row of ``block`` whose last axis has length 2^m.
+
+    Stage s maps each pair (a, b) of entries whose indices differ only
+    in bit s (a the one with the bit clear) to (a + b, a - b),
+    unnormalized, for s = 0 .. m-1 in turn; the whole transform is then
+    scaled once by ``1/sqrt(2^m)``.  Every amplitude of a row depends
+    only on that row, through this exact float sequence, so transforming
+    a subset of rows gives bit-identical rows.
+
+    The stages run in constant geometry: each reads adjacent pairs and
+    writes the sums to the first half of the row and the differences to
+    the second, which rotates the index bits by one, so after m stages
+    every entry is back in place.  Every stage is then two full-length
+    vectorized operations, in O(N log N) overall.
     """
     n = block.shape[-1]
     if n & (n - 1):
         raise QuantumError("Walsh-Hadamard needs a power-of-two axis length")
-    h = 1
-    while h < n:
-        shaped = block.reshape(tuple(block.shape[:-1]) + (n // (2 * h), 2, h))
-        a = shaped[..., 0, :] + shaped[..., 1, :]
-        b = shaped[..., 0, :] - shaped[..., 1, :]
-        shaped[..., 0, :] = a
-        shaped[..., 1, :] = b
-        h *= 2
+    half = n // 2
+    src, dst = block, np.empty_like(block)
+    for _ in range(n.bit_length() - 1):
+        a, b = src[..., 0::2], src[..., 1::2]
+        np.add(a, b, out=dst[..., :half])
+        np.subtract(a, b, out=dst[..., half:])
+        src, dst = dst, src
+    if src is not block:
+        block[...] = src
     block *= 1.0 / np.sqrt(n)

@@ -7,19 +7,23 @@ Four contracts under test:
   splits into, and A3's detection table is evolved once
   per call, so no j is evolved twice;
 * **the A3 kernel** — :func:`batched_a3_detection` is byte-equal to the
-  per-j reference, its work is pinned (one shared trajectory, so linear,
-  not quadratic, in 2^k rows), and it agrees with BBHT's closed form
-  ``sin^2((2j+1) theta)`` on well-formed words (``theta = 0``, never
-  detected, on members);
+  per-j reference (arbitrary blocks at k <= 3, and the paper's word
+  kinds at k = 4, 5), its work is pinned (one shared trajectory of at
+  most two live rows, one through each diffusion on a consistent word,
+  so linear, not quadratic, in 2^k), and it agrees with BBHT's closed
+  form ``sin^2((2j+1) theta)`` on well-formed words (``theta = 0``,
+  never detected, on members);
 * **float determinism** — :func:`marked_probabilities` reduces each row
   by its own 1-D sum, bit-identical to the per-row reference the
-  engine's coins compare against, and every A3 path reads the l-qubit
-  mask from the one ``(size, qubit)`` index-table entry;
-* **draws only where A2's verdict needs them** — A2 is decided once per
-  word, so a pass-all word derives only A3's child per trial, and a
-  fail-all word (and every blockwise word but a mask one) draws
-  nothing: one table of recognizer x A2 outcome, spying on the one
-  draw schedule (:func:`repro.core.tiling.decide_in_tiles`).
+  engine's coins compare against, and the A3 paths that read the
+  l-qubit mask share the one ``(size, qubit)`` index-table entry;
+* **draws only where a verdict needs them** — A2 and A3 are decided once
+  per word, so only a mask word derives A2's child and only a word
+  whose A3 table a coin can change derives A3's: a member (table all
+  0.0), a t = N word (all 1.0) and a fail-all word draw nothing, and
+  neither does any blockwise word but a mask one.  One table of
+  recognizer x word, spying on the one draw schedule
+  (:func:`repro.core.tiling.decide_in_tiles`).
 """
 
 import numpy as np
@@ -31,10 +35,10 @@ import repro.core.a2_fingerprint as a2_mod
 import repro.core.quantum_recognizer as quantum_mod
 import repro.core.tiling as tiling_mod
 import repro.rng as rng_mod
-from repro.core import intersecting_nonmember, member
+from repro.core import intersecting_nonmember, malformed_nonmember, member
 from repro.core.a2_fingerprint import FAIL_ALL, MASK, PASS_ALL
 from repro.core.classical_recognizer import sample_blockwise_acceptance_batch
-from repro.core.language import parse_condition_i
+from repro.core.language import ldisj_word, parse_condition_i
 from repro.core.quantum_recognizer import (
     batched_a3_detection,
     exact_a3_detection_for_blocks,
@@ -51,9 +55,16 @@ def words():
         "member": member(1, np.random.default_rng(0)),
         "intersecting": intersecting_nonmember(1, 2, np.random.default_rng(1)),
         "member2": member(2, np.random.default_rng(2)),
+        # x = y = 1111: every index is marked, so A3 detects at every j
+        # with probability exactly 1.0.
+        "full": ldisj_word(1, "1111", "1111"),
         # k = 1, x = 1000, y = 0110 with repetition 1's y drifted to
-        # 0100: chunk-disjoint, and A2 passes only at t = 0.
+        # 0100: chunk-disjoint, and A2 passes only at t = 0.  Both y
+        # copies are disjoint from x, so A3 never detects.
         "y_drift": "1#" + "1000#0110#1000#" + "1000#0100#1000#",
+        # The same drift with x in both y copies: A2's verdict is the
+        # same mask, and A3 detects with probability (0.25, 1.0).
+        "intersecting_y_drift": "1#" + "1000#1110#1000#" + "1000#1100#1000#",
         # Repetition 1's x drifted to 0000: the difference is the
         # constant 1, so A2 fails at every t.
         "x_drift": "1#" + "1000#0110#1000#" + "0000#0110#1000#",
@@ -102,9 +113,10 @@ class TestReductions:
 
     @pytest.mark.parametrize("k", [1, 2, 3])
     def test_a3_paths_share_one_l_qubit_table(self, k):
-        """The kernel, the batched reduction and the reference walk all
-        read the l-qubit mask from the single ``(size, qubit)`` entry, so
-        a direct lookup afterwards is a hit, not a new table."""
+        """The batched reduction and the reference walk read the l-qubit
+        mask from the single ``(size, qubit)`` entry, and the kernel adds
+        no other, so a direct lookup afterwards is a hit, not a new
+        table."""
         regs = A3Registers(k)
         word = intersecting_nonmember(k, 1, np.random.default_rng(k))
         _, blocks = parse_condition_i(word)
@@ -178,20 +190,25 @@ class TestPerCallCaching:
         assert seen  # the wrapper really intercepted the tiled run
 
 
-#: recognizer x A2 outcome -> the children each tile spawns (None: the
-#: sampler decides every trial without a tile draw).  Child 0 draws A2's
-#: t, child 1 A3's j and coin (:mod:`repro.core.tiling`).  Two pass-all
-#: words: a member, and an intersecting word, whose A3 table is nonzero
-#: and which the blockwise chunk matcher rejects outright.
+#: recognizer x word (with its A2 outcome) -> the children each tile
+#: spawns (None: the sampler decides every trial without a tile draw).
+#: Child 0 draws A2's t, child 1 A3's j and coin (:mod:`repro.core.tiling`).
+#: A3's table is all 0.0 on the member and on y_drift, all 1.0 on full,
+#: and neither on the two intersecting words; the blockwise chunk
+#: matcher rejects every intersecting word outright.
 DRAW_TABLE = [
     ("quantum", "x_drift", FAIL_ALL, None),
-    ("quantum", "member", PASS_ALL, (1,)),
+    ("quantum", "member", PASS_ALL, None),
+    ("quantum", "full", PASS_ALL, None),
     ("quantum", "intersecting", PASS_ALL, (1,)),
-    ("quantum", "y_drift", MASK, (0, 1)),
+    ("quantum", "y_drift", MASK, (0,)),
+    ("quantum", "intersecting_y_drift", MASK, (0, 1)),
     ("classical-blockwise", "x_drift", FAIL_ALL, None),
     ("classical-blockwise", "member", PASS_ALL, None),
+    ("classical-blockwise", "full", PASS_ALL, None),
     ("classical-blockwise", "intersecting", PASS_ALL, None),
     ("classical-blockwise", "y_drift", MASK, (0,)),
+    ("classical-blockwise", "intersecting_y_drift", MASK, None),
 ]
 SAMPLERS = {
     "quantum": sample_acceptance_batch,
@@ -199,7 +216,7 @@ SAMPLERS = {
 }
 
 
-class TestDrawsFollowTheA2Verdict:
+class TestDrawsFollowTheA2AndA3Verdicts:
     @pytest.mark.parametrize(
         "recognizer, name, outcome, children",
         DRAW_TABLE,
@@ -226,7 +243,7 @@ class TestDrawsFollowTheA2Verdict:
             assert spawned == []
         else:
             assert spawned == [(children, 16), (children, 16), (children, 8)]
-        if outcome == FAIL_ALL:
+        if outcome == FAIL_ALL or name == "full":
             assert not out.any()
         if name == "member":
             assert out.all()
@@ -259,31 +276,53 @@ class TestA3Kernel:
         ref = np.array([exact_a3_detection_for_blocks(k, blocks, int(j)) for j in js])
         assert got.tobytes() == ref.tobytes()
 
-    def test_rows_applied_are_linear_in_iterations(self, monkeypatch):
-        """One shared trajectory: at most 8 state rows pass through the
-        operators per round (the masked batch was quadratic in 2^k)."""
-        from repro.quantum import operators
-
-        rows = []
-        for cls in (
-            operators.VxOperator,
-            operators.WxOperator,
-            operators.RxOperator,
-            operators.UkOperator,
-            operators.SkOperator,
-        ):
-            def counted(self, vec, _apply=cls.apply):
-                rows.append(vec.shape[0] if vec.ndim == 2 else 1)
-                return _apply(self, vec)
-
-            monkeypatch.setattr(cls, "apply", counted)
-        k = 4
-        word = intersecting_nonmember(k, 3, np.random.default_rng(4))
+    @pytest.mark.parametrize("k", [4, 5])
+    @pytest.mark.parametrize(
+        "kind", ["member", "t=1", "t=N/2", "x_drift", "y_drift", "x_copy_mismatch"]
+    )
+    def test_bytes_equal_per_j_reference_on_word_kinds(self, k, kind):
+        """The live-row walk at the sizes the benchmark runs, on members,
+        intersecting words and the three condition-(ii)/(iii) drifts:
+        their second h row is live, or their oracle changes mid-walk."""
+        n, rng = 1 << (2 * k), np.random.default_rng(300 + k)
+        if kind == "member":
+            word = member(k, rng)
+        elif kind.startswith("t="):
+            word = intersecting_nonmember(k, 1 if kind == "t=1" else n // 2, rng)
+        else:
+            word = malformed_nonmember(k, kind, rng)
         _, blocks = parse_condition_i(word)
+        js = np.arange(1 << k)
+        got = batched_a3_detection(k, blocks, js)
+        ref = np.array([exact_a3_detection_for_blocks(k, blocks, int(j)) for j in js])
+        assert got.tobytes() == ref.tobytes()
+
+    def test_rows_applied_are_linear_in_iterations(self, monkeypatch):
+        """One shared trajectory of at most two live h rows: the rows
+        each Walsh-Hadamard transform of a diffusion receives.  On a
+        consistent word ``V_z`` returns every amplitude to h = 0, so one
+        row passes through each of the 2 (2^k - 1) transforms the walk
+        to the largest j needs (a masked batch was quadratic in 2^k)."""
+        rows = []
+        wht = quantum_mod.walsh_hadamard_in_place
+
+        def counted(block):
+            assert block.shape[-1] == 1 << (2 * k)
+            rows.append(block.shape[0])
+            wht(block)
+
+        monkeypatch.setattr(quantum_mod, "walsh_hadamard_in_place", counted)
+        k = 4
+        transforms = 2 * ((1 << k) - 1)
         js = np.arange(1 << k)[::-1]
-        batched_a3_detection(k, blocks, js)
-        assert 0 < sum(rows) <= 8 * (1 << k)
-        assert max(rows) == 1
+        word = intersecting_nonmember(k, 3, np.random.default_rng(4))
+        batched_a3_detection(k, parse_condition_i(word)[1], js)
+        assert rows == [1] * transforms
+        # A corrupted z copy leaves amplitude at h = 1 from round 0 on.
+        rows.clear()
+        word = malformed_nonmember(k, "x_copy_mismatch", np.random.default_rng(4))
+        batched_a3_detection(k, parse_condition_i(word)[1], js)
+        assert rows == [2] * transforms
 
 
 class TestA3ClosedForm:

@@ -102,6 +102,35 @@ class TestWalshHadamard:
         walsh_hadamard_in_place(block)
         assert np.allclose(block.ravel(), dense, atol=1e-10)
 
+    @pytest.mark.parametrize("rows", [1, 2, 4])
+    @pytest.mark.parametrize("m", [0, 1, 2, 5, 10])
+    def test_float_sequence_is_the_in_place_butterflies(self, m, rows):
+        """Byte-equal to the textbook in-place transform: stage h pairs
+        indices i and i + h inside blocks of 2h, low bit first, and the
+        scale comes once at the end.  A3's stored counts compare coins
+        against these exact floats, so a reordered stage must fail here
+        even where it is within rounding of the dense matrix."""
+        rng = np.random.default_rng(10 * m + rows)
+        n = 1 << m
+        block = rng.normal(size=(rows, n)) + 1j * rng.normal(size=(rows, n))
+        ref = block.copy()
+        h = 1
+        while h < n:
+            shaped = ref.reshape(rows, n // (2 * h), 2, h)
+            a = shaped[:, :, 0, :] + shaped[:, :, 1, :]
+            b = shaped[:, :, 0, :] - shaped[:, :, 1, :]
+            shaped[:, :, 0, :] = a
+            shaped[:, :, 1, :] = b
+            h *= 2
+        ref *= 1.0 / np.sqrt(n)
+        walsh_hadamard_in_place(block)
+        assert block.tobytes() == ref.tobytes()
+        # One row of a batch transforms exactly as it does alone.
+        row = ref[-1:].copy()
+        walsh_hadamard_in_place(row)
+        walsh_hadamard_in_place(block)
+        assert block[-1:].tobytes() == row.tobytes()
+
     def test_rejects_non_power_of_two(self):
         with pytest.raises(QuantumError):
             walsh_hadamard_in_place(np.zeros((1, 3), dtype=np.complex128))
