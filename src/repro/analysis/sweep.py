@@ -42,7 +42,7 @@ def acceptance_sweep(
     labelled_words: Iterable[Tuple[Any, str]],
     trials: int,
     rng: Any = None,
-    backend: Any = "batched",
+    backend: str = "batched",
     recognizer: str = "quantum",
     store: Any = None,
 ) -> List[Tuple[Any, Any]]:
@@ -67,9 +67,9 @@ def acceptance_sweep(
     of ``rng`` — fixed by word order, not by backend or store, so any
     two calls with the same seed and word list agree count-for-count.
 
-    Failure modes: ``ValueError`` for unknown backend/recognizer names,
-    non-positive trials, or a backend instance combined with
-    ``store=`` (specs record a name, not an instance).
+    Failure modes: ``ValueError`` for a backend that is not a
+    :data:`repro.engine.BACKENDS` name, an unknown recognizer name, or
+    non-positive trials.
 
     >>> from repro.core import member
     >>> import numpy as np
@@ -90,13 +90,6 @@ def acceptance_sweep(
         from ..lab import ExperimentSpec, Orchestrator
         from ..rng import ensure_rng, spawn_seeds
 
-        if not isinstance(backend, str):
-            # An instance cannot be serialized into a spec.
-            raise ValueError(
-                "store= requires backend to be a backend name (specs "
-                "record names, not backend instances)"
-            )
-        backend_name = backend
         orchestrator = Orchestrator(store)
         word_seeds = spawn_seeds(ensure_rng(rng), len(pairs))
         results = []
@@ -105,7 +98,7 @@ def acceptance_sweep(
                 ExperimentSpec(
                     word=word,
                     recognizer=recognizer,
-                    backend=backend_name,
+                    backend=backend,
                     trials=trials,
                     seed=seed,
                 )

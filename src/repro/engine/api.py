@@ -15,6 +15,10 @@ the *how* vary per backend:
 rejects any other name wherever one is accepted (``get_backend``, the
 lab's ``ExperimentSpec``, the CLI's ``--backend``).
 
+The engine samples a named recognizer (:data:`RECOGNIZERS`) with a
+named backend; an arbitrary online algorithm is sampled by
+:func:`repro.streaming.acceptance_probability_by_sampling` instead.
+
 Seeding is part of the API contract: ``run_many`` derives one child
 seed per word with :func:`repro.rng.spawn_seeds`, in word order, and
 every backend replicates the per-trial draw order of the sequential
@@ -27,9 +31,7 @@ from __future__ import annotations
 import time
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, Type, Union
-
-import numpy as np
+from typing import Dict, List, Sequence, Tuple, Type
 
 from ..analysis.bounds import binomial_stderr, wilson_interval
 from ..obs import get_registry, span
@@ -179,7 +181,6 @@ class ExecutionBackend(ABC):
         word: str,
         trials: int,
         rng: RngLike,
-        factory: Optional[Callable[[np.random.Generator], Any]] = None,
         recognizer: str = "quantum",
         start: int = 0,
     ) -> int:
@@ -189,10 +190,7 @@ class ExecutionBackend(ABC):
         batched samplers address directly) or a ``Generator`` whose
         spawn counter advances by *trials* — see
         :func:`repro.rng.trial_parent`.  *recognizer* picks the machine
-        to sample (see
-        :data:`RECOGNIZERS`); *factory* (child generator -> algorithm)
-        overrides it with an arbitrary algorithm — backends that
-        vectorize the recognizers themselves reject custom factories.
+        to sample (see :data:`RECOGNIZERS`).
 
         **Slicing**: summing the counts of ``start=lo`` calls over any
         partition of ``0..trials`` (each ``lo..hi`` call passing ``hi``
@@ -207,18 +205,14 @@ class ExecutionBackend(ABC):
         words: Sequence[str],
         trials: int,
         rng: RngLike,
-        factory: Optional[Callable[[np.random.Generator], Any]] = None,
         recognizer: str = "quantum",
     ) -> List[int]:
         """Accepted counts per word; one spawned child seed per word."""
         seeds = spawn_seeds(rng, len(words))
         return [
-            self.count_accepted(word, trials, seed, factory, recognizer)
+            self.count_accepted(word, trials, seed, recognizer)
             for word, seed in zip(words, seeds)
         ]
-
-
-BackendSpec = Union[str, ExecutionBackend]
 
 
 def _backend_classes() -> Dict[str, Type[ExecutionBackend]]:
@@ -229,19 +223,18 @@ def _backend_classes() -> Dict[str, Type[ExecutionBackend]]:
     return {"batched": BatchedDenseBackend, "sequential": SequentialBackend}
 
 
-def get_backend(spec: BackendSpec = "batched") -> ExecutionBackend:
-    """Resolve a :data:`BACKENDS` name (or pass an instance through)."""
-    if isinstance(spec, ExecutionBackend):
-        return spec
-    return _backend_classes()[validate_backend(spec)]()
+def get_backend(name: str = "batched") -> ExecutionBackend:
+    """A fresh backend for a :data:`BACKENDS` name; anything else
+    (another name, a backend instance) raises ``ValueError``."""
+    return _backend_classes()[validate_backend(name)]()
 
 
 class ExecutionEngine:
     """Front door: estimate acceptance probabilities through a backend.
 
     Args:
-        backend: a :data:`BACKENDS` name (``"batched"``,
-            ``"sequential"``) or an :class:`ExecutionBackend` instance.
+        backend: a :data:`BACKENDS` name, ``"batched"`` or
+            ``"sequential"``.
 
     Seeding semantics: the ``rng`` passed to each call is the *parent*
     of the per-trial (and, for :meth:`run_many`, per-word) child
@@ -252,8 +245,9 @@ class ExecutionEngine:
     ``Generator`` sees its spawn counter advance exactly as
     ``spawn(rng, trials)`` would advance it.
 
-    Failure modes: unknown backend or recognizer names raise
-    ``ValueError`` at construction / call time.
+    Failure modes: a backend that is not a :data:`BACKENDS` name, or an
+    unknown recognizer name, raises ``ValueError`` at construction /
+    call time.
 
     >>> from repro.core import member
     >>> import numpy as np
@@ -266,7 +260,7 @@ class ExecutionEngine:
     True
     """
 
-    def __init__(self, backend: BackendSpec = "batched") -> None:
+    def __init__(self, backend: str = "batched") -> None:
         self.backend = get_backend(backend)
 
     @property
@@ -303,7 +297,6 @@ class ExecutionEngine:
         word: str,
         trials: int,
         rng=None,
-        factory: Optional[Callable[[np.random.Generator], Any]] = None,
         recognizer: str = "quantum",
     ) -> AcceptanceEstimate:
         """Sample *trials* independent runs on one word."""
@@ -311,29 +304,24 @@ class ExecutionEngine:
             raise ValueError("trials must be positive")
         validate_recognizer(recognizer)
         parent = trial_parent(rng)
-        label = "custom" if factory is not None else recognizer
         start = time.perf_counter()
         with span(
             "engine.run",
             backend=self.backend.name,
-            recognizer=label,
+            recognizer=recognizer,
             trials=trials,
             words=1,
         ):
-            accepted = self.backend.count_accepted(
-                word, trials, parent, factory, recognizer
-            )
+            accepted = self.backend.count_accepted(word, trials, parent, recognizer)
         elapsed = time.perf_counter() - start
-        self._observe_run(label, trials, elapsed)
+        self._observe_run(recognizer, trials, elapsed)
         return AcceptanceEstimate(
             word_length=len(word),
             trials=trials,
             accepted=accepted,
             backend=self.backend.name,
             elapsed_s=elapsed,
-            # A custom factory replaces the stock machine, so the
-            # estimate must not claim a named recognizer ran.
-            recognizer=label,
+            recognizer=recognizer,
         )
 
     def run_many(
@@ -341,7 +329,6 @@ class ExecutionEngine:
         words: Sequence[str],
         trials: int,
         rng=None,
-        factory: Optional[Callable[[np.random.Generator], Any]] = None,
         recognizer: str = "quantum",
     ) -> List[AcceptanceEstimate]:
         """Sample every word of a list; per-word seeds spawn in order."""
@@ -349,20 +336,19 @@ class ExecutionEngine:
             raise ValueError("trials must be positive")
         validate_recognizer(recognizer)
         parent = trial_parent(rng)
-        label = "custom" if factory is not None else recognizer
         start = time.perf_counter()
         with span(
             "engine.run",
             backend=self.backend.name,
-            recognizer=label,
+            recognizer=recognizer,
             trials=trials,
             words=len(words),
         ):
             counts = self.backend.count_accepted_many(
-                words, trials, parent, factory, recognizer
+                words, trials, parent, recognizer
             )
         elapsed = time.perf_counter() - start
-        self._observe_run(label, trials * len(words), elapsed)
+        self._observe_run(recognizer, trials * len(words), elapsed)
         per_word = elapsed / len(words) if words else 0.0
         return [
             AcceptanceEstimate(
@@ -371,7 +357,7 @@ class ExecutionEngine:
                 accepted=count,
                 backend=self.backend.name,
                 elapsed_s=per_word,
-                recognizer=label,
+                recognizer=recognizer,
             )
             for word, count in zip(words, counts)
         ]

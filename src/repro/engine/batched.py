@@ -28,7 +28,7 @@ are identical, only faster.
 
 from __future__ import annotations
 
-from typing import Any, Callable, Optional
+from typing import Callable
 
 import numpy as np
 
@@ -67,16 +67,9 @@ class BatchedDenseBackend(ExecutionBackend):
         word: str,
         trials: int,
         rng: np.random.Generator,
-        factory: Optional[Callable[[np.random.Generator], Any]] = None,
         recognizer: str = "quantum",
         start: int = 0,
     ) -> int:
-        if factory is not None:
-            raise ValueError(
-                "the batched backend vectorizes the stock recognizers "
-                "themselves and cannot run a custom factory; use backend="
-                "'sequential' for arbitrary algorithms"
-            )
         sampler = _batch_sampler(recognizer)
         with observe_backend_call(self.name, recognizer, trials - start):
             return int(np.count_nonzero(sampler(word, trials, rng, start)))

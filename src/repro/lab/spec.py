@@ -37,6 +37,10 @@ from ..engine.api import validate_backend, validate_recognizer
 #: carried in the spec itself.
 WORD_FAMILIES = ("member", "intersecting", "explicit") + MALFORMED_KINDS
 
+#: Fields that must hold a plain ``int`` (never a ``bool``, a float or
+#: a numeric string): wire values reach the store and the engine as-is.
+INT_FIELDS = ("k", "t", "word_seed", "trials", "seed")
+
 
 @dataclass(frozen=True)
 class ExperimentSpec:
@@ -62,9 +66,11 @@ class ExperimentSpec:
         trials: requested depth — deepenable, NOT identity.
         seed: parent seed of the per-trial child streams — identity.
 
-    Failure modes: construction raises ``ValueError`` for non-positive
-    trials, unknown recognizers/backends/families, ``family="explicit"``
-    without a word, or ``intersecting`` with ``t < 1``.
+    Failure modes: construction raises ``ValueError`` for a value of
+    :data:`INT_FIELDS` that is not an ``int`` (or is a ``bool``),
+    non-positive trials, a negative seed, unknown
+    recognizers/backends/families, ``family="explicit"`` without a
+    word, or ``intersecting`` with ``t < 1``.
 
     Two specs are the same experiment exactly when their keys match:
 
@@ -92,8 +98,14 @@ class ExperimentSpec:
     seed: int = 0
 
     def __post_init__(self) -> None:
+        for name in INT_FIELDS:
+            value = getattr(self, name)
+            if not isinstance(value, int) or isinstance(value, bool):
+                raise ValueError(f"{name} must be an int, not {value!r}")
         if self.trials <= 0:
             raise ValueError("trials must be positive")
+        if self.seed < 0:
+            raise ValueError("seed must be non-negative")
         validate_recognizer(self.recognizer)
         validate_backend(self.backend)
         if self.word is not None:

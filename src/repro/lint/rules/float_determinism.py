@@ -6,8 +6,9 @@ in the last ulp — and the engine's measurement coins compare *exact*
 floats (``coins < detection``), so a last-ulp disagreement flips a
 trial and breaks seed parity between backends.  The contract is that
 probability/state reductions in the compute core are **gathered
-per-row 1-D sums** (see ``repro.quantum.grover.marked_probabilities``),
-which are bit-identical to the sequential path.
+per-row 1-D sums** (see the l = 1 sum in
+``repro.core.quantum_recognizer.batched_a3_detection``), which are
+bit-identical to the sequential path.
 
 The rule flags float-reduction calls carrying an ``axis`` argument —
 ``np.sum/arr.sum`` and the mean/prod/nansum family — inside the
@@ -65,6 +66,6 @@ class FloatDeterminismRule(Rule):
                     f"axis-reduction `{func.attr}(..., axis=…)` is not "
                     "bit-identical to the per-row sequential reduction; "
                     "gather rows and reduce each with a 1-D sum (see "
-                    "marked_probabilities), or pragma with a reason if "
+                    "batched_a3_detection), or pragma with a reason if "
                     "this value never meets a measurement coin",
                 )

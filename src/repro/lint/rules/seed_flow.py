@@ -4,9 +4,9 @@ The seed-parity contract (``docs/ARCHITECTURE.md``) is a *dataflow*
 property: every generator that influences a trial count must be
 rebuilt from seed material the plan produced — function inputs, or the
 results of the sanctioned derivation functions (``trial_seed_plan``,
-``spawn_seeds``, ``spawn``, ``resolve_trial_seeds``, ``ensure_rng``,
-``optional_rng``).  The per-file ``rng-discipline`` rule can sanction
-*where* generators are built; only a whole-program pass can check
+``spawn_seeds``, ``spawn``, ``resolve_trial_seeds``, ``ensure_rng``).
+The per-file ``rng-discipline`` rule can sanction *where* generators
+are built; only a whole-program pass can check
 *what they are built from* — a backend constructing
 ``np.random.default_rng(12345)`` inside a sanctioned seed site passes
 the file rule but silently forks the statistics away from every other
@@ -57,7 +57,6 @@ SOURCE_FUNCTIONS = frozenset({
     "spawn",
     "resolve_trial_seeds",
     "ensure_rng",
-    "optional_rng",
 })
 
 #: Modules exempt from the check: the derivation layer itself.

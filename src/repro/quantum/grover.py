@@ -35,22 +35,6 @@ def marked_probability(vec: np.ndarray, regs: A3Registers) -> float:
     return float(np.sum(np.abs(vec[mask]) ** 2))
 
 
-def marked_probabilities(batch: np.ndarray, regs: A3Registers) -> np.ndarray:
-    """Per-row Pr[measuring l yields 1] for a ``(B, dim)`` state batch.
-
-    The batched counterpart of :func:`marked_probability`.  Each row is
-    reduced by its own 1-D sum over the gathered l = 1 columns —
-    bit-identical to calling :func:`marked_probability` row by row (an
-    axis-reduction is *not*: NumPy orders the two differently, and the
-    engine's measurement coins compare against these exact floats).
-    """
-    if batch.ndim != 2 or batch.shape[-1] != regs.dimension:
-        raise QuantumError("state batch has the wrong shape")
-    mask = bit_where(regs.dimension, regs.l_qubit)
-    probs = np.abs(batch[..., mask]) ** 2
-    return np.array([float(np.sum(probs[i])) for i in range(batch.shape[0])])
-
-
 class GroverA3:
     """Exact state evolution of procedure A3 for fixed strings.
 

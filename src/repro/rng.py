@@ -135,17 +135,6 @@ def coin(rng: np.random.Generator, p: float = 0.5) -> bool:
     return bool(rng.random() < p)
 
 
-def optional_rng(rng: RngLike, seed_offset: int = 0) -> np.random.Generator:
-    """Like :func:`ensure_rng` but offsets the default seed.
-
-    Used by modules that need a deterministic-but-distinct default stream
-    (e.g. procedure A2's prime-field sampling vs A3's iteration count).
-    """
-    if rng is None:
-        return np.random.default_rng(DEFAULT_SEED + seed_offset)
-    return ensure_rng(rng)
-
-
 # ---------------------------------------------------------------------------
 # Bulk trial randomness: numpy's SeedSequence -> PCG64 chain, vectorized
 # ---------------------------------------------------------------------------

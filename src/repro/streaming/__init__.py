@@ -25,13 +25,7 @@ and checks the correspondence between the two.
 from .stream import InputStream, stream_symbols
 from .workspace import Workspace, QubitLedger, SpaceReport, register_width
 from .algorithm import OnlineAlgorithm, FunctionalOnlineAlgorithm
-from .runner import (
-    RunResult,
-    run_online,
-    run_many,
-    estimate_acceptance,
-    acceptance_probability_by_sampling,
-)
+from .runner import RunResult, run_online, acceptance_probability_by_sampling
 from .combinators import ParallelComposition, AnyRejectsAmplifier, MajorityVote
 from .trace import TracePoint, run_online_traced, is_flat_after, peak_of
 from .algorithms import (
@@ -52,8 +46,6 @@ __all__ = [
     "FunctionalOnlineAlgorithm",
     "RunResult",
     "run_online",
-    "run_many",
-    "estimate_acceptance",
     "acceptance_probability_by_sampling",
     "ParallelComposition",
     "AnyRejectsAmplifier",

@@ -1,19 +1,21 @@
 """Drivers: run an online algorithm over a word and collect results.
 
-Single passes go through :func:`run_online`; repeated-trial experiments
-go through :func:`estimate_acceptance` / :func:`run_many`, which hand
-the loop to the execution engine (:mod:`repro.engine`) so the backend —
-sequential or batched dense — is a caller's choice rather
-than a hard-coded Python loop.
+Single passes go through :func:`run_online`.  Repeated independent
+runs of an arbitrary online algorithm go through
+:func:`acceptance_probability_by_sampling`, one pass per spawned child
+generator.  The paper's recognizers are sampled by the execution engine
+instead (:class:`repro.engine.ExecutionEngine`), which picks the
+recognizer and the backend by name.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Callable, List, Optional, Sequence
+from typing import Any, Callable
 
 import numpy as np
 
+from ..rng import spawn
 from .algorithm import OnlineAlgorithm
 from .stream import InputStream
 from .workspace import SpaceReport
@@ -46,50 +48,6 @@ def run_online(algorithm: OnlineAlgorithm, word: str) -> RunResult:
     )
 
 
-def estimate_acceptance(
-    word: str,
-    trials: int,
-    rng: Any = None,
-    backend: Any = "batched",
-    factory: Optional[Callable[[np.random.Generator], OnlineAlgorithm]] = None,
-    recognizer: str = "quantum",
-):
-    """Sample a word's acceptance probability through the engine.
-
-    *recognizer* picks the stock machine to sample ("quantum",
-    "classical-blockwise" or "classical-full"); with any of those every
-    backend works and all return identical counts for a fixed seed.  A
-    custom *factory* overrides the recognizer and restricts the choice
-    to ``backend="sequential"``.  Returns an
-    :class:`repro.engine.AcceptanceEstimate`.
-    """
-    from ..engine import ExecutionEngine
-
-    return ExecutionEngine(backend).estimate_acceptance(
-        word, trials, rng=rng, factory=factory, recognizer=recognizer
-    )
-
-
-def run_many(
-    words: Sequence[str],
-    trials: int,
-    rng: Any = None,
-    backend: Any = "batched",
-    factory: Optional[Callable[[np.random.Generator], OnlineAlgorithm]] = None,
-    recognizer: str = "quantum",
-) -> List[Any]:
-    """Sample every word of a list; one spawned child seed per word.
-
-    Returns one :class:`repro.engine.AcceptanceEstimate` per word, in
-    order; every backend returns the same counts.
-    """
-    from ..engine import ExecutionEngine
-
-    return ExecutionEngine(backend).run_many(
-        words, trials, rng=rng, factory=factory, recognizer=recognizer
-    )
-
-
 def acceptance_probability_by_sampling(
     factory: Callable[[np.random.Generator], OnlineAlgorithm],
     word: str,
@@ -98,11 +56,11 @@ def acceptance_probability_by_sampling(
 ) -> float:
     """Empirical acceptance frequency over independent randomized runs.
 
-    *factory* builds a fresh algorithm from a child generator each trial,
-    so trials are independent and the whole experiment reproducible.
-    Thin wrapper over :func:`estimate_acceptance` with the sequential
-    backend (per-trial semantics preserved draw for draw).
+    *factory* builds a fresh algorithm from a child generator each trial
+    — the children of ``spawn(rng, trials)``, in order — so trials are
+    independent and the whole experiment reproducible.
     """
-    return estimate_acceptance(
-        word, trials, rng=rng, backend="sequential", factory=factory
-    ).probability
+    if trials <= 0:
+        raise ValueError("trials must be positive")
+    children = spawn(rng, trials)
+    return sum(run_online(factory(child), word).accepted for child in children) / trials

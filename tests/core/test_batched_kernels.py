@@ -13,10 +13,13 @@ Four contracts under test:
   so linear, not quadratic, in 2^k), and it agrees with BBHT's closed
   form ``sin^2((2j+1) theta)`` on well-formed words (``theta = 0``,
   never detected, on members);
-* **float determinism** — :func:`marked_probabilities` reduces each row
-  by its own 1-D sum, bit-identical to the per-row reference the
-  engine's coins compare against, and the A3 paths that read the
-  l-qubit mask share the one ``(size, qubit)`` index-table entry;
+* **float determinism** — a batch reduced row by row with its own 1-D
+  sum (:func:`marked_probabilities` below) is bit-identical to the
+  per-row reference the engine's coins compare against, the shape the
+  ``float-determinism`` lint rule enforces and
+  :func:`batched_a3_detection`'s l = 1 sum takes, and the A3 paths that
+  read the l-qubit mask share the one ``(size, qubit)`` index-table
+  entry;
 * **draws only where a verdict needs them** — A2 and A3 are decided once
   per word, so only a mask word derives A2's child and only a word
   whose A3 table a coin can change derives A3's: a member (table all
@@ -44,9 +47,25 @@ from repro.core.quantum_recognizer import (
     exact_a3_detection_for_blocks,
     sample_acceptance_batch,
 )
-from repro.quantum.grover import GroverA3, marked_probabilities, marked_probability
+from repro.errors import QuantumError
+from repro.quantum.grover import GroverA3, marked_probability
 from repro.quantum.registers import A3Registers
 from repro.quantum.state import basis_indices, bit_where
+
+
+def marked_probabilities(batch: np.ndarray, regs: A3Registers) -> np.ndarray:
+    """Per-row Pr[measuring l yields 1] for a ``(B, dim)`` state batch.
+
+    Each row is reduced by its own 1-D sum over the gathered l = 1
+    columns, as :func:`marked_probability` reduces one state (an
+    axis-reduction is *not* bit-identical: NumPy orders the two
+    differently).
+    """
+    if batch.ndim != 2 or batch.shape[-1] != regs.dimension:
+        raise QuantumError("state batch has the wrong shape")
+    mask = bit_where(regs.dimension, regs.l_qubit)
+    probs = np.abs(batch[..., mask]) ** 2
+    return np.array([float(np.sum(probs[i])) for i in range(batch.shape[0])])
 
 
 @pytest.fixture(scope="module")

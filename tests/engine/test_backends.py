@@ -107,19 +107,17 @@ class TestEngineApi:
         with pytest.raises(TypeError):
             ExecutionEngine("sequential", tile=1)
 
-    def test_backend_instance_passes_through(self):
-        backend = SequentialBackend()
-        assert get_backend(backend) is backend
+    @pytest.mark.parametrize("backend", [SequentialBackend, BatchedDenseBackend])
+    def test_backend_instance_rejected(self, backend):
+        """Backends are named, never passed in as instances."""
+        with pytest.raises(ValueError, match="unknown backend"):
+            get_backend(backend())
+        with pytest.raises(ValueError, match="unknown backend"):
+            ExecutionEngine(backend())
 
     def test_trials_must_be_positive(self):
         with pytest.raises(ValueError):
             ExecutionEngine("batched").estimate_acceptance("1#00#", 0)
-
-    def test_batched_rejects_custom_factory(self):
-        with pytest.raises(ValueError, match="custom factory"):
-            ExecutionEngine("batched").estimate_acceptance(
-                "1#", 5, factory=lambda g: QuantumOnlineRecognizer(rng=g)
-            )
 
     def test_estimate_fields(self):
         word = member(1, np.random.default_rng(3))

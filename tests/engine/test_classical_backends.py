@@ -195,15 +195,6 @@ class TestRecognizerApi:
                 "1#00#", 5, recognizer="warp-drive"
             )
 
-    def test_recognizer_and_factory_conflict(self):
-        with pytest.raises(ValueError, match="not both"):
-            ExecutionEngine("sequential").estimate_acceptance(
-                "1#00#",
-                5,
-                factory=lambda g: BlockwiseClassicalRecognizer(rng=g),
-                recognizer="classical-blockwise",
-            )
-
     def test_estimate_records_recognizer(self):
         word = member(1, np.random.default_rng(3))
         est = ExecutionEngine("batched").estimate_acceptance(
@@ -230,13 +221,6 @@ class TestRecognizerApi:
                 engine.estimate_acceptance(w2, 50, rng=gen, recognizer="quantum").accepted
             )
         assert len(set(follow_up)) == 1, follow_up
-
-    def test_custom_factory_labeled_custom(self):
-        word = member(1, np.random.default_rng(2))
-        est = ExecutionEngine("sequential").estimate_acceptance(
-            word, 5, rng=1, factory=lambda g: BlockwiseClassicalRecognizer(rng=g)
-        )
-        assert est.recognizer == "custom"  # not a stock-machine claim
 
     def test_trials_per_second_finite_for_instant_runs(self):
         est = AcceptanceEstimate(

@@ -6,8 +6,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import repro.rng as rng_mod
 from repro.core import intersecting_nonmember, malformed_nonmember
-from repro.engine import BACKENDS, ExecutionEngine, get_backend, trial_seed_plan
+from repro.engine import (
+    BACKENDS,
+    ExecutionEngine,
+    SequentialBackend,
+    get_backend,
+    trial_seed_plan,
+)
 from repro.rng import ensure_rng, spawn_seeds
 
 RECOGNIZERS = ["quantum", "classical-blockwise", "classical-full"]
@@ -196,3 +203,30 @@ class TestBatchedSlices:
         assert get_backend("batched").count_accepted(
             word, 50, 9, recognizer=recognizer, start=10
         ) == reference
+
+    @pytest.mark.parametrize("recognizer", ["quantum", "classical-blockwise"])
+    @pytest.mark.parametrize("parent", ["int", "generator"])
+    def test_sequential_suffix_reads_numpy_only(
+        self, word, recognizer, parent, monkeypatch
+    ):
+        """The reference derives a suffix's children with numpy's own
+        ``SeedSequence.spawn``, never through the bulk chain the batched
+        backend is checked against, and leaves a ``Generator`` parent at
+        the same spawn counter."""
+        make = (lambda: 9) if parent == "int" else (lambda: _generator(9, 3))
+        batched_parent = make()
+        want = get_backend("batched").count_accepted(
+            word, 40, batched_parent, recognizer=recognizer, start=17
+        )
+
+        def no_bulk_chain(*args, **kwargs):
+            raise AssertionError("the sequential backend read the bulk chain")
+
+        monkeypatch.setattr(rng_mod, "_words_from", no_bulk_chain)
+        sequential_parent = make()
+        got = SequentialBackend().count_accepted(
+            word, 40, sequential_parent, recognizer=recognizer, start=17
+        )
+        assert got == want
+        if parent == "generator":
+            assert _counter(sequential_parent) == _counter(batched_parent) == 43

@@ -1,21 +1,18 @@
-"""The streaming layer's engine entry points and the rewired sampler."""
+"""The engine's entry points by backend name, and the generic sampler."""
 
 import numpy as np
 import pytest
 
 from repro.analysis import acceptance_sweep
 from repro.core import QuantumOnlineRecognizer, intersecting_nonmember, member
-from repro.streaming import (
-    acceptance_probability_by_sampling,
-    estimate_acceptance,
-    run_many,
-)
+from repro.engine import ExecutionEngine, SequentialBackend
+from repro.streaming import acceptance_probability_by_sampling
 
 
 def test_estimate_acceptance_backends_agree():
     word = intersecting_nonmember(1, 1, np.random.default_rng(4))
-    a = estimate_acceptance(word, 150, rng=21, backend="sequential")
-    b = estimate_acceptance(word, 150, rng=21, backend="batched")
+    a = ExecutionEngine("sequential").estimate_acceptance(word, 150, rng=21)
+    b = ExecutionEngine("batched").estimate_acceptance(word, 150, rng=21)
     assert a.accepted == b.accepted
 
 
@@ -25,42 +22,50 @@ def test_entry_points_take_a_backend_name():
         member(1, np.random.default_rng(0)),
         intersecting_nonmember(1, 1, np.random.default_rng(4)),
     ]
-    one = estimate_acceptance(words[1], 80, rng=21, backend="sequential")
-    many = run_many(words, 40, rng=3, backend="sequential")
+    sequential, default = ExecutionEngine("sequential"), ExecutionEngine()
+    one = sequential.estimate_acceptance(words[1], 80, rng=21)
+    many = sequential.run_many(words, 40, rng=3)
     swept = acceptance_sweep(list(enumerate(words)), 40, rng=3, backend="sequential")
-    assert one.accepted == estimate_acceptance(words[1], 80, rng=21).accepted
-    want = [e.accepted for e in run_many(words, 40, rng=3)]
+    assert one.accepted == default.estimate_acceptance(words[1], 80, rng=21).accepted
+    want = [e.accepted for e in default.run_many(words, 40, rng=3)]
     assert [e.accepted for e in many] == want
     assert [est.accepted for _, est in swept] == want
 
 
 @pytest.mark.parametrize("name", ["multiprocess", "sharedmem", "gpu"])
-def test_entry_points_reject_retired_backend_names(name):
-    """Names older builds ran as ``batched`` are unknown at every entry."""
-    words = [member(1, np.random.default_rng(0))]
+def test_sweep_rejects_retired_backend_names(name):
+    """Names older builds ran as ``batched`` are unknown to a sweep too."""
+    words = [(0, member(1, np.random.default_rng(0)))]
     with pytest.raises(ValueError, match=f"unknown backend '{name}'"):
-        estimate_acceptance(words[0], 10, rng=1, backend=name)
-    with pytest.raises(ValueError, match=f"unknown backend '{name}'"):
-        run_many(words, 10, rng=1, backend=name)
-    with pytest.raises(ValueError, match=f"unknown backend '{name}'"):
-        acceptance_sweep(list(enumerate(words)), 10, rng=1, backend=name)
+        acceptance_sweep(words, 10, rng=1, backend=name)
+
+
+def test_sweep_rejects_a_backend_instance():
+    """A sweep names its backend (the store path: ``tests/lab``)."""
+    words = [(0, member(1, np.random.default_rng(0)))]
+    with pytest.raises(ValueError, match="unknown backend"):
+        acceptance_sweep(words, 10, rng=1, backend=SequentialBackend())
 
 
 def test_run_many_orders_and_counts():
     words = [member(1, np.random.default_rng(i)) for i in (0, 1)]
-    estimates = run_many(words, 30, rng=2, backend="batched")
+    estimates = ExecutionEngine("batched").run_many(words, 30, rng=2)
     assert [e.word_length for e in estimates] == [len(w) for w in words]
     assert all(e.accepted == 30 for e in estimates)
 
 
-def test_sampler_keeps_sequential_semantics():
-    """The legacy sampler still spawns one child per trial, in order."""
+@pytest.mark.parametrize("rng", [13, None])
+def test_sampler_keeps_sequential_semantics(rng):
+    """The generic sampler spawns one child per trial, in order, as the
+    sequential backend does for the named recognizer."""
     word = intersecting_nonmember(1, 2, np.random.default_rng(6))
-    p_old_api = acceptance_probability_by_sampling(
-        lambda g: QuantumOnlineRecognizer(rng=g), word, 100, rng=13
+    p_sampler = acceptance_probability_by_sampling(
+        lambda g: QuantumOnlineRecognizer(rng=g), word, 100, rng=rng
     )
-    p_engine = estimate_acceptance(word, 100, rng=13, backend="sequential").probability
-    assert p_old_api == p_engine
+    p_engine = (
+        ExecutionEngine("sequential").estimate_acceptance(word, 100, rng=rng).probability
+    )
+    assert p_sampler == p_engine
 
 
 def test_sampler_requires_positive_trials():

@@ -120,11 +120,11 @@ class TestSweepThroughStore:
         assert store_counts == engine_counts
 
     def test_store_sweep_rejects_backend_instances(self, tmp_path):
-        """A backend instance can't be serialized into a spec, so the
-        sweep refuses rather than guessing a backend name."""
+        """Specs record a backend name, and the spec refuses an
+        instance rather than guessing its name."""
         from repro.engine import BatchedDenseBackend
 
-        with pytest.raises(ValueError, match="backend name"):
+        with pytest.raises(ValueError, match="unknown backend"):
             acceptance_sweep(
                 [("m", "1#")], 10,
                 backend=BatchedDenseBackend(), store=tmp_path,

@@ -98,6 +98,30 @@ class TestValidation:
         with pytest.raises(ValueError, match=f"unknown backend '{name}'"):
             ExperimentSpec(backend=name)
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("seed", 1.9),
+            ("seed", 2.0),
+            ("seed", "1"),
+            ("seed", True),
+            ("word_seed", 0.5),
+            ("trials", True),
+            ("trials", 50.0),
+            ("k", "2"),
+            ("t", None),
+        ],
+    )
+    def test_rejects_non_int_wire_values(self, field, value):
+        """A float seed would share an int seed's key, and a ``bool``
+        depth would be stored as ``true``: neither gets past the spec."""
+        with pytest.raises(ValueError, match=f"{field} must be an int"):
+            ExperimentSpec(**{field: value})
+
+    def test_rejects_negative_seed(self):
+        with pytest.raises(ValueError, match="seed must be non-negative"):
+            ExperimentSpec(seed=-1)
+
     def test_rejects_intersecting_t_zero(self):
         with pytest.raises(ValueError, match="t >= 1"):
             ExperimentSpec(family="intersecting", t=0)

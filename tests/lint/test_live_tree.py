@@ -133,16 +133,17 @@ class TestMutationsAreCaught:
         streams, so even a seeded generator built there is a finding."""
         findings = mutate(
             PACKAGE_DIR / rel,
-            "import numpy as np",
-            "import numpy as np\n_rogue = np.random.default_rng(0)",
+            "from __future__ import annotations",
+            "from __future__ import annotations\nimport numpy as np\n"
+            "_rogue = np.random.default_rng(0)",
         )
         assert any(f.rule == "rng-discipline" for f in findings)
 
-    def test_axis_reduction_in_marked_probabilities_is_caught(self):
+    def test_axis_reduction_in_a3_detection_is_caught(self):
         findings = mutate(
-            PACKAGE_DIR / "quantum" / "grover.py",
-            "return np.array([float(np.sum(probs[i])) for i in range(batch.shape[0])])",
-            "return np.sum(probs, axis=1)",
+            PACKAGE_DIR / "core" / "quantum_recognizer.py",
+            "detection[r] = float(squares.sum())",
+            "detection[r] = float(squares.reshape(-1, 8).sum(axis=1).sum())",
         )
         assert any(f.rule == "float-determinism" for f in findings)
 

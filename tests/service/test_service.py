@@ -216,6 +216,22 @@ def test_query_naming_a_retired_backend_is_a_bad_request(client, name):
     assert client.ping()
 
 
+@pytest.mark.parametrize(
+    "field, value", [("seed", 1.9), ("seed", -1), ("trials", True), ("k", "1")]
+)
+def test_ill_typed_spec_values_are_bad_requests(client, field, value):
+    """A wire value of the wrong type is refused before any store or
+    engine work, even where its key would be a cache hit."""
+    spec = ExperimentSpec(trials=50, family="member", k=1, seed=1)
+    assert client.query(spec).source == "fresh"
+    with pytest.raises(ServiceError) as exc_info:
+        client.query(dict(spec.to_dict(), **{field: value}))
+    assert exc_info.value.kind == "bad-request"
+    assert field in str(exc_info.value)
+    stats = client.stats()
+    assert stats["queries"] == 1 and stats["engine_runs"] == 1
+
+
 def test_bad_requests_leave_the_connection_usable(client):
     with pytest.raises(ServiceError) as exc_info:
         client.query({"family": "member", "trials": -5})

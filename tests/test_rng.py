@@ -133,8 +133,3 @@ class TestHelpers:
         g = np.random.default_rng(0)
         assert rngmod.coin(g, 1.0) is True
         assert rngmod.coin(g, 0.0) is False
-
-    def test_optional_rng_offset_differs(self):
-        a = rngmod.optional_rng(None, 0).random()
-        b = rngmod.optional_rng(None, 1).random()
-        assert a != b
