@@ -23,9 +23,9 @@ Commands
 * ``metrics``     — fetch a running service's full telemetry snapshot
   (counters, gauges, latency histograms) as a table or ``--json``.
 
-``sample``, ``lab run`` and ``query`` also take ``--trace FILE``: the
-command runs inside a full-mode trace session and its hierarchical
-span tree is written to FILE as JSONL (see docs/OBSERVABILITY.md).
+``sample`` and ``lab run`` also take ``--trace FILE``: the command
+runs inside a trace session and its hierarchical span tree is written
+to FILE as JSONL (see docs/OBSERVABILITY.md).
 """
 
 from __future__ import annotations
@@ -156,8 +156,7 @@ def _add_trace_arg(parser: argparse.ArgumentParser) -> None:
         metavar="FILE",
         default=None,
         help="write this command's hierarchical span tree to FILE as "
-        "JSONL (forces full trace mode for the run; see "
-        "docs/OBSERVABILITY.md)",
+        "JSONL (see docs/OBSERVABILITY.md)",
     )
 
 
@@ -754,7 +753,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="liveness check and exit")
     query.add_argument("--shutdown-server", action="store_true",
                        help="ask the service to stop and exit")
-    _add_trace_arg(query)
     query.set_defaults(func=_cmd_query)
 
     metrics = sub.add_parser(
@@ -810,13 +808,13 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     trace_path = getattr(args, "trace", None)
     if not trace_path:
         return args.func(args)
-    # --trace: run the command inside a full-mode trace session so its
+    # --trace: run the command inside a trace session so its
     # span tree (engine.run -> engine.backend.count, lab.run -> store
     # timings, ...) lands in trace_path as JSONL.  Tracing never feeds
     # back into execution, so the command's output is unchanged.
     from .obs import TraceSession
 
-    with TraceSession("full") as session:
+    with TraceSession() as session:
         code = args.func(args)
     spans = session.write_jsonl(trace_path)
     print(f"trace: {spans} span(s) -> {trace_path}", file=sys.stderr)

@@ -32,8 +32,8 @@ from typing import Callable
 
 import numpy as np
 
+from ..obs import span
 from .api import ExecutionBackend, validate_recognizer
-from .telemetry import observe_backend_call
 
 
 def _batch_sampler(recognizer: str) -> Callable[..., np.ndarray]:
@@ -71,5 +71,10 @@ class BatchedDenseBackend(ExecutionBackend):
         start: int = 0,
     ) -> int:
         sampler = _batch_sampler(recognizer)
-        with observe_backend_call(self.name, recognizer, trials - start):
+        with span(
+            "engine.backend.count",
+            backend=self.name,
+            recognizer=recognizer,
+            trials=trials - start,
+        ):
             return int(np.count_nonzero(sampler(word, trials, rng, start)))

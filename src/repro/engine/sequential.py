@@ -18,9 +18,9 @@ from typing import Any, Callable, List, Optional, Sequence
 
 import numpy as np
 
+from ..obs import span
 from ..rng import check_trial_bounds, spawn_seeds
 from .api import DETERMINISTIC_RECOGNIZERS, ExecutionBackend, validate_recognizer
-from .telemetry import observe_backend_call
 
 
 def _streamed_machine(recognizer: str) -> Callable[[Any], Any]:
@@ -55,7 +55,12 @@ class SequentialBackend(ExecutionBackend):
         recognizer: str = "quantum",
         start: int = 0,
     ) -> int:
-        with observe_backend_call(self.name, recognizer, trials - start):
+        with span(
+            "engine.backend.count",
+            backend=self.name,
+            recognizer=recognizer,
+            trials=trials - start,
+        ):
             check_trial_bounds(trials, start)
             if recognizer in DETERMINISTIC_RECOGNIZERS:
                 # The machine never consults its child generator; skip the
@@ -78,7 +83,12 @@ class SequentialBackend(ExecutionBackend):
         slice of :func:`repro.engine.trial_seed_plan`), each built into
         its generator by numpy: the reference the benchmark's goldens
         are checked against."""
-        with observe_backend_call(self.name, recognizer, len(seeds)):
+        with span(
+            "engine.backend.count",
+            backend=self.name,
+            recognizer=recognizer,
+            trials=len(seeds),
+        ):
             children: List[np.random.Generator] = [
                 np.random.default_rng(s) for s in seeds
             ]

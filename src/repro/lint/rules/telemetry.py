@@ -2,7 +2,7 @@
 
 The telemetry layer (:mod:`repro.obs`) identifies instruments by name:
 ``span("engine.backend.count", ...)``, ``registry.counter(
-"engine.backend.calls", backend=...)``.  Those names are the metric
+"engine.run.calls", backend=...)``.  Those names are the metric
 catalog — the vocabulary dashboards, alerts and the bench harness key
 on — and the registry keeps one instrument per distinct (name, labels)
 pair forever.  A *dynamic* name (an f-string, a concatenation, a

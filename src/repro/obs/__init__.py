@@ -7,17 +7,18 @@ Zero-dependency observability for every layer of the stack:
   histograms, exported as a versioned JSON snapshot (the service's
   ``metrics`` op and ``repro metrics --json`` share this schema);
 * :mod:`repro.obs.spans` — hierarchical ``span(name, **attrs)``
-  context managers timed with ``perf_counter``, gated by
-  ``REPRO_TRACE=off|summary|full`` and exportable as a JSONL span tree
-  (``repro sample/lab run/query --trace FILE``);
+  context managers timed with ``perf_counter``.  They record only
+  inside a :class:`TraceSession`, which ``repro sample --trace FILE``
+  and ``repro lab run --trace FILE`` open and export as a JSONL span
+  tree; outside one a span is a shared no-op;
 * :mod:`repro.obs.clock` — the single module allowed to read the wall
   clock, for export timestamps only (``wallclock-hygiene`` sanctions
   exactly this path).
 
 The cardinal rule, enforced by tests: **telemetry never changes
 counts**.  Nothing in this package consults randomness or feeds values
-back into execution, so instrumented runs are byte-identical to
-uninstrumented ones on every backend.
+back into execution, so traced runs are byte-identical to untraced
+ones on every backend.
 
 See ``docs/OBSERVABILITY.md`` for the metric catalog, span tree schema
 and snapshot schema.
@@ -39,16 +40,11 @@ from .metrics import (
 )
 from .spans import (
     MAX_TRACE_SPANS,
-    TRACE_ENV,
-    TRACE_MODES,
     Span,
     SpanRecorder,
     TraceSession,
     get_recorder,
-    set_trace_mode,
     span,
-    trace_mode,
-    trace_session,
 )
 
 __all__ = [
@@ -56,8 +52,6 @@ __all__ = [
     "DEFAULT_BUCKETS",
     "MAX_TRACE_SPANS",
     "SNAPSHOT_VERSION",
-    "TRACE_ENV",
-    "TRACE_MODES",
     "Counter",
     "Gauge",
     "Histogram",
@@ -69,8 +63,5 @@ __all__ = [
     "get_recorder",
     "get_registry",
     "instrument_key",
-    "set_trace_mode",
     "span",
-    "trace_mode",
-    "trace_session",
 ]

@@ -65,8 +65,8 @@ COUNT_BUCKETS: Tuple[float, ...] = (1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0, 128.0)
 def instrument_key(name: str, labels: Mapping[str, Any]) -> str:
     """The flat snapshot key: ``name{k=v,...}`` with keys sorted.
 
-    >>> instrument_key("engine.backend.seconds", {"recognizer": "quantum", "backend": "batched"})
-    'engine.backend.seconds{backend=batched,recognizer=quantum}'
+    >>> instrument_key("engine.run.seconds", {"recognizer": "quantum", "backend": "batched"})
+    'engine.run.seconds{backend=batched,recognizer=quantum}'
     >>> instrument_key("service.inflight", {})
     'service.inflight'
     """

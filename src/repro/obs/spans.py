@@ -1,27 +1,17 @@
 """Hierarchical spans: perf_counter-timed sections with a parent tree.
 
 ``with span("engine.backend.count", backend="batched"):`` marks one
-timed section.  How much that costs — and what it records — is decided
-by the trace mode, read from the ``REPRO_TRACE`` environment variable
-(or a programmatic override, see :func:`set_trace_mode`):
-
-* ``off`` (the default) — the span is a shared no-op object: one
-  counter increment (``span.calls{name=...}``), **no allocation, no
-  clock reads, no recording**.  This is the bounded-overhead guarantee
-  tested in ``tests/obs``.
-* ``summary`` — spans are timed and fold into the registry
-  (``span.seconds{name=...}`` histograms); no per-event storage, so
-  memory stays O(distinct span names).
-* ``full`` — additionally, every finished span is appended to the
-  process :class:`SpanRecorder` as a parent-linked event, exportable
-  as JSONL (``repro sample --trace FILE`` and friends).  The recorder
-  is bounded (:data:`MAX_TRACE_SPANS`); overflow increments a drop
-  counter instead of growing without bound.
+timed section.  A span records only inside a :class:`TraceSession`
+(what the CLI's ``--trace FILE`` opens).  Outside one, :func:`span`
+returns a shared no-op object: no allocation, no clock read, no
+registry write.  Inside one, every finished span is appended to the
+process :class:`SpanRecorder` as a parent-linked event, exportable as
+JSONL.  The recorder is bounded (:data:`MAX_TRACE_SPANS`); overflow
+increments a drop counter instead of growing without bound.
 
 Parent links use a :mod:`contextvars` variable, so the tree is correct
-across threads and asyncio tasks: a span opened inside a service
-handler coroutine parents the spans of the engine call it awaits, and
-concurrent requests never see each other's frames.
+across threads and asyncio tasks: concurrent callers never see each
+other's frames.
 
 Timing uses :func:`repro.obs.clock.perf_counter` exclusively
 (monotonic; wallclock-hygiene compliant).  The only wall-clock value in
@@ -40,43 +30,17 @@ from typing import Any, Dict, List, Optional, Union
 from . import clock
 from .metrics import get_registry
 
-#: Environment knob; one of :data:`TRACE_MODES`.
-TRACE_ENV = "REPRO_TRACE"
-
-#: Recognized trace modes, cheapest first.
-TRACE_MODES = ("off", "summary", "full")
-
 #: Recorder capacity: spans beyond this are counted, not stored, so a
-#: long-running traced service cannot grow without bound.
+#: long traced run cannot grow without bound.
 MAX_TRACE_SPANS = 100_000
 
-_MODE_OVERRIDE: Optional[str] = None
-
-
-def trace_mode() -> str:
-    """The active mode: programmatic override, else ``REPRO_TRACE``, else off.
-
-    Unrecognized environment values fall back to ``off`` — a typo in a
-    deployment manifest must never make tracing *more* expensive.
-    """
-    if _MODE_OVERRIDE is not None:
-        return _MODE_OVERRIDE
-    mode = os.environ.get(TRACE_ENV, "off").strip().lower()
-    return mode if mode in TRACE_MODES else "off"
-
-
-def set_trace_mode(mode: Optional[str]) -> None:
-    """Override the trace mode in-process (``None`` restores the env)."""
-    global _MODE_OVERRIDE
-    if mode is not None and mode not in TRACE_MODES:
-        raise ValueError(
-            f"unknown trace mode {mode!r}; expected one of {', '.join(TRACE_MODES)}"
-        )
-    _MODE_OVERRIDE = mode
+#: Whether a :class:`TraceSession` is open (process-wide, so spans on
+#: worker threads record too).
+_TRACING = False
 
 
 class SpanRecorder:
-    """Bounded, thread-safe store of finished span events (full mode)."""
+    """Bounded, thread-safe store of finished span events."""
 
     def __init__(self, limit: int = MAX_TRACE_SPANS) -> None:
         self._lock = threading.Lock()
@@ -116,16 +80,16 @@ _RECORDER = SpanRecorder()
 
 
 def get_recorder() -> SpanRecorder:
-    """The process-global recorder full-mode spans append to."""
+    """The process-global recorder traced spans append to."""
     return _RECORDER
 
 
-#: The innermost open span's id in this thread/task (full mode only).
+#: The innermost open span's id in this thread/task.
 _CURRENT: ContextVar[Optional[int]] = ContextVar("repro_obs_current_span", default=None)
 
 
 class _NullSpan:
-    """The off-mode span: one shared instance, no state, no timing."""
+    """The untraced span: one shared instance, no state, no timing."""
 
     __slots__ = ()
 
@@ -140,45 +104,33 @@ _NULL_SPAN = _NullSpan()
 
 
 class Span:
-    """One timed section (summary/full modes); use via :func:`span`."""
+    """One recorded section inside a trace session; use via :func:`span`."""
 
-    __slots__ = ("name", "attrs", "mode", "span_id", "parent_id", "duration_s",
-                 "_start", "_token")
+    __slots__ = ("name", "attrs", "span_id", "parent_id", "_start", "_token")
 
-    def __init__(self, name: str, mode: str, attrs: Dict[str, Any]) -> None:
+    def __init__(self, name: str, attrs: Dict[str, Any]) -> None:
         self.name = name
-        self.mode = mode
         self.attrs = attrs
-        self.span_id: Optional[int] = None
-        self.parent_id: Optional[int] = None
-        self.duration_s: Optional[float] = None
-        self._token = None
 
     def __enter__(self) -> "Span":
-        if self.mode == "full":
-            self.span_id = _RECORDER.next_id()
-            self.parent_id = _CURRENT.get()
-            self._token = _CURRENT.set(self.span_id)
+        self.span_id = _RECORDER.next_id()
+        self.parent_id = _CURRENT.get()
+        self._token = _CURRENT.set(self.span_id)
         self._start = clock.perf_counter()
         return self
 
     def __exit__(self, *exc: Any) -> bool:
-        self.duration_s = clock.perf_counter() - self._start
-        registry = get_registry()
-        registry.counter("span.calls", name=self.name).inc()
-        registry.histogram("span.seconds", name=self.name).observe(self.duration_s)
-        if self.mode == "full":
-            if self._token is not None:
-                _CURRENT.reset(self._token)
-            _RECORDER.record({
-                "kind": "span",
-                "id": self.span_id,
-                "parent": self.parent_id,
-                "name": self.name,
-                "start_s": round(self._start - _RECORDER.origin, 9),
-                "duration_s": round(self.duration_s, 9),
-                "attrs": self.attrs,
-            })
+        duration = clock.perf_counter() - self._start
+        _CURRENT.reset(self._token)
+        _RECORDER.record({
+            "kind": "span",
+            "id": self.span_id,
+            "parent": self.parent_id,
+            "name": self.name,
+            "start_s": round(self._start - _RECORDER.origin, 9),
+            "duration_s": round(duration, 9),
+            "attrs": self.attrs,
+        })
         return False
 
 
@@ -187,62 +139,62 @@ def span(name: str, **attrs: Any) -> Union[Span, _NullSpan]:
 
     *name* must be a static string (the ``telemetry-discipline`` lint
     rule enforces this); varying detail goes into ``**attrs``, which
-    full-mode traces carry per event.  The returned object exposes
-    ``duration_s`` after exit in summary/full modes.
+    traces carry per event.  Outside a :class:`TraceSession` this is
+    the shared no-op span.
     """
-    mode = trace_mode()
-    if mode == "off":
-        get_registry().counter("span.calls", name=name).inc()
+    if not _TRACING:
         return _NULL_SPAN
-    return Span(name, mode, attrs)
+    return Span(name, attrs)
 
 
 class TraceSession:
     """Capture one operation's span tree and write it as JSONL.
 
-    Forces ``full`` mode for its dynamic extent, drains the recorder on
-    entry (the trace starts clean) and on exit (the trace owns exactly
-    the spans that finished inside it), then restores whatever mode was
-    configured before.  The CLI's ``--trace FILE`` wraps each command
-    handler in one of these.
+    Turns span recording on for its dynamic extent, drains the recorder
+    on entry (the trace starts clean) and on exit (the trace owns
+    exactly the spans that finished inside it).  The CLI's
+    ``--trace FILE`` wraps a command handler in one of these.
+
+    >>> with TraceSession() as session:
+    ...     with span("lab.run"):
+    ...         pass
+    >>> with span("lab.run"):
+    ...     pass
+    >>> [event["name"] for event in session.events]
+    ['lab.run']
     """
 
-    def __init__(self, mode: str = "full") -> None:
-        if mode not in TRACE_MODES:
-            raise ValueError(f"unknown trace mode {mode!r}")
-        self.mode = mode
+    def __init__(self) -> None:
         self.events: List[Dict[str, Any]] = []
         self.dropped = 0
-        self._previous: Optional[str] = None
+        self._outer = False
 
     def __enter__(self) -> "TraceSession":
-        self._previous = _MODE_OVERRIDE
-        set_trace_mode(self.mode)
+        global _TRACING
+        self._outer, _TRACING = _TRACING, True
         _RECORDER.drain()
         return self
 
     def __exit__(self, *exc: Any) -> bool:
+        global _TRACING
         self.dropped = _RECORDER.dropped
         self.events = _RECORDER.drain()
-        set_trace_mode(self._previous)
+        _TRACING = self._outer
         return False
-
-    @property
-    def span_count(self) -> int:
-        return len(self.events)
 
     def write_jsonl(self, path: Union[str, "os.PathLike[str]"]) -> int:
         """Write header + one line per span; returns the span count.
 
         Line 1 is the trace header (``kind: "trace"``, schema version,
-        mode, span/drop counts, export timestamp); every further line
-        is one span event with ``id``/``parent`` links forming the
-        tree.  See ``docs/OBSERVABILITY.md`` for the field catalog.
+        the constant ``mode: "full"``, span/drop counts, export
+        timestamp); every further line is one span event with
+        ``id``/``parent`` links forming the tree.  See
+        ``docs/OBSERVABILITY.md`` for the field catalog.
         """
         header = {
             "v": 1,
             "kind": "trace",
-            "mode": self.mode,
+            "mode": "full",
             "spans": len(self.events),
             "dropped": self.dropped,
             "exported_unix": round(clock.wall_time(), 3),
@@ -252,8 +204,3 @@ class TraceSession:
             for event in self.events:
                 handle.write(json.dumps(event, sort_keys=True, default=str) + "\n")
         return len(self.events)
-
-
-def trace_session(mode: str = "full") -> TraceSession:
-    """A :class:`TraceSession` (spelled as a function for symmetry)."""
-    return TraceSession(mode)

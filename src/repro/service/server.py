@@ -55,6 +55,11 @@ from .protocol import (
     validate_ttl_seconds,
 )
 
+#: The ops the service answers; any other op is labelled ``invalid`` in
+#: telemetry, so clients cannot mint instruments.  A tuple, because a
+#: decoded op may be any JSON value, unhashable ones included.
+OPS = ("ping", "stats", "metrics", "shutdown", "query", "maintain")
+
 #: In-flight identity: same key + same depth + same precision target
 #: share one execution.
 CoalesceKey = Tuple[str, int, Optional[float]]
@@ -247,9 +252,9 @@ class AcceptanceService:
         """One request line -> (response message, shutdown?).
 
         Thin telemetry shell around :meth:`_dispatch`: every request —
-        including malformed ones, labelled ``op="invalid"`` — lands in
-        the ``service.requests`` counter and the per-op latency
-        histogram ``service.op.seconds``.
+        including malformed ones and ops outside :data:`OPS`, labelled
+        ``op="invalid"`` — lands in the ``service.requests`` counter
+        and the per-op latency histogram ``service.op.seconds``.
         """
         start = clock.perf_counter()
         response, shutdown, op_label = await self._dispatch(line)
@@ -277,7 +282,7 @@ class AcceptanceService:
                     f"{PROTOCOL_VERSION}; upgrade the server"
                 )
             op = request.get("op")
-            if isinstance(op, str) and op:
+            if op in OPS:
                 op_label = op
             if op == "ping":
                 from .. import __version__

@@ -191,7 +191,7 @@ class TestMutationsAreCaught:
 
     def test_dynamic_span_name_in_engine_is_caught(self):
         findings = mutate(
-            PACKAGE_DIR / "engine" / "telemetry.py",
+            PACKAGE_DIR / "engine" / "batched.py",
             '"engine.backend.count",',
             'f"engine.{backend}.count",',
         )

@@ -329,7 +329,7 @@ class TestTelemetryDiscipline:
             from repro.obs import get_registry, span
             def traced(backend, trials):
                 registry = get_registry()
-                registry.counter("engine.backend.calls", backend=backend).inc()
+                registry.counter("engine.run.calls", backend=backend).inc()
                 registry.gauge("service.inflight").set(float(trials))
                 with span("engine.backend.count", backend=backend):
                     pass

@@ -1,9 +1,9 @@
 """Telemetry never changes the statistics.
 
-The load-bearing property of the whole subsystem: instrumented runs are
-byte-identical to uninstrumented ones, on every backend, in every trace
-mode.  Telemetry consults no randomness and feeds nothing back into
-execution — these tests are the enforcement.
+The load-bearing property of the whole subsystem: traced runs are
+byte-identical to untraced ones, on every backend.  Telemetry consults
+no randomness and feeds nothing back into execution — these tests are
+the enforcement.
 """
 
 import pytest
@@ -12,17 +12,15 @@ from hypothesis import strategies as st
 
 from repro.core import member
 from repro.engine import BACKENDS, ExecutionEngine
-from repro.obs import get_recorder, get_registry, set_trace_mode, span
+from repro.obs import TraceSession, get_recorder, get_registry, span
 from repro.obs.spans import _NULL_SPAN
 
 
 @pytest.fixture(autouse=True)
 def _clean_telemetry():
-    set_trace_mode(None)
     get_recorder().drain()
     get_registry().reset()
     yield
-    set_trace_mode(None)
     get_recorder().drain()
     get_registry().reset()
 
@@ -36,75 +34,98 @@ class TestCountInvariance:
         ),
     )
     @settings(max_examples=10, deadline=None)
-    def test_trace_mode_never_changes_counts(self, seed, trials, recognizer):
-        """off / summary / full produce byte-identical counts per backend."""
+    def test_tracing_never_changes_counts(self, seed, trials, recognizer):
+        """Untraced and in-session runs give byte-identical counts per backend."""
         import numpy as np
 
         word = member(1, np.random.default_rng(seed))
         for backend in BACKENDS:
-            counts = {}
-            for mode in ("off", "summary", "full"):
-                set_trace_mode(mode)
-                get_recorder().drain()
-                counts[mode] = ExecutionEngine(backend).estimate_acceptance(
+            engine = ExecutionEngine(backend)
+            untraced = engine.estimate_acceptance(
+                word, trials, rng=seed, recognizer=recognizer
+            ).accepted
+            with TraceSession() as session:
+                traced = engine.estimate_acceptance(
                     word, trials, rng=seed, recognizer=recognizer
                 ).accepted
-            assert counts["off"] == counts["summary"] == counts["full"], (
-                backend,
-                recognizer,
-            )
+            assert session.events, (backend, recognizer)
+            assert untraced == traced, (backend, recognizer)
 
-    def test_all_backends_agree_while_fully_traced(self):
-        """The engine seeding contract survives full tracing."""
+    def test_all_backends_agree_while_traced(self):
+        """The engine seeding contract survives tracing."""
         import numpy as np
 
         word = member(1, np.random.default_rng(5))
-        set_trace_mode("full")
-        accepted = {
-            backend: ExecutionEngine(backend)
-            .estimate_acceptance(word, 40, rng=5)
-            .accepted
-            for backend in BACKENDS
-        }
+        with TraceSession():
+            accepted = {
+                backend: ExecutionEngine(backend)
+                .estimate_acceptance(word, 40, rng=5)
+                .accepted
+                for backend in BACKENDS
+            }
         assert len(set(accepted.values())) == 1, accepted
 
 
-class TestOffModeOverhead:
-    """``REPRO_TRACE=off`` must stay counter-increments-only."""
+class TestUntracedOverhead:
+    """Outside a trace session a span is free: no recording, no instrument."""
 
     def test_span_is_allocation_free(self):
-        set_trace_mode("off")
         assert span("engine.run", trials=1) is _NULL_SPAN
 
-    def test_engine_run_records_no_spans_off_mode(self):
+    def test_engine_run_records_no_spans_untraced(self):
         import numpy as np
 
-        set_trace_mode("off")
         word = member(1, np.random.default_rng(0))
         ExecutionEngine("batched").estimate_acceptance(word, 10, rng=0)
         assert len(get_recorder()) == 0
         doc = get_registry().snapshot()
-        assert not any(k.startswith("span.seconds") for k in doc["histograms"])
-        # The always-on layer metrics still exist (they are the cheap,
-        # bounded part the off-mode guarantee allows).
-        assert doc["counters"]["span.calls{name=engine.run}"] == 1
+        assert not any(
+            key.startswith("span.")
+            for section in ("counters", "gauges", "histograms")
+            for key in doc[section]
+        )
+        # The engine's own run instruments stay on.
         assert any(k.startswith("engine.run.seconds") for k in doc["histograms"])
 
-    def test_full_mode_records_the_engine_span_tree(self):
+    def test_session_records_the_engine_span_tree(self):
         import numpy as np
 
-        set_trace_mode("full")
-        get_recorder().drain()
         word = member(1, np.random.default_rng(0))
-        ExecutionEngine("batched").estimate_acceptance(word, 10, rng=0)
-        events = get_recorder().drain()
+        with TraceSession() as session:
+            ExecutionEngine("batched").estimate_acceptance(word, 10, rng=0)
+        events = session.events
         names = [e["name"] for e in events]
-        assert "engine.run" in names and "engine.backend.count" in names
+        assert names == ["engine.backend.count", "engine.run"]
         run_id = next(e["id"] for e in events if e["name"] == "engine.run")
         backend_event = next(
             e for e in events if e["name"] == "engine.backend.count"
         )
         assert backend_event["parent"] == run_id
+        assert backend_event["attrs"] == {
+            "backend": "batched", "recognizer": "quantum", "trials": 10
+        }
+
+    def test_sequential_sites_record_their_trials(self):
+        import numpy as np
+
+        from repro.engine import SequentialBackend, trial_seed_plan
+
+        word = member(1, np.random.default_rng(0))
+        backend = SequentialBackend()
+        with TraceSession() as session:
+            backend.count_accepted(
+                word, 12, 3, recognizer="classical-blockwise", start=4
+            )
+            backend.count_accepted_from_seeds(
+                word, trial_seed_plan(3, 5), "quantum"
+            )
+        assert [e["name"] for e in session.events] == ["engine.backend.count"] * 2
+        attrs = [e["attrs"] for e in session.events]
+        assert [(a["recognizer"], a["trials"]) for a in attrs] == [
+            ("classical-blockwise", 8),
+            ("quantum", 5),
+        ]
+        assert {a["backend"] for a in attrs} == {"sequential"}
 
 
 class TestLayerMetrics:

@@ -1,4 +1,4 @@
-"""Span semantics: trace modes, the parent tree, and the JSONL export."""
+"""Span semantics: record only in a session, the parent tree, the JSONL export."""
 
 import json
 import threading
@@ -9,86 +9,50 @@ from repro.obs import (
     MAX_TRACE_SPANS,
     SpanRecorder,
     TraceSession,
+    clock,
     get_recorder,
     get_registry,
-    set_trace_mode,
     span,
-    trace_mode,
-    trace_session,
 )
 from repro.obs.spans import _NULL_SPAN
 
 
 @pytest.fixture(autouse=True)
 def _clean_trace_state():
-    """Every test starts in off mode with an empty recorder/registry."""
-    set_trace_mode(None)
+    """Every test starts with an empty recorder and registry."""
     get_recorder().drain()
     get_registry().reset()
     yield
-    set_trace_mode(None)
     get_recorder().drain()
     get_registry().reset()
 
 
-class TestTraceMode:
-    def test_default_is_off(self, monkeypatch):
-        monkeypatch.delenv("REPRO_TRACE", raising=False)
-        assert trace_mode() == "off"
-
-    def test_env_selects_mode(self, monkeypatch):
-        monkeypatch.setenv("REPRO_TRACE", "summary")
-        assert trace_mode() == "summary"
-
-    def test_unknown_env_value_falls_back_to_off(self, monkeypatch):
-        monkeypatch.setenv("REPRO_TRACE", "verbose")
-        assert trace_mode() == "off"
-
-    def test_override_wins_over_env(self, monkeypatch):
-        monkeypatch.setenv("REPRO_TRACE", "full")
-        set_trace_mode("off")
-        assert trace_mode() == "off"
-
-    def test_unknown_override_rejected(self):
-        with pytest.raises(ValueError, match="unknown trace mode"):
-            set_trace_mode("everything")
-
-
-class TestOffMode:
+class TestUntraced:
     def test_span_is_the_shared_null_singleton(self):
         a = span("engine.run", backend="batched")
         b = span("lab.run")
         assert a is _NULL_SPAN and b is _NULL_SPAN
 
-    def test_off_mode_still_counts_calls(self):
-        with span("engine.run"):
-            pass
-        counters = get_registry().snapshot()["counters"]
-        assert counters["span.calls{name=engine.run}"] == 1
+    def test_untraced_span_records_nothing_and_reads_no_clock(self, monkeypatch):
+        def no_clock():
+            raise AssertionError("an untraced span read the clock")
 
-    def test_off_mode_records_nothing_and_times_nothing(self):
+        monkeypatch.setattr(clock, "perf_counter", no_clock)
         with span("engine.run"):
             pass
         assert len(get_recorder()) == 0
-        assert "span.seconds{name=engine.run}" not in (
-            get_registry().snapshot()["histograms"]
-        )
-
-
-class TestSummaryMode:
-    def test_spans_fold_into_histograms_without_events(self):
-        set_trace_mode("summary")
-        with span("engine.run") as s:
-            pass
-        assert s.duration_s is not None and s.duration_s >= 0.0
         doc = get_registry().snapshot()
-        assert doc["histograms"]["span.seconds{name=engine.run}"]["count"] == 1
-        assert len(get_recorder()) == 0
+        assert doc["counters"] == doc["gauges"] == doc["histograms"] == {}
+
+    def test_untraced_span_lets_exceptions_through(self):
+        with pytest.raises(ValueError, match="boom"):
+            with span("engine.run"):
+                raise ValueError("boom")
 
 
-class TestFullMode:
+class TestTraced:
     def test_parent_links_form_a_tree(self):
-        with trace_session() as session:
+        with TraceSession() as session:
             with span("outer", layer="test"):
                 with span("inner"):
                     pass
@@ -101,6 +65,16 @@ class TestFullMode:
         assert all(e["parent"] == outer["id"] for e in events[:-1])
         assert outer["attrs"] == {"layer": "test"}
 
+    def test_raising_span_is_recorded_and_unwinds_its_parent(self):
+        with TraceSession() as session:
+            with pytest.raises(ValueError):
+                with span("failed"):
+                    raise ValueError("boom")
+            with span("after"):
+                pass
+        assert [e["name"] for e in session.events] == ["failed", "after"]
+        assert [e["parent"] for e in session.events] == [None, None]
+
     def test_sibling_threads_do_not_nest(self):
         parents = {}
 
@@ -108,7 +82,7 @@ class TestFullMode:
             with span("threaded") as s:
                 parents[tag] = s.parent_id
 
-        with trace_session():
+        with TraceSession():
             threads = [
                 threading.Thread(target=worker, args=(i,)) for i in range(2)
             ]
@@ -132,11 +106,35 @@ class TestFullMode:
 
 
 class TestTraceSession:
-    def test_restores_previous_mode(self):
-        set_trace_mode("summary")
-        with trace_session():
-            assert trace_mode() == "full"
-        assert trace_mode() == "summary"
+    def test_tracing_stops_when_the_session_closes(self):
+        with TraceSession():
+            assert span("inner") is not _NULL_SPAN
+            with TraceSession():
+                pass
+            assert span("inner") is not _NULL_SPAN
+        assert span("outer") is _NULL_SPAN
+
+    def test_tracing_stops_when_the_body_raises(self):
+        with pytest.raises(ValueError):
+            with TraceSession() as session:
+                with span("failed"):
+                    raise ValueError("boom")
+        assert [e["name"] for e in session.events] == ["failed"]
+        assert span("after") is _NULL_SPAN
+
+    def test_session_reports_spans_past_the_recorder_limit(
+        self, monkeypatch, tmp_path
+    ):
+        monkeypatch.setattr(get_recorder(), "limit", 1)
+        with TraceSession() as session:
+            for _ in range(3):
+                with span("engine.run"):
+                    pass
+        assert len(session.events) == 1 and session.dropped == 2
+        path = tmp_path / "trace.jsonl"
+        session.write_jsonl(path)
+        header = json.loads(path.read_text().splitlines()[0])
+        assert header["spans"] == 1 and header["dropped"] == 2
 
     def test_write_jsonl_header_and_events(self, tmp_path):
         path = tmp_path / "trace.jsonl"
@@ -154,15 +152,11 @@ class TestTraceSession:
         assert events[0]["attrs"] == {"trials": 10}
 
     def test_session_owns_only_its_spans(self):
-        with trace_session() as first:
+        with TraceSession() as first:
             with span("a"):
                 pass
-        with trace_session() as second:
+        with TraceSession() as second:
             with span("b"):
                 pass
         assert [e["name"] for e in first.events] == ["a"]
         assert [e["name"] for e in second.events] == ["b"]
-
-    def test_rejects_unknown_mode(self):
-        with pytest.raises(ValueError, match="unknown trace mode"):
-            TraceSession("loud")

@@ -84,15 +84,37 @@ class TestMetricsOp:
         assert counters["service.trials_executed"] == 50
         assert counters["lab.runs{source=fresh}"] == 1
 
-    def test_invalid_ops_counted_under_invalid_label(self, service):
+    def test_every_answered_op_is_labelled_by_name(self, service):
+        _query(service)
         with ServiceClient(port=service.port) as client:
-            from repro.service import ServiceError
-
-            with pytest.raises(ServiceError):
-                client._request({"op": "no-such-op"})
+            client.ping()
+            client.stats()
+            client.maintain()
             snap = client.metrics()
-        assert snap["counters"]["service.requests{op=no-such-op}"] == 1
-        assert "service.op.seconds{op=no-such-op}" in snap["histograms"]
+        counters = snap["counters"]
+        for op in ("query", "ping", "stats", "maintain"):
+            assert counters[f"service.requests{{op={op}}}"] == 1, op
+        assert "service.requests{op=invalid}" not in counters
+
+    def test_invalid_ops_counted_under_invalid_label(self, service):
+        from repro.service import ServiceError
+
+        # An unknown name, an unhashable value and a missing op.
+        bad = [{"op": "no-such-op"}, {"op": ["query"]}, {}]
+        with ServiceClient(port=service.port) as client:
+            for message in bad:
+                with pytest.raises(ServiceError, match="unknown op"):
+                    client._request(message)
+            snap = client.metrics()
+        assert snap["counters"]["service.requests{op=invalid}"] == len(bad)
+        assert snap["histograms"]["service.op.seconds{op=invalid}"]["count"] == len(bad)
+        minted = [
+            key
+            for section in ("counters", "gauges", "histograms")
+            for key in snap[section]
+            if "no-such-op" in key
+        ]
+        assert minted == []
 
     def test_coalesce_depth_histogram_observed(self, service):
         _query(service)

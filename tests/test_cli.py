@@ -396,6 +396,16 @@ class TestTraceFlag:
         pick = lambda out: [l for l in out.splitlines() if "accepted=" in l]
         assert pick(plain) == pick(traced)
 
+    def test_only_sample_and_lab_run_take_trace(self, tmp_path, capsys):
+        path = str(tmp_path / "t.jsonl")
+        with pytest.raises(SystemExit) as excinfo:
+            main(["query", "--k", "1", "--trace", path])
+        assert excinfo.value.code == 2
+        assert "unrecognized arguments: --trace" in capsys.readouterr().err
+        parser = build_parser()
+        assert parser.parse_args(["sample", "--trace", path]).trace == path
+        assert parser.parse_args(["lab", "run", "--trace", path]).trace == path
+
 
 class TestMetricsCommand:
     def test_parser_knows_metrics(self):

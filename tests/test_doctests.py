@@ -22,6 +22,8 @@ CURATED_MODULES = (
     "repro.lab.orchestrator",
     "repro.service.protocol",
     "repro.service.server",
+    "repro.obs.spans",
+    "repro.obs.metrics",
 )
 
 
