@@ -10,10 +10,18 @@ from __future__ import annotations
 from typing import Any, Iterable, List, Sequence
 
 
+#: Floats are rounded to this many decimals before they are printed, so
+#: floating-point round-off (which varies with the BLAS kernels and the
+#: numpy build) never reaches a printed digit: 1.6e-13 prints as 0, and
+#: 0.84375 + 1.6e-13 rounds like 0.84375 itself.
+ROUNDOFF_DECIMALS = 12
+
+
 def _fmt(value: Any) -> str:
     if isinstance(value, bool):
         return "yes" if value else "no"
     if isinstance(value, float):
+        value = round(value, ROUNDOFF_DECIMALS)
         if value == 0:
             return "0"
         if abs(value) >= 1000 or abs(value) < 1e-3:

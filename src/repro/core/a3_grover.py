@@ -17,8 +17,8 @@ j + 1 applies ``V_x`` then ``R_y``, and later repetitions are ignored.
 At the end the l qubit is measured: b = 1 reveals an intersection and
 A3 outputs 1 - b.
 
-Space: the 2k + 2 qubits (metered by the :class:`QubitLedger`) plus
-O(k) classical bits (j and the parser's counters).
+Space: the 2k + 2 qubits (reported as ``A3Registers.total_qubits``)
+plus O(k) classical bits (j and the parser's counters).
 """
 
 from __future__ import annotations

@@ -162,13 +162,13 @@ def batched_a3_detection(k: int, blocks: list[str], js) -> np.ndarray:
     ``V_x W_y V_z`` is one signed gather over them (tables built once per
     distinct ``(x, y, z)``), and ``U_k S_k U_k`` runs on the rows that
     are not all zero: one row on a consistent word, where ``V_x W_y V_x``
-    is the Grover oracle on h = 0
-    (:func:`repro.quantum.operators.vwv_phase_check`).  The branch's
-    l = 1 columns (0 at h = 0, ``y_i`` times the ``V_x`` image at h = 1)
-    are squared and summed by one 1-D sum in index order with the zeros,
-    as :func:`repro.quantum.grover.marked_probability` sums the full
-    state's l = 1 half (an axis-reduction would not be bit-identical;
-    the ``float-determinism`` lint rule guards this sum).  Copies
+    is the Grover oracle on h = 0 (the paper's displayed equation).
+    The branch's l = 1 columns (0 at h = 0, ``y_i`` times the ``V_x``
+    image at h = 1) are squared and summed by one 1-D sum in index order
+    with the zeros, as :func:`repro.quantum.grover.marked_probability`
+    sums the full state's l = 1 half (an axis-reduction would not be
+    bit-identical; the ``float-determinism`` lint rule guards this
+    sum).  Copies
     and ±1 multiplies are exact, and the Walsh-Hadamard transform acts
     on each row alone, so the probabilities are bit-identical to the
     full-state operators'.  A j whose y block the stream never reaches

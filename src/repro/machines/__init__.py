@@ -11,7 +11,9 @@ Modules
 * :mod:`repro.machines.transition` — probabilistic transition tables.
 * :mod:`repro.machines.configuration` — configurations and the Fact 2.2
   counting bound.
-* :mod:`repro.machines.optm` — the machine simulator (sampled runs).
+* :mod:`repro.machines.optm` — the machine simulator (sampled runs, the
+  literal Definition 2.1 semantics the exact distributions are tested
+  against).
 * :mod:`repro.machines.distributions` — exact configuration-distribution
   propagation (used for exact acceptance probabilities and the
   Theorem 3.6 reduction).
@@ -29,10 +31,7 @@ from .distributions import (
     acceptance_probability,
     segment_kernel,
     reachable_configurations,
-    nondeterministic_accepts,
 )
-from .offline import OfflineTM, OfflineAction, OfflineTransitionTable, palindrome_machine
-from .counters import power_of_two_ones_machine, counting_space_cells
 from .builders import (
     parity_machine,
     mod_counter_machine,
@@ -62,11 +61,4 @@ __all__ = [
     "copy_machine",
     "coin_machine",
     "disjointness_machine",
-    "nondeterministic_accepts",
-    "OfflineTM",
-    "OfflineAction",
-    "OfflineTransitionTable",
-    "palindrome_machine",
-    "power_of_two_ones_machine",
-    "counting_space_cells",
 ]

@@ -215,24 +215,6 @@ def segment_kernel(
     return result
 
 
-def nondeterministic_accepts(
-    machine: OPTM, word: str, max_steps: int = 10_000
-) -> bool:
-    """Nondeterministic acceptance: is some accepting run reachable?
-
-    Treats the probabilistic branches as nondeterministic choices —
-    acceptance iff any configuration with an accepting control state is
-    reachable.  This is the acceptance mode of the nondeterministic
-    online classes the paper's Section 1 discusses (de Wolf's
-    separation, Le Gall's weakly nondeterministic result); provided so
-    those modes are at least runnable on this substrate.
-    """
-    for config in reachable_configurations(machine, word, max_steps=max_steps):
-        if config.state in machine.accept_states:
-            return True
-    return False
-
-
 def reachable_configurations(
     machine: OPTM,
     word: str,

@@ -10,7 +10,7 @@ modes; the other — running forever — is modelled by a step budget).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Optional, Set
+from typing import Set
 
 import numpy as np
 
@@ -181,13 +181,3 @@ class OPTM:
             1 for _ in range(trials) if self.run(word, gen, max_steps).accepted
         )
         return hits / trials
-
-    def worst_case_cells(self, words: Iterable[str], max_steps: int = 100_000) -> int:
-        """Maximum cells used over exact exploration of the given words."""
-        from .distributions import reachable_configurations
-
-        worst = 0
-        for word in words:
-            for config in reachable_configurations(self, word, max_steps=max_steps):
-                worst = max(worst, config.cells_used())
-        return worst

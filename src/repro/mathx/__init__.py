@@ -6,8 +6,8 @@ from scratch:
 
 * :mod:`repro.mathx.primes` — deterministic Miller-Rabin, prime search
   in the paper's window ``(2^{4k}, 2^{4k+1})``.
-* :mod:`repro.mathx.modular` — modular exponentiation, streaming Horner
-  evaluation, inverse, polynomial utilities over F_p.
+* :mod:`repro.mathx.modular` — streaming evaluation of the fingerprint
+  polynomial over F_p, with its non-streaming reference.
 * :mod:`repro.mathx.angles` — the Grover angle ``theta`` with
   ``sin^2(theta) = t/N`` and related exact trigonometric identities.
 """
@@ -17,11 +17,8 @@ from .primes import (
     next_prime,
     prime_in_window,
     fingerprint_prime,
-    primes_up_to,
 )
 from .modular import (
-    mod_pow,
-    mod_inverse,
     StreamingPolynomialEvaluator,
     evaluate_polynomial,
     polynomial_from_bits,
@@ -38,9 +35,6 @@ __all__ = [
     "next_prime",
     "prime_in_window",
     "fingerprint_prime",
-    "primes_up_to",
-    "mod_pow",
-    "mod_inverse",
     "StreamingPolynomialEvaluator",
     "evaluate_polynomial",
     "polynomial_from_bits",

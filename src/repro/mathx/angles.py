@@ -85,15 +85,3 @@ def average_success_probability(t: int, n: int, m: int) -> float:
         return 1.0
     theta = grover_angle(t, n)
     return sin_squared_sum(theta, m) / m
-
-
-def bbht_threshold(t: int, n: int) -> float:
-    """The BBHT condition value ``1 / sin(2 theta)``.
-
-    The average (*) is guaranteed >= 1/4 once ``m >= 1/sin(2 theta)``;
-    for 0 < t < n this equals ``n / (2 sqrt(t (n - t)))`` and is at most
-    ``sqrt(n)/2 * (1 + O(1/n))``, which is why m = sqrt(n) rounds suffice.
-    """
-    if not 0 < t < n:
-        raise ValueError("threshold defined for 0 < t < n")
-    return n / (2.0 * math.sqrt(t * (n - t)))

@@ -17,26 +17,6 @@ from typing import Iterable, Sequence
 from ..errors import ReproError
 
 
-def mod_pow(base: int, exponent: int, modulus: int) -> int:
-    """``base ** exponent mod modulus`` (thin wrapper over ``pow``)."""
-    if modulus <= 0:
-        raise ValueError("modulus must be positive")
-    if exponent < 0:
-        raise ValueError("exponent must be non-negative; use mod_inverse")
-    return pow(base, exponent, modulus)
-
-
-def mod_inverse(a: int, p: int) -> int:
-    """The inverse of *a* modulo a prime *p*.
-
-    Uses Fermat's little theorem; raises if *a* is divisible by *p*.
-    """
-    a %= p
-    if a == 0:
-        raise ZeroDivisionError("0 has no inverse")
-    return pow(a, p - 2, p)
-
-
 class StreamingPolynomialEvaluator:
     """Evaluate ``F_w(t) = sum_i w_i t^i mod p`` over a stream of bits.
 
@@ -119,15 +99,3 @@ def polynomial_from_bits(bits: str) -> list[int]:
         else:
             raise ReproError(f"expected a bit, got {ch!r}")
     return coeffs
-
-
-def distinct_fingerprint_collision_bound(degree: int, p: int) -> float:
-    """Upper bound on Pr_t[F_u(t) = F_v(t)] for distinct u, v of given degree.
-
-    Two distinct polynomials of degree < ``degree`` agree on at most
-    ``degree - 1`` points of F_p, so a uniformly random evaluation point
-    collides with probability at most ``(degree - 1) / p``.
-    """
-    if degree <= 0:
-        raise ValueError("degree must be positive")
-    return (degree - 1) / p

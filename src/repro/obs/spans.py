@@ -71,6 +71,14 @@ class SpanRecorder:
             self.dropped = 0
             return events
 
+    def restore(self, events: List[Dict[str, Any]], dropped: int) -> None:
+        """Put drained *events* and their *dropped* count back, ahead of
+        anything stored since; events past :attr:`limit` count as dropped."""
+        with self._lock:
+            merged = events + self._events
+            self._events = merged[: self.limit]
+            self.dropped += dropped + len(merged) - len(self._events)
+
     def __len__(self) -> int:
         with self._lock:
             return len(self._events)
@@ -152,7 +160,10 @@ class TraceSession:
 
     Turns span recording on for its dynamic extent, drains the recorder
     on entry (the trace starts clean) and on exit (the trace owns
-    exactly the spans that finished inside it).  The CLI's
+    exactly the spans that finished inside it).  A session opened
+    inside another sets the outer session's spans aside on entry and
+    puts them back, followed by its own, on exit, so the outer session
+    still owns every span that finished inside it.  The CLI's
     ``--trace FILE`` wraps a command handler in one of these.
 
     >>> with TraceSession() as session:
@@ -168,17 +179,25 @@ class TraceSession:
         self.events: List[Dict[str, Any]] = []
         self.dropped = 0
         self._outer = False
+        self._outer_events: List[Dict[str, Any]] = []
+        self._outer_dropped = 0
 
     def __enter__(self) -> "TraceSession":
         global _TRACING
         self._outer, _TRACING = _TRACING, True
-        _RECORDER.drain()
+        self._outer_dropped = _RECORDER.dropped
+        self._outer_events = _RECORDER.drain()
         return self
 
     def __exit__(self, *exc: Any) -> bool:
         global _TRACING
         self.dropped = _RECORDER.dropped
         self.events = _RECORDER.drain()
+        if self._outer:
+            _RECORDER.restore(
+                self._outer_events + self.events, self._outer_dropped + self.dropped
+            )
+        self._outer_events = []
         _TRACING = self._outer
         return False
 

@@ -15,16 +15,12 @@ Modules
 -------
 * :mod:`repro.qfa.dfa` — DFAs, partition-refinement minimization,
   unary Myhill-Nerode index.
-* :mod:`repro.qfa.pfa` — probabilistic automata (stochastic matrices).
 * :mod:`repro.qfa.mo1qfa` — measure-once quantum automata.
-* :mod:`repro.qfa.mm1qfa` — measure-many quantum automata.
 * :mod:`repro.qfa.ambainis_freivalds` — the O(log p)-state construction.
 """
 
 from .dfa import DFA, mod_dfa, minimize_dfa, unary_myhill_nerode_index
-from .pfa import PFA, mod_pfa
 from .mo1qfa import MO1QFA
-from .mm1qfa import MM1QFA
 from .ambainis_freivalds import (
     rotation_qfa,
     find_multipliers,
@@ -37,10 +33,7 @@ __all__ = [
     "mod_dfa",
     "minimize_dfa",
     "unary_myhill_nerode_index",
-    "PFA",
-    "mod_pfa",
     "MO1QFA",
-    "MM1QFA",
     "rotation_qfa",
     "find_multipliers",
     "af_qfa_for_mod_language",

@@ -5,7 +5,8 @@ over the universal gate set ``G = {H, T, CNOT}`` which is then applied
 to ``|0...0>`` and measured.  This package implements that pipeline
 end to end:
 
-* :mod:`repro.quantum.state` — state vectors and measurement statistics.
+* :mod:`repro.quantum.state` — basis states and cached index tables
+  (the state-vector conventions every operator shares).
 * :mod:`repro.quantum.gates` — the gate set ``G`` plus derived gates,
   with vectorized application.
 * :mod:`repro.quantum.circuit` — circuits over ``G`` (Definition 2.3's
@@ -26,13 +27,12 @@ end to end:
 """
 
 from .state import (
-    StateVector,
     zero_state,
     basis_state,
     basis_indices,
     bit_where,
 )
-from .gates import H, T, T_DAGGER, X, Y, Z, S, CNOT_MATRIX, apply_single, apply_two
+from .gates import H, T, T_DAGGER, X, Y, Z, S, CNOT_MATRIX, apply_single
 from .circuit import Circuit, GateOp, GATE_NAMES
 from .encoding import encode_circuit, decode_circuit
 from .registers import A3Registers
@@ -49,13 +49,11 @@ from .bbht import (
     fixed_j_success,
     random_j_success,
     worst_case_fixed_j,
-    success_table,
 )
 from .density import DensityMatrix, NoisyGroverA3
 from .optimize import optimize_circuit, optimization_report
 
 __all__ = [
-    "StateVector",
     "basis_indices",
     "bit_where",
     "zero_state",
@@ -69,7 +67,6 @@ __all__ = [
     "S",
     "CNOT_MATRIX",
     "apply_single",
-    "apply_two",
     "Circuit",
     "GateOp",
     "GATE_NAMES",
@@ -87,7 +84,6 @@ __all__ = [
     "fixed_j_success",
     "random_j_success",
     "worst_case_fixed_j",
-    "success_table",
     "DensityMatrix",
     "NoisyGroverA3",
     "optimize_circuit",

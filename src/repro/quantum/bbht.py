@@ -12,8 +12,7 @@ the simulator against the formulas.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable, List
+from typing import Iterable
 
 from ..mathx.angles import (
     average_success_probability,
@@ -44,29 +43,3 @@ def worst_case_fixed_j(n: int, j: int, t_values: Iterable[int]) -> float:
 def worst_case_random_j(n: int, m: int, t_values: Iterable[int]) -> float:
     """min over t of the BBHT average — the quantity the paper bounds by 1/4."""
     return min(random_j_success(t, n, m) for t in t_values)
-
-
-@dataclass(frozen=True)
-class SuccessRow:
-    """One row of the E2 table."""
-
-    t: int
-    analytic: float
-    fixed_best: float
-    fixed_worst: float
-
-
-def success_table(n: int, m: int, t_values: Iterable[int]) -> List[SuccessRow]:
-    """Analytic success probabilities per t, with fixed-j best/worst context."""
-    rows: List[SuccessRow] = []
-    for t in t_values:
-        per_j = [fixed_j_success(t, n, j) for j in range(m)]
-        rows.append(
-            SuccessRow(
-                t=t,
-                analytic=random_j_success(t, n, m),
-                fixed_best=max(per_j),
-                fixed_worst=min(per_j),
-            )
-        )
-    return rows

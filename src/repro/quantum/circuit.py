@@ -48,13 +48,6 @@ class GateOp:
     def is_identity(self) -> bool:
         return self.a == self.b
 
-    def describe(self) -> str:
-        if self.is_identity:
-            return f"I[{self.a}]"
-        if self.gate == GATE_CNOT:
-            return f"CNOT[{self.a}->{self.b}]"
-        return f"{GATE_NAMES[self.gate]}[{self.a}]"
-
 
 class Circuit:
     """An ordered list of G-gates on ``n_qubits`` labelled qubits."""
@@ -73,7 +66,7 @@ class Circuit:
     def append(self, op: GateOp) -> "Circuit":
         if op.a >= self.n_qubits or op.b >= self.n_qubits:
             raise QuantumError(
-                f"gate {op.describe()} addresses a qubit beyond {self.n_qubits - 1}"
+                f"{op} addresses a qubit beyond {self.n_qubits - 1}"
             )
         self.ops.append(op)
         return self
@@ -104,12 +97,6 @@ class Circuit:
     def t_dagger(self, qubit: int) -> "Circuit":
         return self.t_power(qubit, 7)
 
-    def s(self, qubit: int) -> "Circuit":
-        return self.t_power(qubit, 2)
-
-    def z(self, qubit: int) -> "Circuit":
-        return self.t_power(qubit, 4)
-
     def x(self, qubit: int) -> "Circuit":
         """X = H Z H = H T^4 H, exactly."""
         return self.h(qubit).t_power(qubit, 4).h(qubit)
@@ -118,21 +105,6 @@ class Circuit:
         if control == target:
             raise QuantumError("CNOT needs distinct qubits")
         return self.append(GateOp(GATE_CNOT, control, target))
-
-    def cz(self, control: int, target: int) -> "Circuit":
-        """CZ = (I x H) CNOT (I x H), exactly."""
-        return self.h(target).cnot(control, target).h(target)
-
-    def identity(self, qubit: int = 0) -> "Circuit":
-        """The paper's explicit identity convention: a == b."""
-        return self.append(GateOp(GATE_H, qubit, qubit))
-
-    def extend(self, other: "Circuit") -> "Circuit":
-        if other.n_qubits > self.n_qubits:
-            raise QuantumError("cannot extend with a wider circuit")
-        for op in other.ops:
-            self.append(op)
-        return self
 
     # -- simulation ----------------------------------------------------------
 
@@ -183,14 +155,3 @@ class Circuit:
         for op in self.ops:
             counts["I" if op.is_identity else GATE_NAMES[op.gate]] += 1
         return counts
-
-    def qubits_touched(self) -> set[int]:
-        """Distinct qubits addressed by non-identity gates (the space charge)."""
-        touched: set[int] = set()
-        for op in self.ops:
-            if op.is_identity:
-                continue
-            touched.add(op.a)
-            if op.gate == GATE_CNOT:
-                touched.add(op.b)
-        return touched

@@ -118,7 +118,7 @@ def mcz(
 ) -> Circuit:
     """Multi-controlled Z: H-conjugated :func:`mcx` (Z = H X H)."""
     if not controls:
-        return circuit.z(target)
+        return circuit.t_power(target, 4)  # Z = T^4
     circuit.h(target)
     mcx(circuit, controls, target, ancillas)
     circuit.h(target)
@@ -263,22 +263,6 @@ class A3Compiler:
         self.add_vx(circuit, x)
         self.add_rx(circuit, y)
         return circuit
-
-
-def lift_state(vec, total_qubits: int):
-    """Embed an algorithm-register state into the compiled layout.
-
-    Ancillas are the high qubits and start in |0>, so the lifted state
-    is the original amplitudes followed by zeros.
-    """
-    import numpy as np
-
-    dim = 1 << total_qubits
-    if vec.size > dim:
-        raise QuantumError("state too large for the target layout")
-    out = np.zeros(dim, dtype=np.complex128)
-    out[: vec.size] = vec
-    return out
 
 
 def project_ancillas_zero(vec, algo_qubits: int, atol: float = 1e-9):

@@ -61,11 +61,6 @@ class DensityMatrix:
         vec = np.asarray(vec, dtype=np.complex128)
         return cls(np.outer(vec, vec.conj()), check=False)
 
-    @classmethod
-    def maximally_mixed(cls, n_qubits: int) -> "DensityMatrix":
-        d = 1 << n_qubits
-        return cls(np.eye(d, dtype=np.complex128) / d, check=False)
-
     # -- evolution ---------------------------------------------------------
 
     def apply_unitary_fn(self, fn: VectorFn) -> "DensityMatrix":
@@ -111,17 +106,6 @@ class DensityMatrix:
         """Tr(rho^2): 1 for pure states, 1/d for the maximally mixed."""
         return float(np.sum(np.abs(self.rho) ** 2))
 
-    def fidelity_with_pure(self, vec: np.ndarray) -> float:
-        """<psi| rho |psi>."""
-        vec = np.asarray(vec, dtype=np.complex128)
-        return float((vec.conj() @ (self.rho @ vec)).real)
-
-    def trace_distance(self, other: "DensityMatrix") -> float:
-        """(1/2) ||rho - sigma||_1 via eigenvalues of the difference."""
-        diff = self.rho - other.rho
-        eigs = np.linalg.eigvalsh(diff)
-        return float(0.5 * np.sum(np.abs(eigs)))
-
 
 class NoisyGroverA3:
     """A3's state evolution under per-iteration depolarizing noise.
@@ -162,14 +146,3 @@ class NoisyGroverA3:
         return float(
             np.mean([self.detection_probability(j) for j in range(m)])
         )
-
-
-def noise_profile(k: int, x: str, y: str, noise: float) -> dict:
-    """The E13 quantities for one (x, y) at one noise rate."""
-    noisy = NoisyGroverA3(k, x, y, noise)
-    return {
-        "t": noisy.clean.t,
-        "noise": noise,
-        "detection": noisy.average_detection_probability(),
-        "clean_detection": noisy.clean.average_detection_probability(),
-    }

@@ -71,32 +71,6 @@ def apply_single(vec: np.ndarray, n_qubits: int, gate: np.ndarray, qubit: int) -
     return np.ascontiguousarray(np.moveaxis(out, 0, axis)).reshape(vec.size)
 
 
-def apply_two(
-    vec: np.ndarray,
-    n_qubits: int,
-    gate: np.ndarray,
-    qubit_a: int,
-    qubit_b: int,
-) -> np.ndarray:
-    """Apply a 4x4 gate to qubits (a, b); the gate basis is |a b> with a high.
-
-    For CNOT, pass ``qubit_a`` = control, ``qubit_b`` = target.
-    """
-    _check_qubit(n_qubits, qubit_a)
-    _check_qubit(n_qubits, qubit_b)
-    if qubit_a == qubit_b:
-        raise QuantumError("two-qubit gate needs distinct qubits")
-    if gate.shape != (4, 4):
-        raise QuantumError(f"expected a 4x4 gate, got shape {gate.shape}")
-    tensor = vec.reshape((2,) * n_qubits)
-    ax_a = n_qubits - 1 - qubit_a
-    ax_b = n_qubits - 1 - qubit_b
-    moved = np.moveaxis(tensor, (ax_a, ax_b), (0, 1))
-    shape = moved.shape
-    out = (gate @ moved.reshape(4, -1)).reshape(shape)
-    return np.ascontiguousarray(np.moveaxis(out, (0, 1), (ax_a, ax_b))).reshape(vec.size)
-
-
 def apply_cnot(vec: np.ndarray, n_qubits: int, control: int, target: int) -> np.ndarray:
     """CNOT as an index permutation (faster than the dense 4x4 route)."""
     _check_qubit(n_qubits, control)
@@ -107,15 +81,6 @@ def apply_cnot(vec: np.ndarray, n_qubits: int, control: int, target: int) -> np.
     flip = bit_where(vec.size, control)
     perm = np.where(flip, idx ^ (1 << target), idx)
     return vec[perm]
-
-
-def controlled(gate: np.ndarray) -> np.ndarray:
-    """The 4x4 controlled version of a 2x2 gate (control = high bit)."""
-    if gate.shape != (2, 2):
-        raise QuantumError("controlled() expects a 2x2 gate")
-    out = np.eye(4, dtype=np.complex128)
-    out[2:, 2:] = gate
-    return out
 
 
 def kron_all(*gates: np.ndarray) -> np.ndarray:

@@ -119,8 +119,3 @@ class GroverA3:
             if j + 1 < m:
                 vec = self._after_vx(vec)
         return float(np.mean(probs))
-
-    def a3_output_distribution(self, m: Optional[int] = None) -> dict[int, float]:
-        """Distribution of A3's output bit (output = 1 - measured b)."""
-        p1 = self.average_detection_probability(m)
-        return {0: p1, 1: 1.0 - p1}

@@ -169,25 +169,3 @@ class RxOperator(_BaseOperator):
     def apply(self, vec: np.ndarray) -> np.ndarray:
         self._check(vec)
         return vec[..., self._perm]
-
-
-def vwv_phase_check(regs: A3Registers, x: str, y: str) -> np.ndarray:
-    """The diagonal of V_x W_y V_x restricted to h = l = 0.
-
-    The paper's key equality: ``V_x W_y V_x`` acts on
-    ``sum_i a_i |i>|0>|0>`` as the phase flip ``(-1)^{x_i and y_i}`` —
-    i.e. exactly the Grover oracle for the intersection.  Returned as
-    the length-N sign vector for tests.
-    """
-    vx = VxOperator(regs, x)
-    wy = WxOperator(regs, y)
-    dim = regs.dimension
-    signs = np.zeros(regs.string_length)
-    for i in range(regs.string_length):
-        vec = np.zeros(dim, dtype=np.complex128)
-        vec[i] = 1.0
-        vec = vx.apply(vec)
-        vec = wy.apply(vec)
-        vec = vx.apply(vec)
-        signs[i] = vec[i].real
-    return signs

@@ -10,8 +10,7 @@ The paper composes online procedures in two ways, both reproduced here:
 
 * **Amplification** — Corollary 3.5 boosts one-sided error 1/4 to
   two-sided error 2/3 by running independent copies and rejecting if any
-  copy rejects (:class:`AnyRejectsAmplifier`); :class:`MajorityVote` is
-  the standard two-sided amplifier included for completeness.
+  copy rejects (:class:`AnyRejectsAmplifier`).
 """
 
 from __future__ import annotations
@@ -89,16 +88,3 @@ class AnyRejectsAmplifier(ParallelComposition):
             r += 1
             failure *= keep
         return r
-
-
-class MajorityVote(ParallelComposition):
-    """Accept iff a strict majority of copies accepts (two-sided amplification)."""
-
-    def __init__(self, name: str, children: Sequence[OnlineAlgorithm]) -> None:
-        if len(children) % 2 == 0:
-            raise ValueError("MajorityVote needs an odd number of copies")
-        super().__init__(
-            name,
-            children,
-            combiner=lambda outs: sum(1 for o in outs if bool(o)) * 2 > len(outs),
-        )

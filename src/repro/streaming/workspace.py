@@ -1,4 +1,4 @@
-"""Bit-metered classical registers and the qubit ledger.
+"""Bit-metered classical registers.
 
 Space claims in this library are *measurements*.  An algorithm that says
 it runs in O(k) bits allocates named registers with declared bit-widths
@@ -8,9 +8,10 @@ simultaneously live bits.  A machine with ``b`` live bits corresponds to
 an online TM using Theta(b) work-tape cells (see
 :mod:`repro.analysis.counting` for the exact Fact 2.2 arithmetic).
 
-Quantum space is tracked by :class:`QubitLedger`, which records how many
-qubits have been touched — Definition 2.3 counts every qubit the output
-circuit names.
+Quantum space is not metered here: a quantum procedure reports its
+register size, as A3 does with
+:attr:`~repro.quantum.registers.A3Registers.total_qubits`, and a
+:class:`SpaceReport` carries it beside the classical bits.
 """
 
 from __future__ import annotations
@@ -208,32 +209,3 @@ class GrowingCounter:
 
     def reset(self) -> None:
         self.set(0)
-
-
-class QubitLedger:
-    """Tracks how many qubits a quantum procedure has touched.
-
-    Definition 2.3 supplies ``s(|w|)`` qubits initialized to |0>; the
-    space charge is the number of distinct qubits the output circuit
-    addresses.  Procedures call :meth:`touch` (idempotent per index).
-    """
-
-    def __init__(self, budget: Optional[int] = None) -> None:
-        self.budget = budget
-        self._touched: set[int] = set()
-
-    def touch(self, *indices: int) -> None:
-        for ix in indices:
-            if ix < 0:
-                raise RegisterError(f"qubit index must be non-negative, got {ix}")
-            self._touched.add(ix)
-        if self.budget is not None and len(self._touched) > self.budget:
-            raise SpaceLimitExceeded(len(self._touched), self.budget, "qubits")
-
-    def touch_range(self, n: int) -> None:
-        self.touch(*range(n))
-
-    @property
-    def qubits(self) -> int:
-        """Number of distinct qubits touched so far."""
-        return len(self._touched)

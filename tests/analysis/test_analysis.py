@@ -113,6 +113,15 @@ class TestTable:
         t.add_row(0.00001234)
         assert "e-" in t.render()
 
+    def test_roundoff_never_reaches_a_printed_digit(self):
+        # 0.84375 sits on a rounding edge of the 4-decimal format: a
+        # 1e-13 error must not move the printed digit, and a bare
+        # round-off residue prints as 0.
+        t = Table("f", ["v"])
+        for value in (0.84375, 0.84375 + 1.6e-13, 0.84375 - 1.6e-13, 1.5e-32, -5.5e-17):
+            t.add_row(value)
+        assert [row[0] for row in t.rows] == ["0.8438"] * 3 + ["0", "0"]
+
 
 class TestProportionUncertainty:
     def test_stderr_half(self):

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from repro.quantum import GroverA3, decode_circuit, encode_circuit
+from repro.quantum.circuit import GATE_CNOT
 from repro.quantum.compile import A3Compiler, project_ancillas_zero
 from repro.core.language import word_length
 
@@ -70,6 +71,10 @@ class TestDefinitionConditions:
     def test_space_charge_counts_all_touched_qubits(self):
         compiler = A3Compiler(1)
         circuit = compiler.compile_a3("1111", "1111", 1)
-        touched = circuit.qubits_touched()
+        # A qubit counts when a non-identity gate acts on it: the H/T
+        # partner label is ignored by the semantics, so only a CNOT's
+        # second operand is read.
+        touched = {op.a for op in circuit if not op.is_identity}
+        touched |= {op.b for op in circuit if op.gate == GATE_CNOT}
         # Algorithm qubits and the ancilla are all used.
         assert touched == set(range(compiler.n_qubits))

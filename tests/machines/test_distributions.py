@@ -1,6 +1,7 @@
 """Unit tests for exact configuration-distribution propagation."""
 
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
@@ -11,8 +12,10 @@ from repro.machines import (
     OPTM,
     TransitionTable,
     coin_machine,
+    copy_machine,
     disjointness_machine,
     fact_2_2_bound,
+    mod_counter_machine,
     parity_machine,
 )
 from repro.machines.distributions import (
@@ -90,6 +93,26 @@ class TestPropagate:
         assert result.accept + result.residual == 1
 
 
+#: Every binary word of length at most 3.
+SHORT_WORDS = ["".join(bits) for n in range(4) for bits in product("01", repeat=n)]
+
+
+class TestExactAgreesWithRun:
+    """On a deterministic machine, the exact acceptance probability is the
+    sampled run's verdict: the two Definition 2.1 semantics agree."""
+
+    @pytest.mark.parametrize("word", SHORT_WORDS)
+    def test_deterministic_builders(self, word, rng):
+        for machine in (
+            parity_machine(),
+            mod_counter_machine(3),
+            mod_counter_machine(3, residue=1),
+            copy_machine(),
+        ):
+            verdict = machine.run(word, rng).accepted
+            assert acceptance_probability(machine, word) == int(verdict), machine.name
+
+
 class TestSegmentKernel:
     def test_disjointness_cut_after_x(self):
         machine = disjointness_machine(2)
@@ -146,6 +169,25 @@ class TestReachability:
         configs = reachable_configurations(coin_machine(), "0")
         states = {c.state for c in configs}
         assert {"q_accept", "q_reject"} <= states
+
+    @pytest.mark.parametrize(
+        "machine,word",
+        [
+            (parity_machine(), "0110"),
+            (mod_counter_machine(4), "0110"),
+            (copy_machine(), "0110"),
+            (coin_machine(), "0110"),
+            (disjointness_machine(2), "01#10"),
+        ],
+        ids=lambda v: v.name if isinstance(v, OPTM) else v,
+    )
+    def test_builders_within_fact_2_2(self, machine, word):
+        configs = reachable_configurations(machine, word)
+        s = max(c.cells_used() for c in configs)
+        bound = fact_2_2_bound(
+            len(word) + 1, s, machine.work_alphabet_size(), machine.state_count()
+        )
+        assert len(configs) <= bound
 
     def test_exploration_saturates(self):
         a = reachable_configurations(parity_machine(), "11", max_steps=100)

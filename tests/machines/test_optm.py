@@ -1,6 +1,7 @@
 """Unit tests for the OPTM simulator on the built-in machines."""
 
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
@@ -38,12 +39,22 @@ class TestParityMachine:
 
 
 class TestModCounter:
-    @pytest.mark.parametrize("p", [1, 2, 3, 5])
-    def test_counts_mod_p(self, p, rng):
-        machine = mod_counter_machine(p)
-        for ones in range(2 * p + 1):
-            word = "1" * ones
-            assert machine.run(word, rng).accepted == (ones % p == 0)
+    @pytest.mark.parametrize(
+        "p,residue",
+        [
+            pytest.param(p, r, id=f"{p}-{r}" if r else f"{p}")
+            for p in (1, 2, 3, 4, 5)
+            for r in range(p)
+        ],
+    )
+    def test_counts_mod_p(self, p, residue, rng):
+        # Zeros are interleaved: only the count of 1s decides.
+        machine = mod_counter_machine(p, residue=residue)
+        words = ["".join(bits) for n in range(p + 2) for bits in product("01", repeat=n)]
+        words += ["1" * ones for ones in range(2 * p + 1)]
+        for word in words:
+            expect = word.count("1") % p == residue
+            assert machine.run(word, rng).accepted == expect, word
 
     def test_residue(self, rng):
         machine = mod_counter_machine(3, residue=2)

@@ -68,17 +68,6 @@ class TestClosedForm:
         )
         assert worst >= 0.25
 
-    @pytest.mark.parametrize("k", [1, 2, 3])
-    def test_bbht_threshold_met_by_sqrt_n(self, k):
-        n = 1 << (2 * k)
-        m = 1 << k
-        for t in range(1, n):
-            assert m >= angles.bbht_threshold(t, n) * 0.5  # m >= sqrt(n)/2 suffices
-
-    def test_bbht_threshold_domain(self):
-        with pytest.raises(ValueError):
-            angles.bbht_threshold(0, 4)
-
     def test_m_validation(self):
         with pytest.raises(ValueError):
             angles.sin_squared_sum(0.3, 0)

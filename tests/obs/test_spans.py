@@ -160,3 +160,28 @@ class TestTraceSession:
                 pass
         assert [e["name"] for e in first.events] == ["a"]
         assert [e["name"] for e in second.events] == ["b"]
+
+    def test_nested_session_keeps_the_outer_sessions_spans(self):
+        with TraceSession() as outer:
+            with span("a"):
+                pass
+            with TraceSession() as inner:
+                with span("b"):
+                    pass
+            with span("c"):
+                pass
+        assert [e["name"] for e in inner.events] == ["b"]
+        assert [e["name"] for e in outer.events] == ["a", "b", "c"]
+
+    def test_nested_session_keeps_the_outer_drop_count(self, monkeypatch):
+        monkeypatch.setattr(get_recorder(), "limit", 1)
+        with TraceSession() as outer:
+            for name in ("a", "a2"):
+                with span(name):
+                    pass
+            with TraceSession() as inner:
+                for name in ("b", "b2"):
+                    with span(name):
+                        pass
+        assert [e["name"] for e in inner.events] == ["b"] and inner.dropped == 1
+        assert [e["name"] for e in outer.events] == ["a"] and outer.dropped == 3

@@ -56,9 +56,9 @@ class TestFindMultipliers:
 
 
 class TestAfQfa:
-    @pytest.mark.parametrize("p", [5, 13, 31])
+    @pytest.mark.parametrize("p", [3, 5, 7, 11, 13, 17, 19, 23, 31])
     def test_bounded_error_language_recognition(self, p, rng):
-        qfa, mult = af_qfa_for_mod_language(p, rng=rng)
+        qfa, _ = af_qfa_for_mod_language(p, rng=rng)
         for i in range(2 * p + 1):
             prob = qfa.acceptance_probability("a" * i)
             if i % p == 0:

@@ -1,11 +1,9 @@
-"""Unit tests for DFAs (with minimization) and PFAs."""
+"""Unit tests for DFAs (with minimization)."""
 
-import numpy as np
 import pytest
 
 from repro.errors import ReproError
-from repro.qfa import DFA, minimize_dfa, mod_dfa, mod_pfa, unary_myhill_nerode_index
-from repro.qfa.pfa import PFA
+from repro.qfa import DFA, minimize_dfa, mod_dfa, unary_myhill_nerode_index
 
 
 class TestModDfa:
@@ -80,32 +78,3 @@ class TestMyhillNerode:
         with pytest.raises(ValueError):
             unary_myhill_nerode_index(lambda i: True, 0)
 
-
-class TestPfa:
-    def test_mod_pfa_matches_dfa(self):
-        p = 5
-        pfa = mod_pfa(p)
-        for i in range(12):
-            prob = pfa.acceptance_probability("a" * i)
-            assert prob == pytest.approx(1.0 if i % p == 0 else 0.0)
-
-    def test_random_mixture(self):
-        # A genuine 2-state random walk: stays or flips with prob 1/2.
-        m = np.full((2, 2), 0.5)
-        pfa = PFA({"a": m}, np.array([1.0, 0.0]), np.array([1.0, 0.0]))
-        assert pfa.acceptance_probability("a") == pytest.approx(0.5)
-        assert pfa.acceptance_probability("aaaa") == pytest.approx(0.5)
-
-    def test_stochasticity_enforced(self):
-        bad = np.array([[0.5, 0.6], [0.5, 0.5]])
-        with pytest.raises(ReproError):
-            PFA({"a": bad}, np.array([1.0, 0.0]), np.array([1.0, 0.0]))
-
-    def test_initial_distribution_enforced(self):
-        m = np.eye(2)
-        with pytest.raises(ReproError):
-            PFA({"a": m}, np.array([0.5, 0.6]), np.array([1.0, 0.0]))
-
-    def test_cutpoint_decision(self):
-        pfa = mod_pfa(3)
-        assert pfa.accepts("aaa") and not pfa.accepts("a")

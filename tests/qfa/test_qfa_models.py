@@ -1,4 +1,4 @@
-"""Unit tests for MO-1QFA / MM-1QFA semantics."""
+"""Unit tests for MO-1QFA semantics."""
 
 import math
 
@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from repro.errors import ReproError
-from repro.qfa import MM1QFA, MO1QFA
+from repro.qfa import MO1QFA
 
 
 def rotation(theta):
@@ -43,59 +43,3 @@ class TestMO1QFA:
         qfa = MO1QFA({"a": rotation(0.3)}, np.array([1, 0], dtype=complex), [0])
         assert qfa.accepts("a")  # cos^2(0.3) ~ 0.91
 
-
-class TestMM1QFA:
-    def test_requires_end_marker_unitary(self):
-        with pytest.raises(ReproError):
-            MM1QFA({"a": np.eye(2)}, np.array([1, 0], dtype=complex), [0], [1])
-
-    def test_disjoint_halting_sets(self):
-        u = {"a": np.eye(2), "$": np.eye(2)}
-        with pytest.raises(ReproError):
-            MM1QFA(u, np.array([1, 0], dtype=complex), [0], [0])
-
-    def test_deterministic_accept(self):
-        # Identity everywhere; start in a non-halting state, the end marker
-        # rotates it onto the accepting state.
-        swap = np.array([[0, 1], [1, 0]], dtype=complex)
-        qfa = MM1QFA(
-            {"a": np.eye(2, dtype=complex), "$": swap},
-            np.array([0, 1], dtype=complex),  # state 1 = non-halting
-            accepting=[0],
-            rejecting=[],
-        )
-        assert qfa.acceptance_probability("aaa") == pytest.approx(1.0)
-
-    def test_halting_mass_accumulates(self):
-        # Rotation leaks amplitude onto the accepting state each step.
-        theta = math.pi / 6
-        qfa = MM1QFA(
-            {"a": rotation(theta), "$": np.eye(2, dtype=complex)},
-            np.array([0, 1], dtype=complex),
-            accepting=[0],
-            rejecting=[],
-        )
-        p1 = qfa.acceptance_probability("a")
-        p2 = qfa.acceptance_probability("aa")
-        assert 0 < p1 < p2 <= 1
-
-    def test_mm_subsumes_mo_on_mod_language(self):
-        """With no intermediate halting states, MM reduces to MO."""
-        theta = 2 * math.pi / 5
-        mo = MO1QFA({"a": rotation(theta)}, np.array([1, 0], dtype=complex), [0])
-        # MM version: 3 states; state 2 mirrors the MO accept state only at
-        # the end marker.
-        u_a = np.eye(3, dtype=complex)
-        u_a[:2, :2] = rotation(theta)
-        u_end = np.eye(3, dtype=complex)
-        u_end[[0, 2]] = u_end[[2, 0]]  # swap accept flag into halting state
-        mm = MM1QFA(
-            {"a": u_a, "$": u_end},
-            np.array([1, 0, 0], dtype=complex),
-            accepting=[2],
-            rejecting=[],
-        )
-        for i in range(8):
-            assert mm.acceptance_probability("a" * i) == pytest.approx(
-                mo.acceptance_probability("a" * i), abs=1e-10
-            )

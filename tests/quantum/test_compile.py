@@ -13,7 +13,6 @@ from repro.quantum import A3Registers, Circuit, GroverA3
 from repro.quantum.compile import (
     A3Compiler,
     ancillas_needed,
-    lift_state,
     mcx,
     mcz,
     pattern_mcx,
@@ -28,7 +27,7 @@ from repro.quantum.operators import (
     VxOperator,
     WxOperator,
 )
-from repro.quantum.state import global_phase_aligned
+from repro.quantum.state import basis_state, global_phase_aligned
 
 
 def mcx_reference(n, controls, target):
@@ -86,9 +85,8 @@ class TestMcx:
         algo_qubits = r + 1
         ref = mcx_reference(algo_qubits, controls, target)
         for col in range(1 << algo_qubits):
-            basis = np.zeros(1 << algo_qubits, dtype=np.complex128)
-            basis[col] = 1.0
-            lifted = lift_state(basis, circuit.n_qubits)
+            # Ancillas are the high qubits, so |col> keeps its index.
+            lifted = basis_state(circuit.n_qubits, col)
             out = project_ancillas_zero(circuit.apply(lifted), algo_qubits)
             assert np.allclose(out, ref[:, col], atol=1e-9), f"r={r}, col={col}"
 
@@ -135,9 +133,7 @@ class TestOperatorLowerings:
         dim = regs.dimension
         cols = []
         for col in range(dim):
-            basis = np.zeros(dim, dtype=np.complex128)
-            basis[col] = 1.0
-            lifted = lift_state(basis, compiler.n_qubits)
+            lifted = basis_state(compiler.n_qubits, col)
             cols.append(project_ancillas_zero(circuit.apply(lifted), regs.total_qubits))
         compiled = np.array(cols).T
         if up_to_phase:

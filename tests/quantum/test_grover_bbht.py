@@ -13,7 +13,6 @@ from repro.quantum import GroverA3
 from repro.quantum.bbht import (
     fixed_j_success,
     random_j_success,
-    success_table,
     worst_case_fixed_j,
 )
 from repro.quantum.bbht import worst_case_random_j
@@ -111,11 +110,6 @@ class TestGroverA3Dynamics:
         with pytest.raises(QuantumError):
             GroverA3(1, "0000", "0000").state_after(-1)
 
-    def test_output_distribution_sums_to_one(self):
-        x, y = pair_with_t(1, 2, seed=0)
-        dist = GroverA3(1, x, y).a3_output_distribution()
-        assert dist[0] + dist[1] == pytest.approx(1.0)
-
 
 class TestBBHTStrategies:
     def test_fixed_j_can_fail(self):
@@ -128,12 +122,6 @@ class TestBBHTStrategies:
     def test_random_j_never_fails(self):
         n = 64
         assert worst_case_random_j(n, 8, range(1, n)) >= 0.25
-
-    def test_success_table_shape(self):
-        rows = success_table(16, 4, [1, 4, 8])
-        assert len(rows) == 3
-        for row in rows:
-            assert 0 <= row.fixed_worst <= row.analytic <= row.fixed_best <= 1
 
     @given(st.integers(1, 15), st.integers(0, 3))
     @settings(max_examples=30)

@@ -14,7 +14,6 @@ from repro.quantum.operators import (
     UkOperator,
     VxOperator,
     WxOperator,
-    vwv_phase_check,
 )
 
 REGS1 = A3Registers(1)  # N = 4, 4 qubits
@@ -155,11 +154,16 @@ class TestPaperKeyEquality:
     def test_vwv_is_the_intersection_oracle(self, seed):
         x = bitstring(REGS1, seed)
         y = bitstring(REGS1, seed + 100)
-        signs = vwv_phase_check(REGS1, x, y)
-        expect = np.array(
-            [-1.0 if (a == "1" and b == "1") else 1.0 for a, b in zip(x, y)]
-        )
-        assert np.allclose(signs, expect)
+        vx, wy = VxOperator(REGS1, x), WxOperator(REGS1, y)
+        for i, (a, b) in enumerate(zip(x, y)):
+            # |i>|h=0>|l=0> is basis index i; it must come back as
+            # (-1)^{x_i and y_i} |i>|0>|0>, with nothing left elsewhere.
+            vec = np.zeros(REGS1.dimension, dtype=np.complex128)
+            vec[i] = 1.0
+            out = vx.apply(wy.apply(vx.apply(vec)))
+            expect = np.zeros_like(vec)
+            expect[i] = -1.0 if (a == "1" and b == "1") else 1.0
+            assert np.allclose(out, expect, atol=1e-12), (x, y, i)
 
     def test_dense_unitaries_compose(self):
         x, y = "1001", "1100"

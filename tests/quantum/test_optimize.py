@@ -32,7 +32,7 @@ class TestRewrites:
         assert len(optimize_circuit(c)) == 1
 
     def test_identity_triples_dropped(self):
-        c = Circuit(2).identity(0).h(1).identity(1)
+        c = Circuit(2, [GateOp(GATE_H, 0, 0)]).h(1).append(GateOp(GATE_H, 1, 1))
         assert len(optimize_circuit(c)) == 1
 
     def test_disjoint_qubit_commute_cancellation(self):

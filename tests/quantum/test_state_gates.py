@@ -1,4 +1,4 @@
-"""Unit tests for state vectors and gate application."""
+"""Unit tests for gate matrices, gate application and state helpers."""
 
 import numpy as np
 import pytest
@@ -10,18 +10,16 @@ from repro.quantum import (
     CNOT_MATRIX,
     H,
     S,
-    StateVector,
     T,
     T_DAGGER,
     X,
     Y,
     Z,
     apply_single,
-    apply_two,
     basis_state,
     zero_state,
 )
-from repro.quantum.gates import apply_cnot, controlled, kron_all, walsh_hadamard_in_place
+from repro.quantum.gates import apply_cnot, kron_all, walsh_hadamard_in_place
 from repro.quantum.state import global_phase_aligned
 
 
@@ -55,19 +53,21 @@ class TestApply:
         out = apply_single(vec, 3, X, 0)
         assert np.allclose(out, basis_state(3, 4))
 
-    def test_apply_two_cnot_convention(self):
-        # Control = qubit 1, target = qubit 0: |10> (index 2) -> |11> (index 3).
-        vec = basis_state(2, 2)
-        out = apply_two(vec, 2, CNOT_MATRIX, 1, 0)
-        assert np.allclose(out, basis_state(2, 3))
-
     def test_apply_cnot_matches_dense(self):
         rng = np.random.default_rng(0)
         vec = rng.normal(size=8) + 1j * rng.normal(size=8)
         vec /= np.linalg.norm(vec)
-        dense = apply_two(vec, 3, CNOT_MATRIX, 2, 0)
-        fast = apply_cnot(vec, 3, 2, 0)
-        assert np.allclose(dense, fast, atol=1e-12)
+        # CNOT_MATRIX's control is the high bit of its pair, as qubit 2
+        # is of (2, 1) and qubit 1 of (1, 0).
+        dense = kron_all(CNOT_MATRIX, np.eye(2)) @ vec
+        assert np.allclose(apply_cnot(vec, 3, 2, 1), dense, atol=1e-12)
+        dense = kron_all(np.eye(2), CNOT_MATRIX) @ vec
+        assert np.allclose(apply_cnot(vec, 3, 1, 0), dense, atol=1e-12)
+        # Non-adjacent pair (2, 0): |b2 b1 b0> -> |b2 b1 (b0 xor b2)>.
+        perm = np.zeros((8, 8))
+        for i in range(8):
+            perm[i ^ (i >> 2 & 1), i] = 1.0
+        assert np.allclose(apply_cnot(vec, 3, 2, 0), perm @ vec, atol=1e-12)
 
     def test_apply_preserves_norm(self):
         rng = np.random.default_rng(1)
@@ -81,10 +81,7 @@ class TestApply:
         with pytest.raises(QuantumError):
             apply_single(zero_state(2), 2, H, 2)
         with pytest.raises(QuantumError):
-            apply_two(zero_state(2), 2, CNOT_MATRIX, 0, 0)
-
-    def test_controlled_builder(self):
-        assert np.allclose(controlled(X), CNOT_MATRIX, atol=1e-12)
+            apply_cnot(zero_state(2), 2, 0, 0)
 
     def test_kron_all(self):
         assert kron_all(X, X).shape == (4, 4)
@@ -136,69 +133,7 @@ class TestWalshHadamard:
             walsh_hadamard_in_place(np.zeros((1, 3), dtype=np.complex128))
 
 
-class TestStateVector:
-    def test_zero_state(self):
-        sv = StateVector.zero(3)
-        assert sv.probability_of_bit(0, 0) == pytest.approx(1.0)
-
-    def test_rejects_unnormalized(self):
-        with pytest.raises(QuantumError):
-            StateVector(np.array([1.0, 1.0], dtype=np.complex128))
-
-    def test_rejects_non_power_of_two(self):
-        with pytest.raises(QuantumError):
-            StateVector(np.array([1.0, 0, 0], dtype=np.complex128))
-
-    def test_probability_of_bit(self):
-        plus = StateVector(np.array([1, 1], dtype=np.complex128) / np.sqrt(2))
-        assert plus.probability_of_bit(0, 1) == pytest.approx(0.5)
-
-    def test_marginal(self):
-        bell = StateVector(
-            np.array([1, 0, 0, 1], dtype=np.complex128) / np.sqrt(2)
-        )
-        marg = bell.marginal([0])
-        assert np.allclose(marg, [0.5, 0.5])
-        joint = bell.marginal([0, 1])
-        assert np.allclose(joint, [0.5, 0, 0, 0.5])
-
-    def test_measure_collapses(self, rng):
-        bell = StateVector(
-            np.array([1, 0, 0, 1], dtype=np.complex128) / np.sqrt(2)
-        )
-        outcome, collapsed = bell.measure_qubit(0, rng)
-        # After measuring qubit 0, qubit 1 is perfectly correlated.
-        assert collapsed.probability_of_bit(1, outcome) == pytest.approx(1.0)
-
-    def test_sample_all_distribution(self, rng):
-        plus = StateVector(np.ones(4, dtype=np.complex128) / 2)
-        samples = [plus.sample_all(rng) for _ in range(2000)]
-        counts = np.bincount(samples, minlength=4) / 2000
-        assert np.all(np.abs(counts - 0.25) < 0.05)
-
-    def test_sample_all_raises_on_norm_drift(self, rng):
-        # Real drift (well past NORM_ATOL) must raise, not be hidden by
-        # silent renormalization.
-        drifted = StateVector(
-            np.ones(4, dtype=np.complex128) / 2 * 1.001, check=False
-        )
-        with pytest.raises(QuantumError, match="drift"):
-            drifted.sample_all(rng)
-
-    def test_sample_all_tolerates_roundoff(self, rng):
-        # Drift inside NORM_ATOL (ordinary float round-off) still samples.
-        wobble = np.sqrt(1.0 + 1e-12)
-        nearly = StateVector(
-            np.ones(4, dtype=np.complex128) / 2 * wobble, check=False
-        )
-        assert nearly.sample_all(rng) in range(4)
-
-    def test_fidelity_and_phase(self):
-        a = StateVector.zero(2)
-        b = StateVector(np.exp(1j * 0.7) * zero_state(2), check=False)
-        assert a.fidelity(b) == pytest.approx(1.0)
-        assert a.equals_up_to_global_phase(b)
-
+class TestStateHelpers:
     def test_global_phase_aligned(self):
         u = np.eye(4, dtype=np.complex128)
         v = np.exp(1j * 1.1) * u
@@ -209,6 +144,7 @@ class TestStateVector:
     @given(st.integers(1, 5))
     @settings(max_examples=10)
     def test_basis_states_orthonormal(self, n):
-        a = StateVector(basis_state(n, 0), check=False)
-        b = StateVector(basis_state(n, (1 << n) - 1), check=False)
-        assert a.fidelity(b) == pytest.approx(0.0)
+        a = basis_state(n, 0)
+        b = basis_state(n, (1 << n) - 1)
+        assert np.vdot(a, a) == pytest.approx(1.0)
+        assert np.vdot(a, b) == pytest.approx(0.0)

@@ -5,7 +5,6 @@ import pytest
 from repro.streaming import (
     AnyRejectsAmplifier,
     FunctionalOnlineAlgorithm,
-    MajorityVote,
     ParallelComposition,
     run_online,
 )
@@ -99,15 +98,3 @@ class TestAnyRejectsAmplifier:
         observed = hits / trials
         expected = 1 - 0.75**4
         assert abs(observed - expected) < 0.05
-
-
-class TestMajorityVote:
-    def test_majority(self):
-        vote = MajorityVote(
-            "v", [const_algorithm(1), const_algorithm(1), const_algorithm(0)]
-        )
-        assert run_online(vote, "0").accepted
-
-    def test_requires_odd(self):
-        with pytest.raises(ValueError):
-            MajorityVote("v", [const_algorithm(1), const_algorithm(0)])

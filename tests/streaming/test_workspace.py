@@ -5,7 +5,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.errors import RegisterError, SpaceLimitExceeded
-from repro.streaming import Workspace, QubitLedger, register_width
+from repro.streaming import Workspace, register_width
 from repro.streaming.workspace import GrowingCounter, SpaceReport
 
 
@@ -141,28 +141,6 @@ class TestGrowingCounter:
         c.set(100)
         c.reset()
         assert c.value == 0
-
-
-class TestQubitLedger:
-    def test_touch_is_idempotent(self):
-        ql = QubitLedger()
-        ql.touch(0, 1, 1, 2)
-        assert ql.qubits == 3
-
-    def test_touch_range(self):
-        ql = QubitLedger()
-        ql.touch_range(6)
-        assert ql.qubits == 6
-
-    def test_budget(self):
-        ql = QubitLedger(budget=2)
-        ql.touch(0, 1)
-        with pytest.raises(SpaceLimitExceeded):
-            ql.touch(2)
-
-    def test_negative_index(self):
-        with pytest.raises(RegisterError):
-            QubitLedger().touch(-1)
 
 
 class TestSpaceReport:
